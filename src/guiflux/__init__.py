@@ -39,6 +39,13 @@ from .rewards import (
     diversity_reward,
     region_separation,
 )
-from .simulator import EpisodeInstance, TaskSpec, make_sequence, sample_instance, sample_instances
+from .simulator import (
+    EpisodeBatch,
+    EpisodeInstance,
+    TaskSpec,
+    make_sequence,
+    sample_instance,
+    sample_instances,
+)
 
 __version__ = "0.1.0"

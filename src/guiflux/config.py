@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .harness import DEFAULT_SCALE_POINTS, RunConfig
 from .policy import OptimConfig
 from .rewards import RewardConfig
-from .simulator import SCENARIOS
+from .simulator import SCENARIOS, make_sequence
 
 _OPTIM_KEYS = {
     "beta", "lr", "n_samples", "inner_epochs", "ref_refresh", "init_log_std",
@@ -78,10 +78,15 @@ def parse_config(doc: dict) -> RunConfig:
         )
     except (TypeError, ValueError) as e:
         raise ConfigError(f"sweep.scale_points: expected a list of [alpha, gamma] pairs: {e}") from e
+    for i, (a, g) in enumerate(scale_points):
+        if not (a > 0.0 and g > 0.0):
+            raise ConfigError(f"sweep.scale_points[{i}]: scales must be positive, got [{a:g}, {g:g}]")
 
     overrides = sim_doc.get("overrides", {})
     if not isinstance(overrides, dict) or not all(isinstance(v, dict) for v in overrides.values()):
         raise ConfigError("simulator.overrides: must map task name to a field/value object")
+    # Builds every task once, so invalid fixture overrides fail here, not mid-run.
+    make_sequence(scenario, seeds[0], overrides)
 
     try:
         optim = OptimConfig(

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Point:
@@ -50,6 +52,19 @@ class BBox:
     @property
     def area(self) -> float:
         return self.width * self.height
+
+
+def check_boxes(boxes: np.ndarray) -> None:
+    """The `BBox` invariants for every row of an (n, 4) xyxy array at once:
+    0<=x1<=x2<=1 and 0<=y1<=y2<=1, which also rules out nan and inf.
+    Raises ValueError naming the first offending row."""
+    lo = boxes[:, :2]
+    hi = boxes[:, 2:]
+    ok = (0.0 <= lo) & (lo <= hi) & (hi <= 1.0)
+    if ok.all():
+        return
+    i = int(np.flatnonzero(~ok.all(axis=1))[0])
+    raise ValueError(f"box {i} {tuple(float(c) for c in boxes[i])} violates the BBox invariants")
 
 
 @dataclass(frozen=True)

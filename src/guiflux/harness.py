@@ -147,26 +147,26 @@ def evaluate(
 
     Evaluation is deterministic given the rng: the policy predicts its mean
     box (no sampling noise) and a prediction succeeds when its center lands
-    inside the ground-truth box.
+    inside the ground-truth box. A split with no episodes (e.g. icons under
+    text_fraction 1) is nan: missing, not 0% accurate.
     """
     overall = np.zeros(len(tasks))
     text = np.zeros(len(tasks))
     icon = np.zeros(len(tasks))
     for t_idx, task in enumerate(tasks):
-        instances = sample_instances(task, episodes, rng)
-        states = np.stack([inst.state for inst in instances])
-        u = states @ policy.W + policy.b
+        batch = sample_instances(task, episodes, rng)
+        u = batch.states @ policy.W + policy.b
         cx = 1.0 / (1.0 + np.exp(-u[:, 0]))
         cy = 1.0 / (1.0 + np.exp(-u[:, 1]))
-        gt = np.array([[i.gt.x1, i.gt.y1, i.gt.x2, i.gt.y2] for i in instances])
+        gt = batch.boxes
         hit = (
             (gt[:, 0] <= cx) & (cx <= gt[:, 2])
             & (gt[:, 1] <= cy) & (cy <= gt[:, 3])
         )
-        is_text = np.array([i.kind == "text" for i in instances])
+        is_text = batch.is_text
         overall[t_idx] = hit.mean()
-        text[t_idx] = hit[is_text].mean() if is_text.any() else 0.0
-        icon[t_idx] = hit[~is_text].mean() if (~is_text).any() else 0.0
+        text[t_idx] = hit[is_text].mean() if is_text.any() else np.nan
+        icon[t_idx] = hit[~is_text].mean() if not is_text.all() else np.nan
     return overall, text, icon
 
 

@@ -121,6 +121,24 @@ class TestRunCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["master_seed"] == 9
 
+    def test_invalid_override_exits_2_naming_path(self, tmp_path, caplog):
+        doc = {**TINY, "simulator": {"overrides": {"mobile": {"text_fraction": 1.5}}}}
+        out = tmp_path / "o"
+        assert main(["run", write_cfg(tmp_path, doc), str(out)]) == 2
+        assert "simulator.overrides.mobile" in caplog.text
+        assert not out.exists()
+
+    def test_text_only_task_has_missing_icon_split(self, tmp_path):
+        doc = {**TINY, "simulator": {"overrides": {"mobile": {"text_fraction": 1.0}}}}
+        out = tmp_path / "o"
+        assert main(["run", write_cfg(tmp_path, doc), str(out)]) == 0
+        lines = (out / "matrix.csv").read_text().splitlines()
+        col = lines[0].split(",").index("icon_mobile")
+        assert [line.split(",")[col] for line in lines[1:]] == ["nan"] * 4
+        m = read_matrix(out / "matrix.csv")
+        assert np.isnan(m.icon[:, 0]).all()
+        assert not np.isnan(m.text).any() and not np.isnan(m.icon[:, 1:]).any()
+
     def test_numerical_abort_exits_3(self, tmp_path, monkeypatch):
         from guiflux import cli as cli_mod
         from guiflux.policy import NumericalAbort
@@ -144,6 +162,15 @@ class TestPersistenceRoundTrip:
         assert np.array_equal(back.icon, m.icon)
         assert back.task_names == m.task_names
         assert back.stage_labels == m.stage_labels
+
+    def test_matrix_nan_round_trip(self, tmp_path):
+        cfg = parse_config({**TINY, "simulator": {"overrides": {"web": {"text_fraction": 0.0}}}})
+        m, records, tasks = run_continual(cfg, seed=0)
+        assert np.isnan(m.text[:, 2]).all()
+        write_run(tmp_path, cfg, 0, m, records, tasks)
+        back = read_matrix(tmp_path / "matrix.csv")
+        assert np.array_equal(back.text, m.text, equal_nan=True)
+        assert np.array_equal(back.icon, m.icon)
 
     def test_trainlog_exact(self, tmp_path):
         cfg = parse_config(TINY)
@@ -201,6 +228,13 @@ class TestAblateCommand:
         assert len(summary) - 1 == 4 * 2 * 1  # one row per cell
         run_dirs = [p for p in out.iterdir() if p.is_dir()]
         assert len(run_dirs) == 4 * 2 * 1 * 2  # one dir per cell x seed
+
+    def test_non_positive_scale_point_exits_2_naming_path(self, tmp_path, caplog):
+        doc = {**TINY, "sweep": {"scale_points": [[1, 1], [0, 1]]}}
+        out = tmp_path / "grid"
+        assert main(["ablate", write_cfg(tmp_path, doc), str(out)]) == 2
+        assert "sweep.scale_points[1]" in caplog.text
+        assert not out.exists()
 
     def test_summary_means_match_cell_runs(self, tmp_path):
         import csv as csv_mod

@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guiflux.errors import ConfigError
+from guiflux.geometry import BBox, check_boxes
 from guiflux.harness import evaluate
+from guiflux.policy import GroundingPolicy
 from guiflux.simulator import (
     DOMAIN_FIXTURES,
+    ICON_SIZE_FACTOR,
+    SCENARIOS,
+    SIZE_CLIP,
+    EpisodeBatch,
     EpisodeInstance,
     TaskSpec,
     make_sequence,
@@ -16,6 +24,70 @@ from guiflux.simulator import (
 )
 
 from conftest import oracle_policy
+
+
+def scalar_reference(task, n, rng):
+    """Per-episode construction of `n` episodes, as the simulator built them
+    before it became array-first: the same vectorized draws, then one state
+    vector, one BBox and one kind per episode. Returns (states, boxes, kinds)."""
+    is_text = rng.random(n) < task.text_fraction
+    w = rng.normal(task.size_mean, task.size_spread, n)
+    h = rng.normal(task.size_mean, task.size_spread, n)
+    factor = np.where(is_text, 1.0, ICON_SIZE_FACTOR)
+    w = np.clip(w * factor, *SIZE_CLIP)
+    h = np.clip(h * factor, *SIZE_CLIP)
+    cx = w / 2.0 + rng.random(n) * (1.0 - w)
+    cy = h / 2.0 + rng.random(n) * (1.0 - h)
+    noise = task.noise_sigma * rng.standard_normal((n, 4))
+
+    matrix = np.asarray(task.matrix)
+    offset = np.asarray(task.offset)
+    latent = np.column_stack([
+        np.log(cx / (1.0 - cx)),
+        np.log(cy / (1.0 - cy)),
+        np.log(w),
+        np.log(h),
+    ])
+    obs = np.empty_like(latent)
+    obs[:, :2] = latent[:, :2] @ matrix.T + offset
+    obs[:, 2:] = latent[:, 2:] @ matrix.T
+    obs += noise
+    one_hot = np.zeros(task.n_tasks)
+    one_hot[task.index] = 1.0
+
+    states, boxes, kinds = [], [], []
+    for i in range(n):
+        x1 = min(max(cx[i] - w[i] / 2.0, 0.0), 1.0)
+        x2 = min(max(cx[i] + w[i] / 2.0, 0.0), 1.0)
+        y1 = min(max(cy[i] - h[i] / 2.0, 0.0), 1.0)
+        y2 = min(max(cy[i] + h[i] / 2.0, 0.0), 1.0)
+        gt = BBox(x1, y1, x2, y2)
+        states.append(np.concatenate([obs[i], one_hot, [1.0 if is_text[i] else 0.0]]))
+        boxes.append((gt.x1, gt.y1, gt.x2, gt.y2))
+        kinds.append("text" if is_text[i] else "icon")
+    return np.array(states), np.array(boxes), kinds
+
+
+def reference_evaluate(policy, tasks, episodes, rng):
+    """One accuracy-matrix row scored episode by episode from the scalar
+    reference draws; empty splits are nan."""
+    rows = []
+    for task in tasks:
+        states, boxes, kinds = scalar_reference(task, episodes, rng)
+        u = states @ policy.W + policy.b
+        cx = 1.0 / (1.0 + np.exp(-u[:, 0]))
+        cy = 1.0 / (1.0 + np.exp(-u[:, 1]))
+        hits = {"text": [], "icon": []}
+        for i, kind in enumerate(kinds):
+            x1, y1, x2, y2 = boxes[i]
+            hits[kind].append(bool(x1 <= cx[i] <= x2 and y1 <= cy[i] <= y2))
+        every = hits["text"] + hits["icon"]
+        rows.append((
+            sum(every) / len(every),
+            sum(hits["text"]) / len(hits["text"]) if hits["text"] else math.nan,
+            sum(hits["icon"]) / len(hits["icon"]) if hits["icon"] else math.nan,
+        ))
+    return tuple(np.array(col) for col in zip(*rows))
 
 
 class TestMakeSequence:
@@ -143,3 +215,121 @@ class TestTaskDistinctness:
             for other in range(3):
                 if other != trained:
                     assert row[other] < row[trained] - 0.05
+
+
+class TestEpisodeBatch:
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("n", [1, 3, 2000])
+    def test_equals_scalar_reference_bitwise(self, scenario, n):
+        for task in make_sequence(scenario, 7):
+            rng_a = np.random.default_rng(100 + task.index)
+            rng_b = np.random.default_rng(100 + task.index)
+            batch = sample_instances(task, n, rng_a)
+            states, boxes, kinds = scalar_reference(task, n, rng_b)
+            assert len(batch) == n
+            assert np.array_equal(batch.states, states)
+            assert np.array_equal(batch.boxes, boxes)
+            assert ["text" if t else "icon" for t in batch.is_text] == kinds
+            # the draws consume the stream exactly as the scalar loop did
+            assert rng_a.random() == rng_b.random()
+
+    def test_instances_are_views_of_the_arrays(self):
+        task = make_sequence("domain_flux", 0)[2]
+        batch = sample_instances(task, 5, np.random.default_rng(4))
+        instances = list(batch)
+        assert len(instances) == 5
+        for i, inst in enumerate(instances):
+            assert isinstance(inst, EpisodeInstance)
+            assert np.array_equal(inst.state, batch.states[i])
+            assert (inst.gt.x1, inst.gt.y1, inst.gt.x2, inst.gt.y2) == tuple(batch.boxes[i])
+            assert inst.kind == ("text" if batch.is_text[i] else "icon")
+        assert batch[-1].gt == instances[-1].gt
+        with pytest.raises(IndexError):
+            batch[5]
+
+    @pytest.mark.parametrize("corner, value", [
+        (0, math.nan), (1, math.inf), (2, -math.inf), (0, -1e-12), (3, 1.0 + 1e-12),
+    ])
+    def test_rejects_corrupted_corner(self, corner, value):
+        batch = sample_instances(make_sequence("domain_flux", 0)[0], 4, np.random.default_rng(0))
+        boxes = batch.boxes.copy()
+        boxes[2, corner] = value
+        with pytest.raises(ValueError, match="box 2"):
+            EpisodeBatch(batch.states, boxes, batch.is_text)
+
+    @pytest.mark.parametrize("lo, hi", [(0, 2), (1, 3)])
+    def test_rejects_inverted_box(self, lo, hi):
+        boxes = np.array([[0.1, 0.1, 0.2, 0.2], [0.1, 0.1, 0.2, 0.2]])
+        boxes[1, [lo, hi]] = boxes[1, [hi, lo]]
+        with pytest.raises(ValueError, match="box 1"):
+            check_boxes(boxes)
+        # the same corners are rejected by BBox itself
+        with pytest.raises(ValueError):
+            BBox(*boxes[1])
+
+    def test_degenerate_box_accepted_like_bbox(self):
+        boxes = np.array([[0.0, 0.3, 0.0, 0.3], [0.0, 0.0, 1.0, 1.0]])
+        check_boxes(boxes)
+        for row in boxes:
+            BBox(*row)
+
+    def test_rejects_mismatched_shapes(self):
+        batch = sample_instances(make_sequence("domain_flux", 0)[0], 4, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="shapes"):
+            EpisodeBatch(batch.states[:3], batch.boxes, batch.is_text)
+        with pytest.raises(ValueError, match="shapes"):
+            EpisodeBatch(batch.states, batch.boxes[:, :3], batch.is_text)
+
+
+class TestEvaluateEquivalence:
+    @pytest.mark.parametrize("overrides", [
+        {},
+        # an empty icon split on mobile and an empty text split on web: nan
+        {"mobile": {"text_fraction": 1.0}, "web": {"text_fraction": 0.0}},
+    ])
+    def test_rows_equal_per_instance_reference(self, overrides):
+        tasks = make_sequence("domain_flux", 3, overrides)
+        policies = [GroundingPolicy.zeros(tasks[0].state_dim)]
+        policies += [oracle_policy(t) for t in tasks]
+        for k, policy in enumerate(policies):
+            got = evaluate(policy, tasks, 300, np.random.default_rng(k))
+            want = reference_evaluate(policy, tasks, 300, np.random.default_rng(k))
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w, equal_nan=True)
+
+
+@st.composite
+def task_specs(draw):
+    """Any TaskSpec the constructor accepts, within finite, moderate ranges."""
+    coef = st.floats(-5.0, 5.0)
+    matrix = ((draw(coef), draw(coef)), (draw(coef), draw(coef)))
+    with np.errstate(divide="ignore", invalid="ignore"):  # singular draws warn
+        det = np.linalg.det(np.asarray(matrix))
+    if not abs(det) >= 1e-6:
+        matrix = ((1.0, 0.0), (0.0, 1.0))
+    n_tasks = draw(st.integers(1, 4))
+    return TaskSpec(
+        name="t",
+        kind="domain",
+        matrix=matrix,
+        offset=(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))),
+        size_mean=draw(st.floats(1e-6, 0.5)),
+        size_spread=draw(st.floats(0.0, 10.0)),
+        text_fraction=draw(st.floats(0.0, 1.0)),
+        noise_sigma=draw(st.floats(0.0, 10.0)),
+        index=draw(st.integers(0, n_tasks - 1)),
+        n_tasks=n_tasks,
+        seed=0,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(task=task_specs(), n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+def test_any_valid_task_draws_valid_episodes(task, n, seed):
+    batch = sample_instances(task, n, np.random.default_rng(seed))
+    x1, y1, x2, y2 = batch.boxes.T
+    assert ((0.0 <= x1) & (x1 <= x2) & (x2 <= 1.0)).all()
+    assert ((0.0 <= y1) & (y1 <= y2) & (y2 <= 1.0)).all()
+    assert np.isfinite(batch.states).all()
+    assert batch.states.shape == (n, task.state_dim)
+    assert (batch.states[:, 4 + task.index] == 1.0).all()
