@@ -44,7 +44,6 @@ from .simulator import (
     EpisodeInstance,
     TaskSpec,
     make_sequence,
-    sample_instance,
     sample_instances,
 )
 

@@ -62,19 +62,7 @@ def cmd_ablate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     runs = harness.ablate(cfg)
     for run in runs:
-        use_apr, use_arr = harness.variant_flags(run.variant)
-        cell_cfg = replace(
-            cfg,
-            use_apr=use_apr,
-            use_arr=use_arr,
-            use_kl=run.use_kl,
-            alpha_scale=run.alpha_scale,
-            gamma_scale=run.gamma_scale,
-            # manifest records the effective KL weight for the cell
-            optim=replace(cfg.optim, beta=cfg.optim.beta if run.use_kl else 0.0),
-        )
-        tasks = harness.make_sequence(cfg.scenario, run.seed, cfg.sim_overrides)
-        persistence.write_run(out / run.run_id, cell_cfg, run.seed, run.matrix, run.records, tasks)
+        persistence.write_run(out / run.run_id, run.cfg, run.seed, run.matrix, run.records, run.tasks)
     persistence.write_summary(out, runs)
     log.info("ablation grid complete: %d runs -> %s", len(runs), args.out_dir)
     return EXIT_OK

@@ -4,8 +4,9 @@ A run trains the policy on each task of a scenario in order, snapshotting
 the reference policy at task boundaries, and evaluates on every task after
 every stage (plus once untrained), producing a (stages+1) x tasks accuracy
 matrix with text/icon splits. All randomness flows through named child
-streams of the master seed, so paired runs that differ only in method flags
-see identical instance streams.
+streams of the master seed, so paired runs that differ only in method
+weights (reward.alpha, reward.gamma, optim.beta) see identical instance
+streams.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 from . import rewards as rw
 from .policy import (
     GroundingPolicy,
-    GroupRollout,
     OptimConfig,
     grad_objective,
     grpo_advantage,
@@ -38,6 +38,9 @@ STREAM_ACTIONS = 1
 STREAM_EVAL = 2
 STREAM_TASK_CHOICE = 3
 
+# Stage label of the single stage that trains every task of a joint run.
+JOINT_STAGE = "joint"
+
 # Fixed sweep pattern for the ablation grid: scale one weight at a time.
 DEFAULT_SCALE_POINTS = ((1.0, 1.0), (2.0, 1.0), (0.5, 1.0), (1.0, 2.0), (1.0, 0.5))
 
@@ -49,14 +52,6 @@ ABLATION_VARIANTS = (
 )
 
 
-def variant_flags(variant: str) -> tuple[bool, bool]:
-    """(use_apr, use_arr) for an ablation variant name."""
-    for name, use_apr, use_arr in ABLATION_VARIANTS:
-        if name == variant:
-            return use_apr, use_arr
-    raise ValueError(f"unknown ablation variant {variant!r}")
-
-
 def child_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Independent deterministic stream derived from the master seed."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([master_seed, *key])))
@@ -64,18 +59,17 @@ def child_rng(master_seed: int, *key: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one continual run needs; parsed from the config file."""
+    """Everything one continual run needs; parsed from the config file.
+
+    The method's switches are its weights: a diversity term is off when
+    reward.alpha or reward.gamma is 0, the KL penalty when optim.beta is 0.
+    """
 
     scenario: str = "domain_flux"
     steps_per_task: int = 500
     eval_episodes: int = 2000
     optim: OptimConfig = field(default_factory=OptimConfig)
     reward: RewardConfig = field(default_factory=RewardConfig)
-    use_apr: bool = True
-    use_arr: bool = True
-    use_kl: bool = True
-    alpha_scale: float = 1.0
-    gamma_scale: float = 1.0
     seeds: tuple[int, ...] = (0,)
     scale_points: tuple[tuple[float, float], ...] = DEFAULT_SCALE_POINTS
     sim_overrides: dict = field(default_factory=dict)
@@ -85,8 +79,6 @@ class RunConfig:
             raise ValueError("steps_per_task must be >= 0")
         if self.eval_episodes < 1:
             raise ValueError("eval_episodes must be >= 1")
-        if self.alpha_scale <= 0.0 or self.gamma_scale <= 0.0:
-            raise ValueError("scales must be positive")
         if len(self.seeds) < 1 or any(s < 0 for s in self.seeds):
             raise ValueError("seeds must be a non-empty list of non-negative ints")
 
@@ -170,28 +162,6 @@ def evaluate(
     return overall, text, icon
 
 
-def _score_group(
-    rollout: GroupRollout, gt, cfg: RunConfig
-) -> tuple[np.ndarray, float, float, float]:
-    """Correctness rewards plus the gated diversity components for one group."""
-    reward_cfg = cfg.reward
-    scores = np.array([rw.correctness(box, gt, reward_cfg) for box in rollout.boxes])
-    group = PredictionGroup(rollout.boxes)
-    spread = rw.center_spread(group) if cfg.use_apr else 0.0
-    separation = (
-        rw.region_separation(
-            group, reward_cfg.kappa, reward_cfg.eps_min, reward_cfg.literal_variance
-        )
-        if cfg.use_arr
-        else 0.0
-    )
-    r_div = (
-        reward_cfg.alpha * cfg.alpha_scale * spread
-        + reward_cfg.gamma * cfg.gamma_scale * separation
-    )
-    return scores, spread, separation, r_div
-
-
 def train_task(
     policy: GroundingPolicy,
     ref: GroundingPolicy,
@@ -211,14 +181,12 @@ def train_task(
     epoch); anchoring it to the task-start snapshot as well would make the
     ratio overflow once the policy has genuinely moved during the task.
     """
-    beta = cfg.optim.beta if cfg.use_kl else 0.0
     for i in range(cfg.steps_per_task):
         if cfg.optim.ref_refresh == "per_step":
             ref = policy
         inst = sample_instances(task, 1, rng_instances)[0]
         policy = _train_step(
-            policy, ref, inst, task.index, cfg, beta, records,
-            step_offset + i, rng_actions,
+            policy, ref, inst, task.index, cfg, records, step_offset + i, rng_actions
         )
     return policy
 
@@ -229,26 +197,26 @@ def _train_step(
     inst,
     task_index: int,
     cfg: RunConfig,
-    beta: float,
     records: list[TrainRecord],
     step_idx: int,
     rng_actions: np.random.Generator,
 ) -> GroundingPolicy:
     # Ratio anchor = behavior policy; `ref` only anchors the KL penalty.
     rollout = sample_group(policy, policy, inst.state, cfg.optim.n_samples, rng_actions)
-    scores, spread, separation, r_div = _score_group(rollout, inst.gt, cfg)
+    scores = np.array([rw.correctness(box, inst.gt, cfg.reward) for box in rollout.boxes])
+    spread, separation, r_div = rw.diversity_reward(PredictionGroup(rollout.boxes), cfg.reward)
     rollout.rewards = scores
     rollout.advantages = grpo_advantage(scores)
     rollout.r_div = r_div
 
     kl_val = kl_ref_theta(ref, policy, inst.state)
     for _ in range(cfg.optim.inner_epochs):
-        grad = grad_objective(rollout, policy, ref, beta)
+        grad = grad_objective(rollout, policy, ref, cfg.optim.beta)
         policy = step(policy, grad, cfg.optim.lr)
     # logged post-update: at the behavior policy the ratios are identically 1
     # and the surrogate reduces to the diversity bonus, which carries no
     # step-level information
-    j_val = objective(rollout, policy, ref, beta)
+    j_val = objective(rollout, policy, ref, cfg.optim.beta)
 
     records.append(
         TrainRecord(
@@ -290,7 +258,7 @@ def run_continual(
         rows.append(
             evaluate(policy, tasks, cfg.eval_episodes, child_rng(master, STREAM_EVAL, 1))
         )
-        stage_labels.append("joint")
+        stage_labels.append(JOINT_STAGE)
     else:
         for k, task in enumerate(tasks):
             ref = policy
@@ -326,7 +294,6 @@ def _train_joint(
     records: list[TrainRecord],
     master: int,
 ) -> GroundingPolicy:
-    beta = cfg.optim.beta if cfg.use_kl else 0.0
     rng_choice = child_rng(master, STREAM_TASK_CHOICE)
     rngs_inst = [child_rng(master, STREAM_TRAIN_INSTANCES, k) for k in range(len(tasks))]
     rng_actions = child_rng(master, STREAM_ACTIONS, 0)
@@ -337,41 +304,51 @@ def _train_joint(
             ref = policy
         k = int(rng_choice.integers(len(tasks)))
         inst = sample_instances(tasks[k], 1, rngs_inst[k])[0]
-        policy = _train_step(
-            policy, ref, inst, tasks[k].index, cfg, beta, records, i, rng_actions
-        )
+        policy = _train_step(policy, ref, inst, tasks[k].index, cfg, records, i, rng_actions)
     return policy
+
+
+def first_trained_stages(m: AccuracyMatrix) -> list[int]:
+    """Per task, the matrix row (stage) after which it has first been trained.
+
+    Read from the stage labels, the only schedule a persisted matrix keeps: a
+    joint stage trains every task at once; otherwise stage s trains the s-th
+    task of the sequence. A value above n_stages marks a task no stage trains.
+    """
+    if JOINT_STAGE in m.stage_labels:
+        return [m.stage_labels.index(JOINT_STAGE)] * m.n_tasks
+    return list(range(1, m.n_tasks + 1))
 
 
 def forward_transfer(m: AccuracyMatrix) -> list[dict]:
     """Accuracy gained on not-yet-trained tasks, relative to the untrained row.
 
-    One record per (stage, future task): after stage s (1-based row), tasks
-    with index >= s have not been trained yet; delta = A[s][j] - A[0][j].
+    One record per (stage, future task): after stage s (1-based row), a task
+    first trained at a later stage has not been trained yet;
+    delta = A[s][j] - A[0][j]. A joint run has no such records.
     """
-    out = []
-    for s in range(1, m.n_stages + 1):
-        for j in range(s, m.n_tasks):
-            out.append(
-                {
-                    "stage": s,
-                    "task": m.task_names[j],
-                    "delta": float(m.overall[s, j] - m.overall[0, j]),
-                }
-            )
-    return out
+    first = first_trained_stages(m)
+    return [
+        {
+            "stage": s,
+            "task": m.task_names[j],
+            "delta": float(m.overall[s, j] - m.overall[0, j]),
+        }
+        for s in range(1, m.n_stages + 1)
+        for j in range(m.n_tasks)
+        if first[j] > s
+    ]
 
 
 def forgetting(m: AccuracyMatrix) -> list[dict]:
     """Per-task drop from its post-training peak to the final row.
 
-    Task j is first trained at stage j+1; the drop is max over rows >= j+1
-    minus the final row (0 when the task was never trained, e.g. joint runs).
+    The drop is the max over the rows from the task's first training stage
+    on, minus the final row (0 when the task was never trained).
     """
     out = []
     last = m.n_stages
-    for j in range(m.n_tasks):
-        first = j + 1
+    for j, first in enumerate(first_trained_stages(m)):
         if first > last:
             drop = 0.0
         else:
@@ -404,15 +381,21 @@ def reward_trend(records: list[TrainRecord], task: int | None = None) -> float |
 
 @dataclass(frozen=True)
 class AblationRun:
-    """One (variant, kl, scales, seed) cell run of the ablation grid."""
+    """One (variant, kl, scales, seed) cell run of the ablation grid.
+
+    `cfg` is the cell's effective config (scaled or zeroed reward weights,
+    zeroed beta when KL is off): `run_continual(cfg, seed)` reproduces it.
+    """
 
     variant: str
     use_kl: bool
     alpha_scale: float
     gamma_scale: float
     seed: int
+    cfg: RunConfig
     matrix: AccuracyMatrix
     records: list[TrainRecord]
+    tasks: list[TaskSpec]
 
     @property
     def cell_id(self) -> str:
@@ -431,7 +414,8 @@ def ablate(base: RunConfig) -> list[AblationRun]:
 
     Grid: 4 reward variants x KL on/off x the scale points x seeds. Cells
     sharing a seed see identical instance streams, so differences are
-    attributable to the flags alone.
+    attributable to the weights alone. A variant switches a diversity term
+    off by zeroing its weight, and KL off by zeroing beta.
     """
     runs = []
     for variant, use_apr, use_arr in ABLATION_VARIANTS:
@@ -439,17 +423,19 @@ def ablate(base: RunConfig) -> list[AblationRun]:
             for a_scale, g_scale in base.scale_points:
                 cell_cfg = replace(
                     base,
-                    use_apr=use_apr,
-                    use_arr=use_arr,
-                    use_kl=use_kl,
-                    alpha_scale=a_scale,
-                    gamma_scale=g_scale,
+                    reward=replace(
+                        base.reward,
+                        alpha=base.reward.alpha * a_scale if use_apr else 0.0,
+                        gamma=base.reward.gamma * g_scale if use_arr else 0.0,
+                    ),
+                    optim=replace(base.optim, beta=base.optim.beta if use_kl else 0.0),
                 )
                 for s in base.seeds:
-                    matrix, records, _ = run_continual(cell_cfg, seed=s)
+                    matrix, records, tasks = run_continual(cell_cfg, seed=s)
                     runs.append(
                         AblationRun(
-                            variant, use_kl, a_scale, g_scale, s, matrix, records
+                            variant, use_kl, a_scale, g_scale, s,
+                            cell_cfg, matrix, records, tasks,
                         )
                     )
                     log.info("ablation cell %s done", runs[-1].run_id)

@@ -119,17 +119,12 @@ def trend_svg(records: list[TrainRecord]) -> str:
 
 def transfer_svg(matrix: AccuracyMatrix) -> str:
     """Forward-transfer bars: accuracy delta vs the untrained row for every
-    (stage, not-yet-trained task) pair."""
+    (stage, not-yet-trained task) pair; no bars when there is none (joint)."""
     deltas = forward_transfer(matrix)
-    if not deltas:
-        raise ValueError("matrix has no forward-transfer cells")
-    vals = [d["delta"] for d in deltas]
-    lo = min(0.0, min(vals))
-    hi = max(0.0, max(vals))
-    to_y = _y_scale(lo, hi)
+    vals = [0.0] + [d["delta"] for d in deltas]
+    to_y = _y_scale(min(vals), max(vals))
     zero_y = to_y(0.0)
-    n = len(deltas)
-    slot = (WIDTH - 2 * MARGIN) / n
+    slot = (WIDTH - 2 * MARGIN) / max(len(deltas), 1)
     bar_w = slot * 0.6
     elems = [
         f'<line x1="{MARGIN}" y1="{_fmt(zero_y)}" x2="{WIDTH - MARGIN}" '

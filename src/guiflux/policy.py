@@ -56,9 +56,10 @@ class OptimConfig:
             raise ValueError("n_samples and inner_epochs must be >= 1")
         if self.ref_refresh not in ("per_task", "per_step"):
             raise ValueError(f"ref_refresh must be per_task or per_step, got {self.ref_refresh!r}")
-        for v in (self.init_log_std, self.init_log_std_size):
+        for name in ("init_log_std", "init_log_std_size"):
+            v = getattr(self, name)
             if not LOG_STD_MIN <= v <= LOG_STD_MAX:
-                raise ValueError(f"initial log_std {v} outside [{LOG_STD_MIN}, {LOG_STD_MAX}]")
+                raise ValueError(f"{name} {v} outside [{LOG_STD_MIN}, {LOG_STD_MAX}]")
         if not SIZE_MIN < self.init_size <= SIZE_MAX:
             raise ValueError(f"init_size outside ({SIZE_MIN}, {SIZE_MAX}]")
 
@@ -100,9 +101,9 @@ class GroundingPolicy:
     @staticmethod
     def zeros(
         feature_dim: int,
-        log_std: float = -1.6,
-        log_std_size: float = -0.5,
-        init_size: float = 0.2,
+        log_std: float = OptimConfig.init_log_std,
+        log_std_size: float = OptimConfig.init_log_std_size,
+        init_size: float = OptimConfig.init_size,
     ) -> "GroundingPolicy":
         """Untrained policy: screen-centered boxes with a plausible element-size
         prior, a tight position-noise prior and a wide size-noise prior."""

@@ -120,11 +120,19 @@ def region_separation(
     return 2.0 * total / (n * (n - 1))
 
 
-def diversity_reward(g: PredictionGroup, cfg: RewardConfig) -> float:
-    """Weighted sum of center spread and region separation for one group."""
-    return cfg.alpha * center_spread(g) + cfg.gamma * region_separation(
-        g, cfg.kappa, cfg.eps_min, cfg.literal_variance
+def diversity_reward(g: PredictionGroup, cfg: RewardConfig) -> tuple[float, float, float]:
+    """(spread, separation, weighted sum) of the diversity bonus for one group.
+
+    A term whose weight is 0 is switched off: it is not computed and reads
+    0.0, so setting alpha or gamma to 0 is the one way to ablate it.
+    """
+    spread = center_spread(g) if cfg.alpha != 0.0 else 0.0
+    separation = (
+        region_separation(g, cfg.kappa, cfg.eps_min, cfg.literal_variance)
+        if cfg.gamma != 0.0
+        else 0.0
     )
+    return spread, separation, cfg.alpha * spread + cfg.gamma * separation
 
 
 def correctness_iou(pred: BBox, gt: BBox) -> float:

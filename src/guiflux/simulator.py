@@ -114,15 +114,18 @@ class TaskSpec:
     seed: int
 
     def __post_init__(self):
+        # written so that nan and +-inf fail every range check
         if not 0.0 <= self.text_fraction <= 1.0:
             raise ValueError(f"text_fraction {self.text_fraction} outside [0,1]")
         if not 0.0 < self.size_mean <= 0.5:
             raise ValueError(f"size_mean {self.size_mean} outside (0, 0.5]")
-        if self.size_spread < 0.0 or self.noise_sigma < 0.0:
-            raise ValueError("size_spread and noise_sigma must be non-negative")
+        if not (0.0 <= self.size_spread < math.inf and 0.0 <= self.noise_sigma < math.inf):
+            raise ValueError("size_spread and noise_sigma must be non-negative and finite")
         m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (2, 2) or abs(np.linalg.det(m)) < 1e-6:
-            raise ValueError(f"affine matrix must be invertible 2x2, got {self.matrix}")
+        if m.shape != (2, 2) or not np.isfinite(m).all() or abs(np.linalg.det(m)) < 1e-6:
+            raise ValueError(f"affine matrix must be finite and invertible 2x2, got {self.matrix}")
+        if len(self.offset) != 2 or not all(math.isfinite(v) for v in self.offset):
+            raise ValueError(f"offset must be 2 finite numbers, got {self.offset}")
 
     @property
     def state_dim(self) -> int:
@@ -276,8 +279,3 @@ def sample_instances(
     boxes = np.array([cx - half_w, cy - half_h, cx + half_w, cy + half_h])
     np.minimum(np.maximum(boxes, 0.0, out=boxes), 1.0, out=boxes)
     return EpisodeBatch(states, boxes.T, is_text)
-
-
-def sample_instance(task: TaskSpec, rng: np.random.Generator) -> EpisodeInstance:
-    """Single-episode convenience wrapper around `sample_instances`."""
-    return sample_instances(task, 1, rng)[0]

@@ -39,13 +39,13 @@ ARMS = ("full", "base", "apr", "arr", "nokl")
 def arm_config(arm: str) -> RunConfig:
     cfg = RunConfig(seeds=SEEDS)
     if arm == "base":
-        return replace(cfg, use_apr=False, use_arr=False)
+        return replace(cfg, reward=replace(cfg.reward, alpha=0.0, gamma=0.0))
     if arm == "apr":
-        return replace(cfg, use_arr=False)
+        return replace(cfg, reward=replace(cfg.reward, gamma=0.0))
     if arm == "arr":
-        return replace(cfg, use_apr=False)
+        return replace(cfg, reward=replace(cfg.reward, alpha=0.0))
     if arm == "nokl":
-        return replace(cfg, use_kl=False)
+        return replace(cfg, optim=replace(cfg.optim, beta=0.0))
     return cfg
 
 

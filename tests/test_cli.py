@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import guiflux.rewards as rewards_mod
 from guiflux import verify
 from guiflux.cli import main
 from guiflux.config import load_config, parse_config, render_config
 from guiflux.errors import ConfigError
-from guiflux.harness import run_continual
+from guiflux.harness import RunConfig, run_continual
 from guiflux.persistence import (
     compute_metrics,
     read_matrix,
@@ -74,13 +76,83 @@ class TestConfig:
             "steps_per_task": 9,
             "optim": {"lr": 0.01, "beta": 0.1},
             "reward": {"alpha": 2.0, "correctness_kind": "iou"},
-            "ablation": {"use_kl": False},
-            "sweep": {"alpha_scale": 2.0, "scale_points": [[1, 1], [2, 1]]},
+            "sweep": {"scale_points": [[1, 1], [2, 1]]},
             "simulator": {"overrides": {"normal": {"noise_sigma": 0.0}}},
         }
         cfg = load_config(write_cfg(tmp_path, doc))
         assert parse_config(render_config(cfg)) == cfg
         assert json.loads(json.dumps(render_config(cfg))) == render_config(cfg)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("optim", "lr", 0),
+        ("optim", "n_samples", 0),
+        ("optim", "init_log_std", 9.0),
+        ("reward", "alpha", -1),
+        ("reward", "tau", 0),
+        ("reward", "correctness_kind", "dice"),
+    ])
+    def test_validation_error_names_section(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"^{section}\..*\b{key}\b"):
+            parse_config({section: {key: value}})
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_leaf_is_rejected_or_finite(self, data):
+        """Any one leaf of a valid document replaced by a hostile value either
+        raises ConfigError or parses into a RunConfig with only finite floats."""
+        leaves = list(_leaf_paths(FUZZ_DOC))
+        path = data.draw(st.sampled_from(leaves))
+        value = data.draw(st.sampled_from(HOSTILE_VALUES))
+        doc = json.loads(json.dumps(FUZZ_DOC))
+        node = doc
+        for k in path[:-1]:
+            node = node[k]
+        node[path[-1]] = value
+        try:
+            cfg = parse_config(doc)
+        except ConfigError:
+            return
+        assert isinstance(cfg, RunConfig)
+        assert all(math.isfinite(x) for x in _floats(cfg)), (path, value)
+
+
+FUZZ_DOC = {
+    "scenario": "domain_flux",
+    "steps_per_task": 3,
+    "eval_episodes": 10,
+    "seeds": [0, 2],
+    "optim": {"beta": 0.04, "lr": 0.001, "n_samples": 4, "ref_refresh": "per_task", "init_size": 0.2},
+    "reward": {"alpha": 15.0, "gamma": 0.5, "kappa": 1.0, "tau": 0.1, "literal_variance": False},
+    "sweep": {"scale_points": [[1, 1], [2.0, 0.5]]},
+    "simulator": {"overrides": {"mobile": {
+        "noise_sigma": 0.01, "size_mean": 0.1, "matrix": [[1, 0], [0, 1]], "offset": [0.1, 0.0],
+    }}},
+}
+HOSTILE_VALUES = [math.nan, math.inf, -math.inf, -1, 0, "x", None, [], {}, True]
+
+
+def _leaf_paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for k, v in items:
+        if isinstance(v, (dict, list)):
+            yield from _leaf_paths(v, prefix + (k,))
+        else:
+            yield prefix + (k,)
+
+
+def _floats(obj):
+    """Every float reachable from a (nested) config value."""
+    if isinstance(obj, float):
+        yield obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _floats(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _floats(v)
+    elif hasattr(obj, "__dataclass_fields__"):
+        for name in obj.__dataclass_fields__:
+            yield from _floats(getattr(obj, name))
 
 
 class TestRunCommand:
@@ -126,6 +198,20 @@ class TestRunCommand:
         out = tmp_path / "o"
         assert main(["run", write_cfg(tmp_path, doc), str(out)]) == 2
         assert "simulator.overrides.mobile" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fragment, path", [
+        ({"optim": {"lr": math.nan}}, "optim.lr"),
+        ({"optim": {"beta": math.inf}}, "optim.beta"),
+        ({"reward": {"kappa": math.inf}}, "reward.kappa"),
+        ({"simulator": {"overrides": {"mobile": {"noise_sigma": math.nan}}}},
+         "simulator.overrides.mobile"),
+    ])
+    def test_non_finite_value_exits_2_naming_path(self, tmp_path, caplog, fragment, path):
+        # json.dumps writes NaN/Infinity, which Python's json also parses
+        out = tmp_path / "o"
+        assert main(["run", write_cfg(tmp_path, {**TINY, **fragment}), str(out)]) == 2
+        assert path in caplog.text
         assert not out.exists()
 
     def test_text_only_task_has_missing_icon_split(self, tmp_path):
@@ -258,21 +344,44 @@ class TestAblateCommand:
             assert float(row["final_avg_mean"]) == pytest.approx(np.mean(finals), abs=1e-12)
             assert int(row["n_seeds"]) == 2
 
-    def test_kl_off_cells_record_beta_zero(self, tmp_path):
-        doc = dict(TINY)
-        doc.update({
+    @pytest.fixture(scope="class")
+    def small_grid(self, tmp_path_factory):
+        """A seed-1 grid at scale points (1, 1) and (2, 1): 16 cell run dirs."""
+        tmp = tmp_path_factory.mktemp("small_grid")
+        doc = {
+            **TINY,
             "steps_per_task": 3,
             "eval_episodes": 20,
-            "seeds": [0],
-            "sweep": {"scale_points": [[1, 1]]},
-        })
-        out = tmp_path / "grid"
-        assert main(["ablate", write_cfg(tmp_path, doc), str(out)]) == 0
-        for p in out.iterdir():
-            if p.is_dir() and "_kl0_" in p.name:
-                manifest = json.loads((p / "manifest.json").read_text())
-                assert manifest["config"]["optim"]["beta"] == 0.0
-                assert manifest["config"]["ablation"]["use_kl"] is False
+            "seeds": [1],
+            "sweep": {"scale_points": [[1, 1], [2, 1]]},
+        }
+        out = tmp / "grid"
+        assert main(["ablate", write_cfg(tmp, doc), str(out)]) == 0
+        cells = {p.name: p for p in out.iterdir() if p.is_dir()}
+        assert len(cells) == 4 * 2 * 2
+        return cells
+
+    def test_kl_off_cells_record_beta_zero(self, small_grid):
+        # a cell's variant, KL switch and scale point are recorded as its weights
+        base = parse_config({})
+
+        def recorded(run_id):
+            return json.loads((small_grid[run_id] / "manifest.json").read_text())["config"]
+
+        for run_id in small_grid:
+            beta = recorded(run_id)["optim"]["beta"]
+            assert beta == (0.0 if "_kl0_" in run_id else base.optim.beta)
+        assert recorded("apr_only_kl1_a1_g1_s1")["reward"]["gamma"] == 0.0
+        assert recorded("full_kl1_a2_g1_s1")["reward"]["alpha"] == 2 * base.reward.alpha
+
+    def test_cell_manifest_config_reruns_byte_identical(self, small_grid, tmp_path):
+        for run_id, cell in small_grid.items():
+            manifest = json.loads((cell / "manifest.json").read_text())
+            cfg = write_cfg(tmp_path, manifest["config"], name=f"{run_id}.json")
+            out = tmp_path / run_id
+            assert main(["run", cfg, str(out), "--seed", str(manifest["master_seed"])]) == 0
+            for name in ("matrix.csv", "trainlog.csv"):
+                assert (out / name).read_bytes() == (cell / name).read_bytes(), (run_id, name)
 
 
 class TestPlotCommand:
@@ -292,6 +401,15 @@ class TestPlotCommand:
         main(["plot", str(out)])
         n_rows = len((out / "trainlog.csv").read_text().splitlines()) - 1
         assert (out / "trend.svg").read_text().count("<circle") == n_rows
+
+    def test_joint_run_plots_empty_transfer(self, tmp_path):
+        # a joint run trains every task at stage 1: nothing is left to transfer to
+        out = tmp_path / "run"
+        assert main(["run", write_cfg(tmp_path, {**TINY, "scenario": "joint"}), str(out)]) == 0
+        assert json.loads((out / "metrics.json").read_text())["forward_transfer"] == []
+        assert main(["plot", str(out)]) == 0
+        body = (out / "transfer.svg").read_text()
+        assert body.count("<rect") == 2  # background and frame, no bars
 
     def test_missing_inputs_exit_2(self, tmp_path):
         empty = tmp_path / "empty"

@@ -13,7 +13,6 @@ from guiflux.harness import (
     reward_trend,
     run_continual,
     train_task,
-    variant_flags,
 )
 from guiflux.policy import GroundingPolicy, OptimConfig
 from guiflux.rewards import RewardConfig
@@ -77,7 +76,9 @@ class TestTrainTask:
         assert np.array_equal(out.W, policy.W)
 
     def test_all_gates_off_logs_zero_shaping(self):
-        cfg = tiny_config(use_apr=False, use_arr=False, use_kl=False)
+        cfg = tiny_config(
+            optim=OptimConfig(beta=0.0), reward=RewardConfig(alpha=0.0, gamma=0.0)
+        )
         records = []
         tasks = make_sequence("domain_flux", 0)
         policy = GroundingPolicy.zeros(tasks[0].state_dim)
@@ -124,7 +125,9 @@ class TestRunContinual:
     def test_seed_pairing_of_untrained_row(self):
         # flag changes must not perturb the shared instance streams
         full, _, _ = run_continual(tiny_config(), seed=7)
-        base, _, _ = run_continual(tiny_config(use_apr=False, use_arr=False), seed=7)
+        base, _, _ = run_continual(
+            tiny_config(reward=RewardConfig(alpha=0.0, gamma=0.0)), seed=7
+        )
         assert np.array_equal(full.overall[0], base.overall[0])
 
     def test_reversed_scenario_runs(self):
@@ -156,6 +159,11 @@ class TestForwardTransfer:
         m, _, _ = run_continual(tiny_config(), seed=0)
         ft = forward_transfer(m)
         assert sum(1 for d in ft if d["stage"] == 1) == 2
+
+    def test_joint_run_has_no_untrained_tasks(self):
+        m, _, _ = run_continual(tiny_config(scenario="joint"), seed=0)
+        assert forward_transfer(m) == []
+        assert [d["drop"] for d in forgetting(m)] == [0.0, 0.0, 0.0]
 
 
 class TestForgetting:
@@ -244,12 +252,6 @@ class TestAblate:
         runs = ablate(cfg)
         untrained = {tuple(r.matrix.overall[0]) for r in runs}
         assert len(untrained) == 1
-
-    def test_variant_flags(self):
-        assert variant_flags("full") == (True, True)
-        assert variant_flags("arr_only") == (False, True)
-        with pytest.raises(ValueError):
-            variant_flags("both")
 
 
 class TestAccuracyMatrix:

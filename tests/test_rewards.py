@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import guiflux.rewards as rewards_mod
 from guiflux.geometry import BBox, DiagGaussian2, Point, to_gaussian
 from guiflux.rewards import (
     PredictionGroup,
@@ -162,13 +163,13 @@ class TestDiversityReward:
     def test_zero_weights(self, rng):
         cfg = RewardConfig(alpha=0.0, gamma=0.0)
         boxes = [random_bbox(rng) for _ in range(4)]
-        assert diversity_reward(PredictionGroup(boxes), cfg) == 0.0
+        assert diversity_reward(PredictionGroup(boxes), cfg)[2] == 0.0
 
     def test_alpha_only_reduces_to_spread(self, rng):
         cfg = RewardConfig(alpha=1.0, gamma=0.0)
         boxes = [random_bbox(rng) for _ in range(4)]
         g = PredictionGroup(boxes)
-        assert diversity_reward(g, cfg) == pytest.approx(center_spread(g), abs=1e-12)
+        assert diversity_reward(g, cfg)[2] == pytest.approx(center_spread(g), abs=1e-12)
 
     def test_weighted_composition(self, rng):
         cfg = RewardConfig(alpha=15.0, gamma=0.5)
@@ -177,13 +178,26 @@ class TestDiversityReward:
         expected = 15.0 * brute_spread(boxes) + 0.5 * brute_separation(
             boxes, cfg.kappa, cfg.eps_min
         )
-        assert diversity_reward(g, cfg) == pytest.approx(expected, rel=1e-12)
+        assert diversity_reward(g, cfg)[2] == pytest.approx(expected, rel=1e-12)
+
+    def test_zero_weight_term_is_off(self, rng, monkeypatch):
+        # a term whose weight is 0 is neither computed nor logged
+        g = PredictionGroup([random_bbox(rng) for _ in range(4)])
+        spread = center_spread(g)
+        sep = region_separation(g, 1.0, 1e-8)
+        monkeypatch.setattr(rewards_mod, "center_spread", lambda g: pytest.fail("spread computed"))
+        assert diversity_reward(g, RewardConfig(alpha=0.0, gamma=0.5)) == (0.0, sep, 0.5 * sep)
+        monkeypatch.undo()
+        monkeypatch.setattr(
+            rewards_mod, "region_separation", lambda *a: pytest.fail("separation computed")
+        )
+        assert diversity_reward(g, RewardConfig(alpha=2.0, gamma=0.0)) == (spread, 0.0, 2.0 * spread)
 
     def test_linear_in_alpha(self, rng):
         boxes = [random_bbox(rng) for _ in range(4)]
         g = PredictionGroup(boxes)
-        lo = diversity_reward(g, RewardConfig(alpha=5.0, gamma=0.0))
-        hi = diversity_reward(g, RewardConfig(alpha=10.0, gamma=0.0))
+        lo = diversity_reward(g, RewardConfig(alpha=5.0, gamma=0.0))[2]
+        hi = diversity_reward(g, RewardConfig(alpha=10.0, gamma=0.0))[2]
         assert hi == pytest.approx(2.0 * lo, rel=1e-12)
 
 

@@ -18,7 +18,6 @@ from guiflux.simulator import (
     EpisodeInstance,
     TaskSpec,
     make_sequence,
-    sample_instance,
     sample_instances,
     target_latent,
 )
@@ -160,7 +159,7 @@ class TestSampleInstance:
         mobile = tasks[0]  # identity affine, zero offset
         rng = np.random.default_rng(5)
         for _ in range(20):
-            inst = sample_instance(mobile, rng)
+            inst = sample_instances(mobile, 1, rng)[0]
             np.testing.assert_allclose(inst.state[:4], target_latent(inst.gt), atol=1e-12)
             # observation decodes back to the exact box
             cx = 1 / (1 + math.exp(-inst.state[0]))
@@ -174,8 +173,8 @@ class TestSampleInstance:
 
     def test_deterministic_given_rng_state(self):
         task = make_sequence("domain_flux", 0)[1]
-        a = sample_instance(task, np.random.default_rng(42))
-        b = sample_instance(task, np.random.default_rng(42))
+        a = sample_instances(task, 1, np.random.default_rng(42))[0]
+        b = sample_instances(task, 1, np.random.default_rng(42))[0]
         assert np.array_equal(a.state, b.state)
         assert a.gt == b.gt and a.kind == b.kind
 
@@ -196,7 +195,7 @@ class TestSampleInstance:
 
     def test_state_layout(self):
         task = make_sequence("domain_flux", 0)[1]
-        inst = sample_instance(task, np.random.default_rng(0))
+        inst = sample_instances(task, 1, np.random.default_rng(0))[0]
         one_hot = inst.state[4:7]
         assert list(one_hot) == [0.0, 1.0, 0.0]
         assert inst.state[7] in (0.0, 1.0)
