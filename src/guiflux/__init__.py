@@ -12,7 +12,7 @@ from .harness import (
     forward_transfer,
     reward_trend,
     run_continual,
-    train_task,
+    train_stage,
 )
 from .policy import (
     GroundingPolicy,

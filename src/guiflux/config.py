@@ -73,6 +73,8 @@ def parse_config(doc: dict) -> RunConfig:
         )
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"sweep.scale_points: expected a list of [alpha, gamma] pairs: {e}") from e
+    if not scale_points:
+        raise ConfigError("sweep.scale_points: must hold at least one [alpha, gamma] pair")
     for i, (a, g) in enumerate(scale_points):
         if not (0.0 < a < math.inf and 0.0 < g < math.inf):
             raise ConfigError(
@@ -145,7 +147,7 @@ def _reject_unknown(doc: dict, allowed: set, prefix: str):
         raise ConfigError(f"unknown config keys: {keys}")
 
 
-_EXPECTED = {float: "a finite number", int: "an integer", bool: "true/false", str: "a string"}
+_EXPECTED = {float: "a finite number", int: "an integer", str: "a string"}
 # Field annotations are strings (both config modules postpone annotation
 # evaluation); typing.get_type_hints would resolve them at ~30 us a field.
 _KINDS = {kind.__name__: kind for kind in _EXPECTED}

@@ -92,30 +92,19 @@ def center(b: BBox) -> Point:
     return Point((b.x1 + b.x2) / 2.0, (b.y1 + b.y2) / 2.0)
 
 
-def to_gaussian(
-    b: BBox,
-    kappa: float,
-    eps_min: float,
-    literal_variance: bool = False,
-) -> DiagGaussian2:
+def to_gaussian(b: BBox, kappa: float, eps_min: float) -> DiagGaussian2:
     """Model a box as a diagonal Gaussian centered on its midpoint.
 
-    Default scaling sets the standard deviation proportional to the side
-    length (var = (kappa*side)^2); `literal_variance=True` instead sets the
-    variance itself proportional to the side (var = kappa*side), for
-    sensitivity checks. Variances are floored at `eps_min` so degenerate
+    The standard deviation is proportional to the side length
+    (var = (kappa*side)^2). Variances are floored at `eps_min` so degenerate
     boxes stay usable.
     """
     if kappa <= 0.0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     if eps_min <= 0.0:
         raise ValueError(f"eps_min must be positive, got {eps_min}")
-    if literal_variance:
-        vx = kappa * b.width
-        vy = kappa * b.height
-    else:
-        vx = (kappa * b.width) ** 2
-        vy = (kappa * b.height) ** 2
+    vx = (kappa * b.width) ** 2
+    vy = (kappa * b.height) ** 2
     floored = vx < eps_min or vy < eps_min
     return DiagGaussian2(center(b), max(vx, eps_min), max(vy, eps_min), floored)
 

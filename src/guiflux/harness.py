@@ -1,9 +1,10 @@
 """Sequential training, evaluation, continual-learning metrics, ablation grid.
 
-A run trains the policy on each task of a scenario in order, snapshotting
-the reference policy at task boundaries, and evaluates on every task after
-every stage (plus once untrained), producing a (stages+1) x tasks accuracy
-matrix with text/icon splits. All randomness flows through named child
+A run is a list of stages: one per task of a scenario in order, or a single
+joint stage that trains every task. Each stage's KL reference is the policy
+at the stage's start. The policy is evaluated on every task after every
+stage (plus once untrained), producing a (stages+1) x tasks accuracy matrix
+with text/icon splits. All randomness flows through named child
 streams of the master seed, so paired runs that differ only in method
 weights (reward.alpha, reward.gamma, optim.beta) see identical instance
 streams.
@@ -162,32 +163,29 @@ def evaluate(
     return overall, text, icon
 
 
-def train_task(
+def train_stage(
     policy: GroundingPolicy,
-    ref: GroundingPolicy,
-    task: TaskSpec,
+    tasks: list[TaskSpec],
     cfg: RunConfig,
     records: list[TrainRecord],
-    rng_instances: np.random.Generator,
-    rng_actions: np.random.Generator,
-    step_offset: int = 0,
+    master: int,
+    stage: int,
 ) -> GroundingPolicy:
-    """Run cfg.steps_per_task optimization steps on one task.
+    """Run cfg.steps_per_task optimization steps per task of one stage.
 
-    `ref` is the frozen snapshot anchoring the KL penalty; with
-    optim.ref_refresh == "per_step" it is re-snapshotted to the current
-    policy before every step instead. The likelihood ratio is anchored to
-    the behavior policy at rollout time (so it is 1 on the first inner
-    epoch); anchoring it to the task-start snapshot as well would make the
-    ratio overflow once the policy has genuinely moved during the task.
+    The KL reference is the policy at the start of the stage. Each task
+    draws its instances from its own stream, the stage's actions come from
+    one stream, and a stage of more than one task picks each step's task
+    from the task-choice stream.
     """
-    for i in range(cfg.steps_per_task):
-        if cfg.optim.ref_refresh == "per_step":
-            ref = policy
-        inst = sample_instances(task, 1, rng_instances)[0]
-        policy = _train_step(
-            policy, ref, inst, task.index, cfg, records, step_offset + i, rng_actions
-        )
+    ref = policy
+    rngs_inst = [child_rng(master, STREAM_TRAIN_INSTANCES, t.index) for t in tasks]
+    rng_actions = child_rng(master, STREAM_ACTIONS, stage)
+    rng_choice = child_rng(master, STREAM_TASK_CHOICE) if len(tasks) > 1 else None
+    for _ in range(cfg.steps_per_task * len(tasks)):
+        k = 0 if rng_choice is None else int(rng_choice.integers(len(tasks)))
+        inst = sample_instances(tasks[k], 1, rngs_inst[k])[0]
+        policy = _train_step(policy, ref, inst, tasks[k].index, cfg, records, rng_actions)
     return policy
 
 
@@ -198,10 +196,11 @@ def _train_step(
     task_index: int,
     cfg: RunConfig,
     records: list[TrainRecord],
-    step_idx: int,
     rng_actions: np.random.Generator,
 ) -> GroundingPolicy:
     # Ratio anchor = behavior policy; `ref` only anchors the KL penalty.
+    # Anchoring the ratio to the stage-start snapshot as well would make it
+    # overflow once the policy has genuinely moved during the stage.
     rollout = sample_group(policy, policy, inst.state, cfg.optim.n_samples, rng_actions)
     scores = np.array([rw.correctness(box, inst.gt, cfg.reward) for box in rollout.boxes])
     spread, separation, r_div = rw.diversity_reward(PredictionGroup(rollout.boxes), cfg.reward)
@@ -210,9 +209,8 @@ def _train_step(
     rollout.r_div = r_div
 
     kl_val = kl_ref_theta(ref, policy, inst.state)
-    for _ in range(cfg.optim.inner_epochs):
-        grad = grad_objective(rollout, policy, ref, cfg.optim.beta)
-        policy = step(policy, grad, cfg.optim.lr)
+    grad = grad_objective(rollout, policy, ref, cfg.optim.beta)
+    policy = step(policy, grad, cfg.optim.lr)
     # logged post-update: at the behavior policy the ratios are identically 1
     # and the surrogate reduces to the diversity bonus, which carries no
     # step-level information
@@ -220,7 +218,7 @@ def _train_step(
 
     records.append(
         TrainRecord(
-            step=step_idx,
+            step=len(records),
             task=task_index,
             correctness=float(scores.mean()),
             apr=spread,
@@ -238,12 +236,18 @@ def run_continual(
 ) -> tuple[AccuracyMatrix, list[TrainRecord], list[TaskSpec]]:
     """Full continual run for one master seed.
 
+    A run is a list of stages, each a label and the tasks it trains: one
+    stage per task in sequence order, or for the "joint" scenario a single
+    stage that trains every task (steps_per_task per task, interleaved).
     Row 0 of the matrix is the untrained policy; row k evaluates on every
-    task after training stage k. The "joint" scenario trains all tasks
-    simultaneously in a single stage (steps_per_task per task, interleaved).
+    task after stage k.
     """
     master = int(cfg.seeds[0] if seed is None else seed)
     tasks = make_sequence(cfg.scenario, master, cfg.sim_overrides)
+    if cfg.scenario == "joint":
+        stages = [(JOINT_STAGE, tasks)]
+    else:
+        stages = [(t.name, [t]) for t in tasks]
     state_dim = tasks[0].state_dim
     policy = GroundingPolicy.zeros(
         state_dim, cfg.optim.init_log_std, cfg.optim.init_log_std_size, cfg.optim.init_size
@@ -252,30 +256,13 @@ def run_continual(
     rows = [evaluate(policy, tasks, cfg.eval_episodes, child_rng(master, STREAM_EVAL, 0))]
     records: list[TrainRecord] = []
     stage_labels = ["untrained"]
-
-    if cfg.scenario == "joint":
-        policy = _train_joint(policy, tasks, cfg, records, master)
+    for k, (label, stage_tasks) in enumerate(stages):
+        policy = train_stage(policy, stage_tasks, cfg, records, master, k)
         rows.append(
-            evaluate(policy, tasks, cfg.eval_episodes, child_rng(master, STREAM_EVAL, 1))
+            evaluate(policy, tasks, cfg.eval_episodes, child_rng(master, STREAM_EVAL, k + 1))
         )
-        stage_labels.append(JOINT_STAGE)
-    else:
-        for k, task in enumerate(tasks):
-            ref = policy
-            policy = train_task(
-                policy, ref, task, cfg, records,
-                child_rng(master, STREAM_TRAIN_INSTANCES, k),
-                child_rng(master, STREAM_ACTIONS, k),
-                step_offset=k * cfg.steps_per_task,
-            )
-            rows.append(
-                evaluate(
-                    policy, tasks, cfg.eval_episodes,
-                    child_rng(master, STREAM_EVAL, k + 1),
-                )
-            )
-            prev = stage_labels[-1]
-            stage_labels.append(task.name if prev == "untrained" else f"{prev}->{task.name}")
+        prev = stage_labels[-1]
+        stage_labels.append(label if prev == "untrained" else f"{prev}->{label}")
 
     matrix = AccuracyMatrix(
         overall=np.stack([r[0] for r in rows]),
@@ -285,27 +272,6 @@ def run_continual(
         stage_labels=stage_labels,
     )
     return matrix, records, tasks
-
-
-def _train_joint(
-    policy: GroundingPolicy,
-    tasks: list[TaskSpec],
-    cfg: RunConfig,
-    records: list[TrainRecord],
-    master: int,
-) -> GroundingPolicy:
-    rng_choice = child_rng(master, STREAM_TASK_CHOICE)
-    rngs_inst = [child_rng(master, STREAM_TRAIN_INSTANCES, k) for k in range(len(tasks))]
-    rng_actions = child_rng(master, STREAM_ACTIONS, 0)
-    ref = policy
-    total = cfg.steps_per_task * len(tasks)
-    for i in range(total):
-        if cfg.optim.ref_refresh == "per_step":
-            ref = policy
-        k = int(rng_choice.integers(len(tasks)))
-        inst = sample_instances(tasks[k], 1, rngs_inst[k])[0]
-        policy = _train_step(policy, ref, inst, tasks[k].index, cfg, records, i, rng_actions)
-    return policy
 
 
 def first_trained_stages(m: AccuracyMatrix) -> list[int]:

@@ -34,15 +34,12 @@ class OptimConfig:
     """Optimizer settings for the group-relative update loop.
 
     The learning rate default is tuned for this linear policy, not for any
-    large-model setup. `ref_refresh` picks when the reference snapshot is
-    taken: at each task boundary (default) or before every step.
+    large-model setup. Each rollout gets one update.
     """
 
     beta: float = 0.04
     lr: float = 0.0012
     n_samples: int = 4
-    inner_epochs: int = 1
-    ref_refresh: str = "per_task"
     init_log_std: float = -1.6
     init_log_std_size: float = -0.5
     init_size: float = 0.2
@@ -52,10 +49,8 @@ class OptimConfig:
             raise ValueError("beta must be >= 0")
         if self.lr <= 0.0:
             raise ValueError("lr must be > 0")
-        if self.n_samples < 1 or self.inner_epochs < 1:
-            raise ValueError("n_samples and inner_epochs must be >= 1")
-        if self.ref_refresh not in ("per_task", "per_step"):
-            raise ValueError(f"ref_refresh must be per_task or per_step, got {self.ref_refresh!r}")
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be >= 1")
         for name in ("init_log_std", "init_log_std_size"):
             v = getattr(self, name)
             if not LOG_STD_MIN <= v <= LOG_STD_MAX:
@@ -191,7 +186,7 @@ def sample_group(
     """Draw N raw actions at `state`, decoding boxes and recording log-probs
     under both the sampling policy and `ref`, the policy that anchors the
     likelihood ratio (pass the sampling policy itself for on-policy ratios
-    of 1 on the first update)."""
+    of 1 before the update)."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     state = np.asarray(state, dtype=float)

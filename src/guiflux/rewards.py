@@ -50,13 +50,21 @@ class RewardConfig:
     eps_min: float = 1e-8
     correctness_kind: str = "gaussian_dense"
     tau: float = 0.1
-    literal_variance: bool = False
 
     def __post_init__(self):
         if self.alpha < 0.0 or self.gamma < 0.0:
             raise ValueError("alpha and gamma must be non-negative")
         if self.kappa <= 0.0 or self.eps_min <= 0.0 or self.tau <= 0.0:
             raise ValueError("kappa, eps_min and tau must be positive")
+        # bhattacharyya multiplies four box variances, each in
+        # [eps_min, max(kappa^2, eps_min)]; products, not **, because
+        # float ** 2 raises OverflowError where a product gives inf
+        var_max = max(self.kappa * self.kappa, self.eps_min)
+        if not self.eps_min * self.eps_min * self.eps_min * self.eps_min > 0.0:
+            raise ValueError(f"eps_min {self.eps_min:g} too small: box variances underflow")
+        if not math.isfinite(var_max * var_max * var_max * var_max):
+            name = "eps_min" if var_max == self.eps_min else "kappa"
+            raise ValueError(f"{name} {getattr(self, name):g} too large: box variances overflow")
         if self.correctness_kind not in CORRECTNESS_KINDS:
             raise ValueError(
                 f"correctness_kind must be one of {CORRECTNESS_KINDS}, "
@@ -98,12 +106,7 @@ def bhattacharyya(a: DiagGaussian2, b: DiagGaussian2) -> float:
     return maha + log_det
 
 
-def region_separation(
-    g: PredictionGroup,
-    kappa: float,
-    eps_min: float,
-    literal_variance: bool = False,
-) -> float:
+def region_separation(g: PredictionGroup, kappa: float, eps_min: float) -> float:
     """Mean pairwise Bhattacharyya distance between the boxes' Gaussian models.
 
     Averages over all N(N-1)/2 unordered pairs; a single-box group has no
@@ -112,7 +115,7 @@ def region_separation(
     n = len(g)
     if n == 1:
         return 0.0
-    gaussians = [to_gaussian(b, kappa, eps_min, literal_variance) for b in g.preds]
+    gaussians = [to_gaussian(b, kappa, eps_min) for b in g.preds]
     total = 0.0
     for i in range(n - 1):
         for j in range(i + 1, n):
@@ -127,11 +130,7 @@ def diversity_reward(g: PredictionGroup, cfg: RewardConfig) -> tuple[float, floa
     0.0, so setting alpha or gamma to 0 is the one way to ablate it.
     """
     spread = center_spread(g) if cfg.alpha != 0.0 else 0.0
-    separation = (
-        region_separation(g, cfg.kappa, cfg.eps_min, cfg.literal_variance)
-        if cfg.gamma != 0.0
-        else 0.0
-    )
+    separation = region_separation(g, cfg.kappa, cfg.eps_min) if cfg.gamma != 0.0 else 0.0
     return spread, separation, cfg.alpha * spread + cfg.gamma * separation
 
 
@@ -155,13 +154,7 @@ def correctness_point(pred: BBox, gt: BBox, tau: float) -> float:
     return hit + math.exp(-dist / tau)
 
 
-def correctness_gaussian(
-    pred: BBox,
-    gt: BBox,
-    kappa: float,
-    eps_min: float,
-    literal_variance: bool = False,
-) -> float:
+def correctness_gaussian(pred: BBox, gt: BBox, kappa: float, eps_min: float) -> float:
     """Dense correctness: Gaussian point score plus region-coverage score.
 
     The point term evaluates the predicted center under the ground-truth
@@ -169,12 +162,12 @@ def correctness_gaussian(
     Bhattacharyya coefficient between the two boxes' Gaussians. Range (0, 2],
     maximized when pred == gt.
     """
-    ggt = to_gaussian(gt, kappa, eps_min, literal_variance)
+    ggt = to_gaussian(gt, kappa, eps_min)
     cp = center(pred)
     dx = cp.x - ggt.mean.x
     dy = cp.y - ggt.mean.y
     point = math.exp(-0.5 * (dx * dx / ggt.var_x + dy * dy / ggt.var_y))
-    gp = to_gaussian(pred, kappa, eps_min, literal_variance)
+    gp = to_gaussian(pred, kappa, eps_min)
     coverage = math.exp(-bhattacharyya(gp, ggt))
     return point + coverage
 
@@ -185,6 +178,4 @@ def correctness(pred: BBox, gt: BBox, cfg: RewardConfig) -> float:
         return correctness_iou(pred, gt)
     if cfg.correctness_kind == "point_distance":
         return correctness_point(pred, gt, cfg.tau)
-    return correctness_gaussian(
-        pred, gt, cfg.kappa, cfg.eps_min, cfg.literal_variance
-    )
+    return correctness_gaussian(pred, gt, cfg.kappa, cfg.eps_min)

@@ -219,6 +219,12 @@ def make_sequence(
                 f"unknown simulator override fields {sorted(bad)} "
                 f"for task {merged['name']!r}"
             )
+        for key, value in extra.items():
+            # float(True) is 1.0; a JSON boolean is never a fixture number
+            if _holds_bool(value):
+                raise ConfigError(
+                    f"simulator.overrides.{merged['name']}.{key}: expected a number, got {value!r}"
+                )
         merged.update(extra)
         seed = int(np.random.SeedSequence([master_seed, idx]).generate_state(1)[0])
         try:
@@ -230,6 +236,12 @@ def make_sequence(
         except (TypeError, ValueError) as e:
             raise ConfigError(f"simulator.overrides.{merged['name']}: {e}") from e
     return tasks
+
+
+def _holds_bool(value) -> bool:
+    if isinstance(value, (list, tuple)):
+        return any(_holds_bool(v) for v in value)
+    return isinstance(value, bool)
 
 
 def target_latent(gt: BBox) -> np.ndarray:

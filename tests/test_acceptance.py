@@ -225,14 +225,7 @@ def test_criterion_10_forward_transfer():
     # Train ONLY task 1, to convergence, then compare zero-shot accuracy on
     # the two not-yet-trained tasks between the full and correctness-only
     # arms on seed means (paired seeds, aggregated over the future tasks).
-    from guiflux.harness import (
-        STREAM_ACTIONS,
-        STREAM_EVAL,
-        STREAM_TRAIN_INSTANCES,
-        child_rng,
-        evaluate,
-        train_task,
-    )
+    from guiflux.harness import STREAM_EVAL, child_rng, evaluate, train_stage
     from guiflux.simulator import make_sequence
 
     def stage1_future_accuracy(cfg: RunConfig, seed: int) -> float:
@@ -241,11 +234,7 @@ def test_criterion_10_forward_transfer():
             tasks[0].state_dim, cfg.optim.init_log_std,
             cfg.optim.init_log_std_size, cfg.optim.init_size,
         )
-        policy = train_task(
-            policy, policy, tasks[0], cfg, [],
-            child_rng(seed, STREAM_TRAIN_INSTANCES, 0),
-            child_rng(seed, STREAM_ACTIONS, 0),
-        )
+        policy = train_stage(policy, tasks[:1], cfg, [], seed, 0)
         row, _, _ = evaluate(policy, tasks, cfg.eval_episodes, child_rng(seed, STREAM_EVAL, 1))
         return float(row[1:].mean())
 
@@ -314,7 +303,7 @@ def test_criterion_13_verify_negative_controls(monkeypatch, capsys):
     orig_sep = rewards_mod.region_separation
     monkeypatch.setattr(
         rewards_mod, "region_separation",
-        lambda g, k, e, lit=False: orig_sep(g, k, e, lit) + 1e-6,
+        lambda g, k, e: orig_sep(g, k, e) + 1e-6,
     )
     assert main(["verify"]) == 1
     assert "region-separation" in capsys.readouterr().out.splitlines()[-1]

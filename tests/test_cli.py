@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +96,28 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"^{section}\..*\b{key}\b"):
             parse_config({section: {key: value}})
 
+    def test_readme_config_block_matches_defaults(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("### Config file", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        doc = json.loads(block)
+        cfg = parse_config(doc)
+        assert cfg == RunConfig(sim_overrides=doc["simulator"]["overrides"])
+
+        def key_sets(d):
+            return {k: set(v) if isinstance(v, dict) else None for k, v in d.items()}
+
+        assert key_sets(doc) == key_sets(render_config(RunConfig()))
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("optim", "ref_refresh", "per_step"),
+        ("optim", "inner_epochs", 2),
+        ("reward", "literal_variance", True),
+    ])
+    def test_removed_knobs_are_unknown_keys(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"unknown config keys: {section}\.{key}$"):
+            parse_config({section: {key: value}})
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_fuzzed_leaf_is_rejected_or_finite(self, data):
@@ -114,6 +137,7 @@ class TestConfig:
             return
         assert isinstance(cfg, RunConfig)
         assert all(math.isfinite(x) for x in _floats(cfg)), (path, value)
+        assert not any(isinstance(v, bool) for v in _leaves(cfg.sim_overrides)), (path, value)
 
 
 FUZZ_DOC = {
@@ -121,8 +145,8 @@ FUZZ_DOC = {
     "steps_per_task": 3,
     "eval_episodes": 10,
     "seeds": [0, 2],
-    "optim": {"beta": 0.04, "lr": 0.001, "n_samples": 4, "ref_refresh": "per_task", "init_size": 0.2},
-    "reward": {"alpha": 15.0, "gamma": 0.5, "kappa": 1.0, "tau": 0.1, "literal_variance": False},
+    "optim": {"beta": 0.04, "lr": 0.001, "n_samples": 4, "init_size": 0.2},
+    "reward": {"alpha": 15.0, "gamma": 0.5, "kappa": 1.0, "tau": 0.1, "correctness_kind": "iou"},
     "sweep": {"scale_points": [[1, 1], [2.0, 0.5]]},
     "simulator": {"overrides": {"mobile": {
         "noise_sigma": 0.01, "size_mean": 0.1, "matrix": [[1, 0], [0, 1]], "offset": [0.1, 0.0],
@@ -138,6 +162,15 @@ def _leaf_paths(node, prefix=()):
             yield from _leaf_paths(v, prefix + (k,))
         else:
             yield prefix + (k,)
+
+
+def _leaves(node):
+    items = node.values() if isinstance(node, dict) else node
+    for v in items:
+        if isinstance(v, (dict, list, tuple)):
+            yield from _leaves(v)
+        else:
+            yield v
 
 
 def _floats(obj):
@@ -211,6 +244,38 @@ class TestRunCommand:
         # json.dumps writes NaN/Infinity, which Python's json also parses
         out = tmp_path / "o"
         assert main(["run", write_cfg(tmp_path, {**TINY, **fragment}), str(out)]) == 2
+        assert path in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reward, path", [
+        ({"kappa": 1e40}, "reward.kappa"),
+        ({"kappa": 1e160}, "reward.kappa"),
+        ({"kappa": 1e160, "correctness_kind": "iou"}, "reward.kappa"),
+        ({"eps_min": 1e80}, "reward.eps_min"),
+        ({"eps_min": 1e-100, "kappa": 1e-60}, "reward.eps_min"),
+    ])
+    def test_box_gaussian_over_or_underflow_exits_2(self, tmp_path, caplog, reward, path):
+        doc = {**TINY, "steps_per_task": 5, "eval_episodes": 10, "reward": reward}
+        out = tmp_path / "o"
+        assert main(["run", write_cfg(tmp_path, doc), str(out)]) == 2
+        assert path in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reward", [{"kappa": 1e30}, {"eps_min": 1e60}])
+    def test_large_but_finite_box_gaussian_runs(self, tmp_path, reward):
+        doc = {**TINY, "steps_per_task": 5, "eval_episodes": 10, "reward": reward}
+        assert main(["run", write_cfg(tmp_path, doc), str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("override, path", [
+        ({"noise_sigma": True}, "simulator.overrides.mobile.noise_sigma"),
+        ({"text_fraction": False}, "simulator.overrides.mobile.text_fraction"),
+        ({"matrix": [[1, 0], [0, True]]}, "simulator.overrides.mobile.matrix"),
+        ({"offset": [False, 0.0]}, "simulator.overrides.mobile.offset"),
+    ])
+    def test_boolean_override_exits_2_naming_path(self, tmp_path, caplog, override, path):
+        doc = {**TINY, "simulator": {"overrides": {"mobile": override}}}
+        out = tmp_path / "o"
+        assert main(["run", write_cfg(tmp_path, doc), str(out)]) == 2
         assert path in caplog.text
         assert not out.exists()
 
@@ -320,6 +385,14 @@ class TestAblateCommand:
         out = tmp_path / "grid"
         assert main(["ablate", write_cfg(tmp_path, doc), str(out)]) == 2
         assert "sweep.scale_points[1]" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale_points", [[], {}])
+    def test_empty_scale_points_exits_2_naming_path(self, tmp_path, caplog, scale_points):
+        doc = {**TINY, "sweep": {"scale_points": scale_points}}
+        out = tmp_path / "grid"
+        assert main(["ablate", write_cfg(tmp_path, doc), str(out)]) == 2
+        assert "sweep.scale_points" in caplog.text
         assert not out.exists()
 
     def test_summary_means_match_cell_runs(self, tmp_path):
@@ -448,7 +521,7 @@ class TestVerifyCommand:
         orig = rewards_mod.region_separation
         monkeypatch.setattr(
             rewards_mod, "region_separation",
-            lambda g, k, e, lit=False: orig(g, k, e, lit) + 1e-6,
+            lambda g, k, e: orig(g, k, e) + 1e-6,
         )
         assert main(["verify"]) == 1
         out = capsys.readouterr().out

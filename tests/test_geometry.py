@@ -81,11 +81,6 @@ class TestToGaussian:
             b = random_bbox(rng)
             assert to_gaussian(b, 0.3, 1e-8).mean == center(b)
 
-    def test_literal_variance_mode(self):
-        g = to_gaussian(BBox(0, 0, 0.8, 0.4), kappa=0.25, eps_min=1e-8, literal_variance=True)
-        assert g.var_x == pytest.approx(0.2, rel=1e-12)
-        assert g.var_y == pytest.approx(0.1, rel=1e-12)
-
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
             to_gaussian(BBox(0, 0, 1, 1), kappa=0.0, eps_min=1e-8)

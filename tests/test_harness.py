@@ -6,13 +6,12 @@ from guiflux.harness import (
     RunConfig,
     TrainRecord,
     ablate,
-    child_rng,
     evaluate,
     forgetting,
     forward_transfer,
     reward_trend,
     run_continual,
-    train_task,
+    train_stage,
 )
 from guiflux.policy import GroundingPolicy, OptimConfig
 from guiflux.rewards import RewardConfig
@@ -69,10 +68,7 @@ class TestTrainTask:
         cfg = tiny_config(steps_per_task=0)
         tasks = make_sequence("domain_flux", 0)
         policy = GroundingPolicy.zeros(tasks[0].state_dim)
-        out = train_task(
-            policy, policy, tasks[0], cfg, [],
-            child_rng(0, 0, 0), child_rng(0, 1, 0),
-        )
+        out = train_stage(policy, tasks[:1], cfg, [], 0, 0)
         assert np.array_equal(out.W, policy.W)
 
     def test_all_gates_off_logs_zero_shaping(self):
@@ -82,8 +78,7 @@ class TestTrainTask:
         records = []
         tasks = make_sequence("domain_flux", 0)
         policy = GroundingPolicy.zeros(tasks[0].state_dim)
-        train_task(policy, policy, tasks[0], cfg, records,
-                   child_rng(0, 0, 0), child_rng(0, 1, 0))
+        train_stage(policy, tasks[:1], cfg, records, 0, 0)
         assert all(r.apr == 0.0 and r.arr == 0.0 and r.r_aif == 0.0 for r in records)
 
     def test_deterministic_log(self):
@@ -93,8 +88,7 @@ class TestTrainTask:
             records = []
             tasks = make_sequence("domain_flux", 0)
             policy = GroundingPolicy.zeros(tasks[0].state_dim)
-            train_task(policy, policy, tasks[0], cfg, records,
-                       child_rng(0, 0, 0), child_rng(0, 1, 0))
+            train_stage(policy, tasks[:1], cfg, records, 0, 0)
             logs.append(records)
         assert logs[0] == logs[1]
 

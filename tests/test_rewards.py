@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import guiflux.rewards as rewards_mod
 from guiflux.geometry import BBox, DiagGaussian2, Point, to_gaussian
@@ -265,3 +267,48 @@ class TestCorrectness:
         for _ in range(50):
             pred = random_bbox(rng)
             assert correctness_gaussian(pred, gt, 0.25, 1e-8) <= best + 1e-12
+
+
+unit = st.floats(0.0, 1.0)
+variances = st.floats(1e-12, 1e6)
+
+
+@st.composite
+def boxes(draw):
+    x1, x2 = sorted((draw(unit), draw(unit)))
+    y1, y2 = sorted((draw(unit), draw(unit)))
+    return BBox(x1, y1, x2, y2)
+
+
+gaussians = st.builds(DiagGaussian2, st.builds(Point, unit, unit), variances, variances)
+
+
+@st.composite
+def group_and_permutation(draw):
+    group = draw(st.lists(boxes(), min_size=1, max_size=8))
+    return group, draw(st.permutations(group))
+
+
+class TestRewardProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(gaussians, gaussians)
+    def test_bhattacharyya_symmetric_bit_for_bit(self, a, b):
+        assert bhattacharyya(a, b) == bhattacharyya(b, a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(group_and_permutation())
+    def test_center_spread_permutation_invariant(self, groups):
+        group, permuted = groups
+        # the centroid's rounding depends on summation order: five centers one
+        # ulp apart have a spread of ~1e-32 that reordering moves by a third
+        assert center_spread(PredictionGroup(permuted)) == pytest.approx(
+            center_spread(PredictionGroup(group)), rel=1e-12, abs=1e-20
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(group_and_permutation())
+    def test_region_separation_permutation_invariant(self, groups):
+        group, permuted = groups
+        assert region_separation(PredictionGroup(permuted), 0.5, 1e-8) == pytest.approx(
+            region_separation(PredictionGroup(group), 0.5, 1e-8), rel=1e-12
+        )
