@@ -34,7 +34,6 @@ from .rewards import (
     center_spread,
     correctness,
     correctness_gaussian,
-    correctness_iou,
     correctness_point,
     diversity_reward,
     region_separation,

@@ -42,8 +42,22 @@ def _setup_logging():
     )
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type of --seed: a master seed is a non-negative int."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {text}")
+    return int(text)
+
+
+def _check_out_dir(out_dir: str):
+    """Fail before any training when the output path is taken by a file."""
+    if Path(out_dir).exists() and not Path(out_dir).is_dir():
+        raise ConfigError(f"out_dir {out_dir} exists and is not a directory")
+
+
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
+    _check_out_dir(args.out_dir)
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     matrix, records, tasks = harness.run_continual(cfg, seed=seed)
     persistence.write_run(args.out_dir, cfg, seed, matrix, records, tasks)
@@ -58,6 +72,7 @@ def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seeds=(args.seed,))
+    _check_out_dir(args.out_dir)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runs = harness.ablate(cfg)
@@ -68,16 +83,21 @@ def cmd_ablate(args) -> int:
     return EXIT_OK
 
 
+def _read_run_file(read, path: Path):
+    """`read(path)`; a missing or damaged file is an input error naming it."""
+    try:
+        return read(path)
+    except (OSError, ValueError, IndexError) as e:
+        raise ConfigError(f"cannot read {path}: {e}") from e
+
+
 def cmd_plot(args) -> int:
     run_dir = Path(args.run_dir)
     trainlog = run_dir / persistence.TRAINLOG_NAME
-    matrix_path = run_dir / persistence.MATRIX_NAME
-    if not trainlog.is_file() or not matrix_path.is_file():
-        raise ConfigError(f"{run_dir} does not contain {persistence.TRAINLOG_NAME} and {persistence.MATRIX_NAME}")
-    records = persistence.read_trainlog(trainlog)
+    records = _read_run_file(persistence.read_trainlog, trainlog)
     if not records:
         raise ConfigError(f"{trainlog} holds no training records")
-    matrix = persistence.read_matrix(matrix_path)
+    matrix = _read_run_file(persistence.read_matrix, run_dir / persistence.MATRIX_NAME)
     written = plots.write_plots(run_dir, records, matrix)
     log.info("wrote %s", ", ".join(p.name for p in written))
     return EXIT_OK
@@ -101,13 +121,13 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute one continual run and persist its outputs")
     run.add_argument("config")
     run.add_argument("out_dir")
-    run.add_argument("--seed", type=int, default=None, help="override the config's first seed")
+    run.add_argument("--seed", type=non_negative_int, default=None, help="override the config's first seed")
     run.set_defaults(fn=cmd_run)
 
     ablate = sub.add_parser("ablate", help="execute the ablation grid")
     ablate.add_argument("config")
     ablate.add_argument("out_dir")
-    ablate.add_argument("--seed", type=int, default=None, help="replace the config's seed list")
+    ablate.add_argument("--seed", type=non_negative_int, default=None, help="replace the config's seed list")
     ablate.set_defaults(fn=cmd_ablate)
 
     plot = sub.add_parser("plot", help="emit SVG plots from a persisted run directory")

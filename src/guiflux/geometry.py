@@ -69,16 +69,11 @@ def check_boxes(boxes: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class DiagGaussian2:
-    """2-D Gaussian with diagonal covariance.
-
-    `floored` marks variances that were clamped up to the floor because the
-    source box had (near-)zero extent along that axis.
-    """
+    """2-D Gaussian with diagonal covariance."""
 
     mean: Point
     var_x: float
     var_y: float
-    floored: bool = False
 
     def __post_init__(self):
         if not (self.var_x > 0.0 and self.var_y > 0.0):
@@ -105,8 +100,7 @@ def to_gaussian(b: BBox, kappa: float, eps_min: float) -> DiagGaussian2:
         raise ValueError(f"eps_min must be positive, got {eps_min}")
     vx = (kappa * b.width) ** 2
     vy = (kappa * b.height) ** 2
-    floored = vx < eps_min or vy < eps_min
-    return DiagGaussian2(center(b), max(vx, eps_min), max(vy, eps_min), floored)
+    return DiagGaussian2(center(b), max(vx, eps_min), max(vy, eps_min))
 
 
 def iou(a: BBox, b: BBox) -> float:

@@ -198,13 +198,12 @@ def _train_step(
     records: list[TrainRecord],
     rng_actions: np.random.Generator,
 ) -> GroundingPolicy:
-    # Ratio anchor = behavior policy; `ref` only anchors the KL penalty.
-    # Anchoring the ratio to the stage-start snapshot as well would make it
-    # overflow once the policy has genuinely moved during the stage.
-    rollout = sample_group(policy, policy, inst.state, cfg.optim.n_samples, rng_actions)
+    # Ratio anchor = behavior policy (rollout.logp_behavior); `ref` only
+    # anchors the KL penalty. Anchoring the ratio to the stage-start snapshot
+    # as well would make it overflow once the policy has genuinely moved.
+    rollout = sample_group(policy, inst.state, cfg.optim.n_samples, rng_actions)
     scores = np.array([rw.correctness(box, inst.gt, cfg.reward) for box in rollout.boxes])
     spread, separation, r_div = rw.diversity_reward(PredictionGroup(rollout.boxes), cfg.reward)
-    rollout.rewards = scores
     rollout.advantages = grpo_advantage(scores)
     rollout.r_div = r_div
 

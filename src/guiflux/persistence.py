@@ -39,14 +39,14 @@ SUMMARY_NAME = "summary.csv"
 TRAINLOG_HEADER = ["step", "task", "correctness", "apr", "arr", "r_aif", "kl", "objective"]
 
 
-def _write_atomic(path: Path, data: str):
+def write_atomic(path: Path, data: str):
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(data)
     os.replace(tmp, path)
 
 
 def write_json(path: Path, obj) -> None:
-    _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def write_manifest(out_dir: Path, cfg: RunConfig, master_seed: int, tasks: list[TaskSpec]) -> dict:
@@ -73,7 +73,7 @@ def write_matrix(out_dir: Path, m: AccuracyMatrix) -> None:
         row += [repr(float(v)) for v in m.text[i]]
         row += [repr(float(v)) for v in m.icon[i]]
         w.writerow(row)
-    _write_atomic(out_dir / MATRIX_NAME, buf.getvalue())
+    write_atomic(out_dir / MATRIX_NAME, buf.getvalue())
 
 
 def read_matrix(path: Path) -> AccuracyMatrix:
@@ -102,7 +102,7 @@ def write_trainlog(out_dir: Path, records: list[TrainRecord]) -> None:
             [r.step, r.task]
             + [repr(float(v)) for v in (r.correctness, r.apr, r.arr, r.r_aif, r.kl, r.objective)]
         )
-    _write_atomic(out_dir / TRAINLOG_NAME, buf.getvalue())
+    write_atomic(out_dir / TRAINLOG_NAME, buf.getvalue())
 
 
 def read_trainlog(path: Path) -> list[TrainRecord]:
@@ -182,4 +182,4 @@ def write_summary(out_dir: Path, runs: list[AblationRun]) -> None:
                 len(group), repr(float(finals.mean())), repr(float(finals.std())),
             ]
         )
-    _write_atomic(Path(out_dir) / SUMMARY_NAME, buf.getvalue())
+    write_atomic(Path(out_dir) / SUMMARY_NAME, buf.getvalue())

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .harness import AccuracyMatrix, TrainRecord, forward_transfer
+from .persistence import write_atomic
 
 WIDTH, HEIGHT = 800, 420
 MARGIN = 50
@@ -156,8 +157,6 @@ def write_plots(run_dir: str | Path, records: list[TrainRecord], matrix: Accurac
         ("transfer.svg", transfer_svg(matrix)),
     ]:
         path = run_dir / name
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(content)
-        tmp.replace(path)
+        write_atomic(path, content)
         out.append(path)
     return out

@@ -120,23 +120,20 @@ class PolicyGrad:
 class GroupRollout:
     """One instruction's group: N raw actions, their boxes, log-probs and scores.
 
-    `rewards`, `advantages` and `r_div` stay unfilled (None / 0) until the
-    scoring stage populates them.
+    `advantages` and `r_div` stay unfilled (None / 0) until the scoring stage
+    populates them.
     """
 
     state: np.ndarray          # (feature_dim,)
     actions: np.ndarray        # (N, 4) raw actions
     boxes: list[BBox]          # N decoded boxes
-    logp_theta: np.ndarray     # (N,) log-prob under the sampling policy
-    logp_ref: np.ndarray       # (N,) log-prob under the ratio-anchor policy
-    rewards: np.ndarray | None = None
+    logp_behavior: np.ndarray  # (N,) log-prob under the sampling policy; anchors the ratio
     advantages: np.ndarray | None = None
     r_div: float = 0.0         # group-shared diversity bonus added to every advantage
 
     def __post_init__(self):
         n = self.actions.shape[0]
-        if not (len(self.boxes) == n and self.logp_theta.shape == (n,)
-                and self.logp_ref.shape == (n,)):
+        if not (len(self.boxes) == n and self.logp_behavior.shape == (n,)):
             raise ValueError("rollout field lengths disagree")
 
     @property
@@ -178,15 +175,12 @@ def gaussian_logp(actions: np.ndarray, mean: np.ndarray, log_std: np.ndarray) ->
 
 def sample_group(
     policy: GroundingPolicy,
-    ref: GroundingPolicy,
     state: np.ndarray,
     n_samples: int,
     rng: np.random.Generator,
 ) -> GroupRollout:
-    """Draw N raw actions at `state`, decoding boxes and recording log-probs
-    under both the sampling policy and `ref`, the policy that anchors the
-    likelihood ratio (pass the sampling policy itself for on-policy ratios
-    of 1 before the update)."""
+    """Draw N raw actions at `state`, decoding boxes and recording their
+    log-probs under the sampling policy."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     state = np.asarray(state, dtype=float)
@@ -195,9 +189,8 @@ def sample_group(
     noise = rng.standard_normal((n_samples, 4))
     actions = mean + std * noise
     boxes = [action_to_bbox(u) for u in actions]
-    logp_theta = gaussian_logp(actions, mean, policy.log_std)
-    logp_ref = gaussian_logp(actions, ref.action_mean(state), ref.log_std)
-    return GroupRollout(state, actions, boxes, logp_theta, logp_ref)
+    logp_behavior = gaussian_logp(actions, mean, policy.log_std)
+    return GroupRollout(state, actions, boxes, logp_behavior)
 
 
 def grpo_advantage(rewards: np.ndarray) -> np.ndarray:
@@ -238,16 +231,15 @@ def objective(
     """J(theta) for a populated rollout.
 
     J = mean_i ratio_i * (A_i + r_div) - beta * KL(ref || theta at state),
-    with ratio_i = exp(logp_theta_i - logp_ref_i). logp under `theta` is
-    recomputed at the stored actions (the stored logp_theta belong to the
-    behavior policy; they coincide when `theta` is that policy), keeping
-    logp_ref fixed.
+    with ratio_i = exp(logp_theta_i - logp_behavior_i): logp under `theta`
+    is recomputed at the stored actions, so the ratio is 1 only when `theta`
+    is the sampling policy.
     """
     if rollout.advantages is None:
         raise ValueError("rollout advantages not populated")
     mean = theta.action_mean(rollout.state)
     logp = gaussian_logp(rollout.actions, mean, theta.log_std)
-    ratios = np.exp(logp - rollout.logp_ref)
+    ratios = np.exp(logp - rollout.logp_behavior)
     surrogate = float((ratios * (rollout.advantages + rollout.r_div)).mean())
     return surrogate - beta * kl_ref_theta(ref, theta, rollout.state)
 
@@ -269,7 +261,7 @@ def grad_objective(
     diff = rollout.actions - mean                     # (N, 4)
     z2 = diff * diff / var                            # (N, 4)
     logp = (-0.5 * z2 - theta.log_std - 0.5 * LOG_2PI).sum(axis=1)
-    weights = np.exp(logp - rollout.logp_ref) * (rollout.advantages + rollout.r_div)
+    weights = np.exp(logp - rollout.logp_behavior) * (rollout.advantages + rollout.r_div)
 
     n = rollout.n
     # d logp / d mean = diff / var; d logp / d log_std = z^2 - 1

@@ -134,11 +134,6 @@ def diversity_reward(g: PredictionGroup, cfg: RewardConfig) -> tuple[float, floa
     return spread, separation, cfg.alpha * spread + cfg.gamma * separation
 
 
-def correctness_iou(pred: BBox, gt: BBox) -> float:
-    """IoU-only correctness, in [0,1]."""
-    return iou(pred, gt)
-
-
 def correctness_point(pred: BBox, gt: BBox, tau: float) -> float:
     """Center-distance correctness: exponential decay plus a hit bonus.
 
@@ -175,7 +170,7 @@ def correctness_gaussian(pred: BBox, gt: BBox, kappa: float, eps_min: float) -> 
 def correctness(pred: BBox, gt: BBox, cfg: RewardConfig) -> float:
     """Dispatch on cfg.correctness_kind."""
     if cfg.correctness_kind == "iou":
-        return correctness_iou(pred, gt)
+        return iou(pred, gt)
     if cfg.correctness_kind == "point_distance":
         return correctness_point(pred, gt, cfg.tau)
     return correctness_gaussian(pred, gt, cfg.kappa, cfg.eps_min)

@@ -111,7 +111,6 @@ class TaskSpec:
     noise_sigma: float
     index: int
     n_tasks: int
-    seed: int
 
     def __post_init__(self):
         # written so that nan and +-inf fail every range check
@@ -183,7 +182,9 @@ def make_sequence(
     """Build the ordered task list for a scenario.
 
     `overrides` maps task name to fixture fields to replace (the hook the
-    run configuration uses to re-parameterize the simulator).
+    run configuration uses to re-parameterize the simulator). The tasks do
+    not depend on `master_seed`: every random draw comes from the streams
+    the caller passes to `sample_instances`.
     """
     if scenario == "domain_flux":
         fixtures = list(DOMAIN_FIXTURES)
@@ -226,13 +227,12 @@ def make_sequence(
                     f"simulator.overrides.{merged['name']}.{key}: expected a number, got {value!r}"
                 )
         merged.update(extra)
-        seed = int(np.random.SeedSequence([master_seed, idx]).generate_state(1)[0])
         try:
             if "matrix" in extra:
                 merged["matrix"] = tuple(tuple(float(v) for v in row) for row in extra["matrix"])
             if "offset" in extra:
                 merged["offset"] = tuple(float(v) for v in extra["offset"])
-            tasks.append(TaskSpec(index=idx, n_tasks=n, seed=seed, **merged))
+            tasks.append(TaskSpec(index=idx, n_tasks=n, **merged))
         except (TypeError, ValueError) as e:
             raise ConfigError(f"simulator.overrides.{merged['name']}: {e}") from e
     return tasks

@@ -14,15 +14,13 @@ import numpy as np
 import pytest
 
 import guiflux.rewards as rewards_mod
+from guiflux import verify
 from guiflux.cli import main
-from guiflux.geometry import BBox, DiagGaussian2, Point, to_gaussian
-from guiflux.harness import RunConfig, forward_transfer, reward_trend, run_continual
+from guiflux.geometry import DiagGaussian2, Point
+from guiflux.harness import RunConfig, reward_trend, run_continual
 from guiflux.persistence import compute_metrics, read_matrix, read_trainlog
-from guiflux.policy import GroundingPolicy, grad_objective, grpo_advantage, objective, sample_group
-from guiflux.rewards import PredictionGroup, bhattacharyya, center_spread, region_separation
-from guiflux.verify import VERIFY_SEED, check_bhattacharyya
-
-from conftest import random_bbox
+from guiflux.policy import GroundingPolicy, grpo_advantage
+from guiflux.rewards import bhattacharyya
 
 SEEDS = tuple(range(10))
 
@@ -80,24 +78,15 @@ def reversed_experiment():
 
 
 def test_criterion_01_center_spread_oracle():
-    rng = np.random.default_rng(101)
     t0 = time.perf_counter()
-    worst = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(2, 9))
-        boxes = [random_bbox(rng) for _ in range(n)]
-        cs = [((b.x1 + b.x2) / 2, (b.y1 + b.y2) / 2) for b in boxes]
-        mx = sum(c[0] for c in cs) / n
-        my = sum(c[1] for c in cs) / n
-        expected = sum((c[0] - mx) ** 2 + (c[1] - my) ** 2 for c in cs) / n
-        worst = max(worst, abs(center_spread(PredictionGroup(boxes)) - expected))
+    result = verify.check_center_spread(np.random.default_rng(101))
     elapsed = time.perf_counter() - t0
-    assert worst < 1e-9
+    assert result.passed, result.detail
     assert elapsed < 1.0
-    ok(1, f"center-spread matches brute force, max diff {worst:.2e} in {elapsed:.2f}s")
+    ok(1, f"center-spread matches brute force, {result.detail} in {elapsed:.2f}s")
 
 
-def test_criterion_02_bhattacharyya_monte_carlo():
+def test_criterion_02_bhattacharyya_quadrature():
     a = DiagGaussian2(Point(0.31, 0.62), 0.004, 0.009)
     assert abs(bhattacharyya(a, a)) <= 1e-12
     b = DiagGaussian2(Point(0.41, 0.42), 0.004, 0.009)
@@ -105,7 +94,7 @@ def test_criterion_02_bhattacharyya_monte_carlo():
     assert abs(bhattacharyya(a, b) - maha8) <= 1e-12
 
     t0 = time.perf_counter()
-    result = check_bhattacharyya(np.random.default_rng(VERIFY_SEED + 1), n_pairs=20, n_samples=1_000_000)
+    result = verify.check_bhattacharyya(np.random.default_rng(verify.VERIFY_SEED + 1), n_pairs=20)
     elapsed = time.perf_counter() - t0
     assert result.passed, result.detail
     assert elapsed < 30.0
@@ -113,74 +102,22 @@ def test_criterion_02_bhattacharyya_monte_carlo():
 
 
 def test_criterion_03_region_separation_oracle():
-    rng = np.random.default_rng(103)
-    worst = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(2, 9))
-        boxes = [random_bbox(rng) for _ in range(n)]
-        gs = [to_gaussian(bx, 0.5, 1e-8) for bx in boxes]
-        total, pairs = 0.0, 0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                total += bhattacharyya(gs[i], gs[j])
-                pairs += 1
-        got = region_separation(PredictionGroup(boxes), 0.5, 1e-8)
-        worst = max(worst, abs(got - total / pairs))
-    assert worst < 1e-9
-    ok(3, f"pairwise double-loop oracle max diff {worst:.2e} over 1000 groups")
+    result = verify.check_region_separation(np.random.default_rng(103))
+    assert result.passed, result.detail
+    ok(3, f"pairwise double-loop oracle {result.detail} over 1000 groups")
 
 
 def test_criterion_04_advantage_contract():
-    rng = np.random.default_rng(104)
-    for _ in range(1000):
-        n = int(rng.integers(1, 9))
-        r = rng.random(n) * rng.choice([1.0, 10.0])
-        a = grpo_advantage(r)
-        if n == 1 or r.std() < 1e-12:
-            assert (a == 0.0).all()
-        else:
-            assert abs(a.mean()) <= 1e-9
-            assert abs(a.std() - 1.0) <= 1e-9
+    result = verify.check_advantage(np.random.default_rng(104), n_cases=1000)
+    assert result.passed, result.detail
     assert (grpo_advantage(np.full(6, 3.3)) == 0.0).all()
     ok(4, "advantages have mean 0 +/- 1e-9, population std 1 +/- 1e-9, zeros when degenerate")
 
 
 def test_criterion_05_gradient_check():
-    rng = np.random.default_rng(105)
-    h = 1e-5
-    worst = 0.0
-    for k in range(10):
-        beta = 0.0 if k % 2 == 0 else 0.04
-        state = rng.normal(0, 1.5, 8)
-        theta = GroundingPolicy(
-            rng.normal(0, 0.4, (8, 4)), rng.normal(0, 0.3, 4), rng.uniform(-3, 0, 4)
-        )
-        ref = GroundingPolicy(
-            theta.W + rng.normal(0, 0.08, (8, 4)),
-            theta.b + rng.normal(0, 0.08, 4),
-            np.clip(theta.log_std + rng.uniform(-0.2, 0.2, 4), -6, 1),
-        )
-        rollout = sample_group(theta, ref, state, 4, rng)
-        rollout.rewards = rng.random(4) * 2
-        rollout.advantages = grpo_advantage(rollout.rewards)
-        rollout.r_div = float(rng.random())
-
-        grad = grad_objective(rollout, theta, ref, beta)
-        analytic = np.concatenate([grad.dW.ravel(), grad.db, grad.dlog_std])
-        flat = np.concatenate([theta.W.ravel(), theta.b, theta.log_std])
-        fd = np.zeros_like(flat)
-        nw = theta.W.size
-        for i in range(flat.size):
-            up, dn = flat.copy(), flat.copy()
-            up[i] += h
-            dn[i] -= h
-            pu = GroundingPolicy(up[:nw].reshape(8, 4), up[nw:nw + 4], up[nw + 4:])
-            pd = GroundingPolicy(dn[:nw].reshape(8, 4), dn[nw:nw + 4], dn[nw + 4:])
-            fd[i] = (objective(rollout, pu, ref, beta) - objective(rollout, pd, ref, beta)) / (2 * h)
-        rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
-        worst = max(worst, rel)
-    assert worst < 1e-4
-    ok(5, f"analytic gradient vs central differences, max rel err {worst:.2e} over 10 fixtures")
+    result = verify.check_gradient(np.random.default_rng(105))
+    assert result.passed, result.detail
+    ok(5, f"analytic gradient vs central differences, {result.detail}")
 
 
 # -------------------------------------------------------- behavioral gates
@@ -288,23 +225,20 @@ def test_criterion_13_verify_negative_controls(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 5
 
-    orig_spread = rewards_mod.center_spread
-    monkeypatch.setattr(rewards_mod, "center_spread", lambda g: 1.000001 * orig_spread(g))
-    assert main(["verify"]) == 1
-    assert "center-spread" in capsys.readouterr().out.splitlines()[-1]
-    monkeypatch.setattr(rewards_mod, "center_spread", orig_spread)
-
-    orig_bhat = rewards_mod.bhattacharyya
-    monkeypatch.setattr(rewards_mod, "bhattacharyya", lambda a, b: 1.1 * orig_bhat(a, b))
-    assert main(["verify"]) == 1
-    assert "bhattacharyya" in capsys.readouterr().out.splitlines()[-1]
-    monkeypatch.setattr(rewards_mod, "bhattacharyya", orig_bhat)
-
-    orig_sep = rewards_mod.region_separation
-    monkeypatch.setattr(
-        rewards_mod, "region_separation",
-        lambda g, k, e: orig_sep(g, k, e) + 1e-6,
+    spread, bhat, sep = (
+        rewards_mod.center_spread, rewards_mod.bhattacharyya, rewards_mod.region_separation
     )
-    assert main(["verify"]) == 1
-    assert "region-separation" in capsys.readouterr().out.splitlines()[-1]
+    mutations = [
+        ("center_spread", lambda g: 1.000001 * spread(g), "center-spread"),
+        ("bhattacharyya", lambda a, b: 1.1 * bhat(a, b), "bhattacharyya"),
+        ("bhattacharyya", lambda a, b: (1.0 + 1e-6) * bhat(a, b), "bhattacharyya"),
+        ("region_separation", lambda g, k, e: sep(g, k, e) + 1e-6, "region-separation"),
+    ]
+    for attr, mutant, name in mutations:
+        with monkeypatch.context() as m:
+            m.setattr(rewards_mod, attr, mutant)
+            assert main(["verify"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith(f"FAIL  {name}") for line in lines), lines
+        assert name in lines[-1]
     ok(13, "verify exits 0 clean and 1 under each injected reward-constant mutation")

@@ -63,13 +63,11 @@ class TestToGaussian:
         assert g.mean == Point(0.5, 0.5)
         assert g.var_x == pytest.approx(0.0625, abs=1e-15)
         assert g.var_y == pytest.approx(0.0625, abs=1e-15)
-        assert not g.floored
 
     def test_zero_area_floored(self):
         g = to_gaussian(BBox(0.4, 0.4, 0.4, 0.4), kappa=0.25, eps_min=1e-8)
         assert g.var_x == 1e-8
         assert g.var_y == 1e-8
-        assert g.floored
 
     def test_rectangular(self):
         g = to_gaussian(BBox(0, 0, 0.8, 0.4), kappa=0.25, eps_min=1e-8)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import guiflux.rewards as rewards_mod
-from guiflux.geometry import BBox, DiagGaussian2, Point, to_gaussian
+from guiflux.geometry import BBox, DiagGaussian2, Point, iou, to_gaussian
 from guiflux.rewards import (
     PredictionGroup,
     RewardConfig,
@@ -14,7 +14,6 @@ from guiflux.rewards import (
     center_spread,
     correctness,
     correctness_gaussian,
-    correctness_iou,
     correctness_point,
     diversity_reward,
     region_separation,
@@ -206,9 +205,9 @@ class TestDiversityReward:
 class TestCorrectness:
     def test_iou_examples(self):
         gt = BBox(0, 0, 0.5, 0.5)
-        assert correctness_iou(gt, gt) == 1.0
-        assert correctness_iou(BBox(0.6, 0.6, 0.9, 0.9), gt) == 0.0
-        assert correctness_iou(BBox(0.25, 0, 0.75, 0.5), gt) == pytest.approx(1 / 3, abs=1e-12)
+        assert iou(gt, gt) == 1.0
+        assert iou(BBox(0.6, 0.6, 0.9, 0.9), gt) == 0.0
+        assert iou(BBox(0.25, 0, 0.75, 0.5), gt) == pytest.approx(1 / 3, abs=1e-12)
 
     def test_point_hit_at_center(self):
         gt = BBox(0.4, 0.4, 0.6, 0.6)
@@ -256,7 +255,7 @@ class TestCorrectness:
     def test_dispatcher(self):
         gt = BBox(0.3, 0.3, 0.5, 0.5)
         pred = BBox(0.35, 0.3, 0.55, 0.5)
-        assert correctness(pred, gt, RewardConfig(correctness_kind="iou")) == correctness_iou(pred, gt)
+        assert correctness(pred, gt, RewardConfig(correctness_kind="iou")) == iou(pred, gt)
         assert correctness(pred, gt, RewardConfig(correctness_kind="point_distance", tau=0.2)) == correctness_point(pred, gt, 0.2)
         cfg = RewardConfig(correctness_kind="gaussian_dense", kappa=0.3)
         assert correctness(pred, gt, cfg) == correctness_gaussian(pred, gt, 0.3, cfg.eps_min)

@@ -142,7 +142,7 @@ class TestTaskSpec:
         base = dict(
             name="x", kind="domain", matrix=((1, 0), (0, 1)), offset=(0, 0),
             size_mean=0.1, size_spread=0.01, text_fraction=0.5, noise_sigma=0.0,
-            index=0, n_tasks=1, seed=0,
+            index=0, n_tasks=1,
         )
         TaskSpec(**base)
         with pytest.raises(ValueError):
@@ -318,7 +318,6 @@ def task_specs(draw):
         noise_sigma=draw(st.floats(0.0, 10.0)),
         index=draw(st.integers(0, n_tasks - 1)),
         n_tasks=n_tasks,
-        seed=0,
     )
 
 
