@@ -1,7 +1,7 @@
 """Continual GUI-grounding simulator with diversity-shaped group-relative
 policy optimization."""
 
-from .geometry import BBox, DiagGaussian2, Point, center, contains, iou, to_gaussian
+from .geometry import BBox, center, contains, iou, to_gaussian
 from .harness import (
     AccuracyMatrix,
     RunConfig,
@@ -28,7 +28,6 @@ from .policy import (
     step,
 )
 from .rewards import (
-    PredictionGroup,
     RewardConfig,
     bhattacharyya,
     center_spread,
@@ -40,7 +39,6 @@ from .rewards import (
 )
 from .simulator import (
     EpisodeBatch,
-    EpisodeInstance,
     TaskSpec,
     make_sequence,
     sample_instances,

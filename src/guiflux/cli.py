@@ -5,8 +5,9 @@
     guiflux plot <run_dir>
     guiflux verify
 
-Exit codes: 0 success, 1 verification failure, 2 input/config error,
-3 numerical abort. LOG_LEVEL (error|info|debug) controls verbosity.
+Exit codes: 0 success, 1 verification failure, 2 input/config error or an
+unreadable or unwritable path, 3 numerical abort. LOG_LEVEL
+(error|info|debug) controls verbosity.
 """
 
 from __future__ import annotations
@@ -49,15 +50,10 @@ def non_negative_int(text: str) -> int:
     return int(text)
 
 
-def _check_out_dir(out_dir: str):
-    """Fail before any training when the output path is taken by a file."""
-    if Path(out_dir).exists() and not Path(out_dir).is_dir():
-        raise ConfigError(f"out_dir {out_dir} exists and is not a directory")
-
-
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    _check_out_dir(args.out_dir)
+    # fails before any training when the output path cannot be a directory
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     matrix, records, tasks = harness.run_continual(cfg, seed=seed)
     persistence.write_run(args.out_dir, cfg, seed, matrix, records, tasks)
@@ -72,7 +68,6 @@ def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seeds=(args.seed,))
-    _check_out_dir(args.out_dir)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runs = harness.ablate(cfg)
@@ -150,6 +145,10 @@ def main(argv=None) -> int:
     except NumericalAbort as e:
         log.error("numerical abort: %s", e)
         return EXIT_NUMERICAL
+    except OSError as e:
+        # the message names the path, e.g. an out_dir that is a file
+        log.error("%s", e)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .harness import RunConfig
+from .harness import RunConfig, scale_label
 from .policy import OptimConfig
 from .rewards import RewardConfig
 from .simulator import SCENARIOS, make_sequence
@@ -75,11 +75,19 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"sweep.scale_points: expected a list of [alpha, gamma] pairs: {e}") from e
     if not scale_points:
         raise ConfigError("sweep.scale_points: must hold at least one [alpha, gamma] pair")
+    labels: dict[str, int] = {}
     for i, (a, g) in enumerate(scale_points):
         if not (0.0 < a < math.inf and 0.0 < g < math.inf):
             raise ConfigError(
                 f"sweep.scale_points[{i}]: scales must be positive and finite, got [{a:g}, {g:g}]"
             )
+        label = scale_label(a, g)
+        if label in labels:
+            raise ConfigError(
+                f"sweep.scale_points[{i}]: [{a!r}, {g!r}] names the same grid cells "
+                f"({label}) as sweep.scale_points[{labels[label]}]"
+            )
+        labels[label] = i
 
     overrides = sim_doc.get("overrides", {})
     if not isinstance(overrides, dict) or not all(isinstance(v, dict) for v in overrides.values()):

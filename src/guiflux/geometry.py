@@ -14,16 +14,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class Point:
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite point ({self.x}, {self.y})")
-
-
-@dataclass(frozen=True)
 class BBox:
     """Axis-aligned box [x1, y1, x2, y2], corners in [0,1], x1<=x2, y1<=y2."""
 
@@ -67,28 +57,14 @@ def check_boxes(boxes: np.ndarray) -> None:
     raise ValueError(f"box {i} {tuple(float(c) for c in boxes[i])} violates the BBox invariants")
 
 
-@dataclass(frozen=True)
-class DiagGaussian2:
-    """2-D Gaussian with diagonal covariance."""
-
-    mean: Point
-    var_x: float
-    var_y: float
-
-    def __post_init__(self):
-        if not (self.var_x > 0.0 and self.var_y > 0.0):
-            raise ValueError(f"non-positive variance ({self.var_x}, {self.var_y})")
-        if not (math.isfinite(self.var_x) and math.isfinite(self.var_y)):
-            raise ValueError("non-finite variance")
+def center(b: BBox) -> tuple[float, float]:
+    """Midpoint (x, y) of a box."""
+    return (b.x1 + b.x2) / 2.0, (b.y1 + b.y2) / 2.0
 
 
-def center(b: BBox) -> Point:
-    """Midpoint of a box."""
-    return Point((b.x1 + b.x2) / 2.0, (b.y1 + b.y2) / 2.0)
-
-
-def to_gaussian(b: BBox, kappa: float, eps_min: float) -> DiagGaussian2:
-    """Model a box as a diagonal Gaussian centered on its midpoint.
+def to_gaussian(b: BBox, kappa: float, eps_min: float) -> tuple[float, float, float, float]:
+    """Model a box as a diagonal 2-D Gaussian centered on its midpoint,
+    returned as (mean x, mean y, var x, var y).
 
     The standard deviation is proportional to the side length
     (var = (kappa*side)^2). Variances are floored at `eps_min` so degenerate
@@ -100,7 +76,8 @@ def to_gaussian(b: BBox, kappa: float, eps_min: float) -> DiagGaussian2:
         raise ValueError(f"eps_min must be positive, got {eps_min}")
     vx = (kappa * b.width) ** 2
     vy = (kappa * b.height) ** 2
-    return DiagGaussian2(center(b), max(vx, eps_min), max(vy, eps_min))
+    # the mean is center(b), written out: this runs for every sampled box
+    return (b.x1 + b.x2) / 2.0, (b.y1 + b.y2) / 2.0, max(vx, eps_min), max(vy, eps_min)
 
 
 def iou(a: BBox, b: BBox) -> float:
@@ -114,6 +91,6 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
-def contains(b: BBox, p: Point) -> bool:
-    """True iff `p` lies inside `b`, boundaries inclusive."""
-    return b.x1 <= p.x <= b.x2 and b.y1 <= p.y <= b.y2
+def contains(b: BBox, x: float, y: float) -> bool:
+    """True iff the point (x, y) lies inside `b`, boundaries inclusive."""
+    return b.x1 <= x <= b.x2 and b.y1 <= y <= b.y2

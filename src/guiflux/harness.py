@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rewards as rw
+from .geometry import BBox
 from .policy import (
     GroundingPolicy,
     OptimConfig,
@@ -28,7 +29,7 @@ from .policy import (
     sample_group,
     step,
 )
-from .rewards import PredictionGroup, RewardConfig
+from .rewards import RewardConfig
 from .simulator import TaskSpec, make_sequence, sample_instances
 
 log = logging.getLogger(__name__)
@@ -80,8 +81,9 @@ class RunConfig:
             raise ValueError("steps_per_task must be >= 0")
         if self.eval_episodes < 1:
             raise ValueError("eval_episodes must be >= 1")
-        if len(self.seeds) < 1 or any(s < 0 for s in self.seeds):
-            raise ValueError("seeds must be a non-empty list of non-negative ints")
+        # a repeated seed would overwrite its own ablation run directories
+        if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
+            raise ValueError("seeds must be a non-empty list of distinct non-negative ints")
 
 
 @dataclass(frozen=True)
@@ -138,10 +140,13 @@ def evaluate(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One accuracy-matrix row: per-task overall/text/icon success rates.
 
-    Evaluation is deterministic given the rng: the policy predicts its mean
-    box (no sampling noise) and a prediction succeeds when its center lands
-    inside the ground-truth box. A split with no episodes (e.g. icons under
-    text_fraction 1) is nan: missing, not 0% accurate.
+    Evaluation is deterministic given the rng and uses no sampling noise: an
+    episode is a hit when the point (sigmoid(u_x), sigmoid(u_y)) of the
+    policy's mean action u lands inside the ground-truth box. That point is
+    taken before `action_to_bbox` clips the corners to the screen, so near a
+    screen edge it can differ from the center of the decoded mean box. A
+    split with no episodes (e.g. icons under text_fraction 1) is nan:
+    missing, not 0% accurate.
     """
     overall = np.zeros(len(tasks))
     text = np.zeros(len(tasks))
@@ -184,15 +189,19 @@ def train_stage(
     rng_choice = child_rng(master, STREAM_TASK_CHOICE) if len(tasks) > 1 else None
     for _ in range(cfg.steps_per_task * len(tasks)):
         k = 0 if rng_choice is None else int(rng_choice.integers(len(tasks)))
-        inst = sample_instances(tasks[k], 1, rngs_inst[k])[0]
-        policy = _train_step(policy, ref, inst, tasks[k].index, cfg, records, rng_actions)
+        batch = sample_instances(tasks[k], 1, rngs_inst[k])
+        policy = _train_step(
+            policy, ref, batch.states[0], BBox(*batch.boxes[0]),
+            tasks[k].index, cfg, records, rng_actions,
+        )
     return policy
 
 
 def _train_step(
     policy: GroundingPolicy,
     ref: GroundingPolicy,
-    inst,
+    state: np.ndarray,
+    gt: BBox,
     task_index: int,
     cfg: RunConfig,
     records: list[TrainRecord],
@@ -201,13 +210,13 @@ def _train_step(
     # Ratio anchor = behavior policy (rollout.logp_behavior); `ref` only
     # anchors the KL penalty. Anchoring the ratio to the stage-start snapshot
     # as well would make it overflow once the policy has genuinely moved.
-    rollout = sample_group(policy, inst.state, cfg.optim.n_samples, rng_actions)
-    scores = np.array([rw.correctness(box, inst.gt, cfg.reward) for box in rollout.boxes])
-    spread, separation, r_div = rw.diversity_reward(PredictionGroup(rollout.boxes), cfg.reward)
+    rollout = sample_group(policy, state, cfg.optim.n_samples, rng_actions)
+    scores = np.array([rw.correctness(box, gt, cfg.reward) for box in rollout.boxes])
+    spread, separation, r_div = rw.diversity_reward(rollout.boxes, cfg.reward)
     rollout.advantages = grpo_advantage(scores)
     rollout.r_div = r_div
 
-    kl_val = kl_ref_theta(ref, policy, inst.state)
+    kl_val = kl_ref_theta(ref, policy, state)
     grad = grad_objective(rollout, policy, ref, cfg.optim.beta)
     policy = step(policy, grad, cfg.optim.lr)
     # logged post-update: at the behavior policy the ratios are identically 1
@@ -344,6 +353,12 @@ def reward_trend(records: list[TrainRecord], task: int | None = None) -> float |
     return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
 
 
+def scale_label(alpha_scale: float, gamma_scale: float) -> str:
+    """The scale point's part of an ablation cell id; two points with the same
+    label would write the same run directories."""
+    return f"a{alpha_scale:g}_g{gamma_scale:g}"
+
+
 @dataclass(frozen=True)
 class AblationRun:
     """One (variant, kl, scales, seed) cell run of the ablation grid.
@@ -365,9 +380,7 @@ class AblationRun:
     @property
     def cell_id(self) -> str:
         kl = 1 if self.use_kl else 0
-        return (
-            f"{self.variant}_kl{kl}_a{self.alpha_scale:g}_g{self.gamma_scale:g}"
-        )
+        return f"{self.variant}_kl{kl}_{scale_label(self.alpha_scale, self.gamma_scale)}"
 
     @property
     def run_id(self) -> str:

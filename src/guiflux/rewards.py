@@ -1,38 +1,22 @@
 """Reward functions over groups of sampled boxes.
 
 Two families live here: the diversity bonus shared by a whole prediction
-group (spatial spread of box centers plus pairwise separation of the boxes'
-Gaussian region models), and the per-sample correctness rewards that score
-a prediction against its ground-truth box (IoU, center-distance, and a
-dense Gaussian point+coverage variant).
+group, the sequence of N boxes sampled for one instruction (spatial spread
+of box centers plus pairwise separation of the boxes' Gaussian region
+models), and the per-sample correctness rewards that score a prediction
+against its ground-truth box (IoU, center-distance, and a dense Gaussian
+point+coverage variant).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .geometry import BBox, DiagGaussian2, center, contains, iou, to_gaussian
+from .geometry import BBox, center, contains, iou, to_gaussian
 
 CORRECTNESS_KINDS = ("iou", "point_distance", "gaussian_dense")
-
-
-@dataclass(frozen=True)
-class PredictionGroup:
-    """The N boxes sampled for one instruction; group rewards are defined on it."""
-
-    preds: tuple[BBox, ...]
-
-    def __init__(self, preds):
-        object.__setattr__(self, "preds", tuple(preds))
-        if len(self.preds) < 1:
-            raise ValueError("prediction group must hold at least one box")
-        for p in self.preds:
-            if not isinstance(p, BBox):
-                raise TypeError(f"expected BBox, got {type(p).__name__}")
-
-    def __len__(self) -> int:
-        return len(self.preds)
 
 
 @dataclass(frozen=True)
@@ -72,50 +56,57 @@ class RewardConfig:
             )
 
 
-def center_spread(g: PredictionGroup) -> float:
+def _group_size(g: Sequence[BBox]) -> int:
+    if not g:
+        raise ValueError("prediction group must hold at least one box")
+    return len(g)
+
+
+def center_spread(g: Sequence[BBox]) -> float:
     """Mean squared distance of the group's box centers from their centroid.
 
     Zero iff all centers coincide; a single-box group has zero spread by
     definition.
     """
-    n = len(g)
+    n = _group_size(g)
     if n == 1:
         return 0.0
-    cs = [center(b) for b in g.preds]
-    mx = sum(c.x for c in cs) / n
-    my = sum(c.y for c in cs) / n
-    return sum((c.x - mx) ** 2 + (c.y - my) ** 2 for c in cs) / n
+    cs = [center(b) for b in g]
+    mx = sum(c[0] for c in cs) / n
+    my = sum(c[1] for c in cs) / n
+    return sum((x - mx) ** 2 + (y - my) ** 2 for x, y in cs) / n
 
 
-def bhattacharyya(a: DiagGaussian2, b: DiagGaussian2) -> float:
-    """Bhattacharyya distance between two diagonal 2-D Gaussians.
+def bhattacharyya(a: tuple[float, ...], b: tuple[float, ...]) -> float:
+    """Bhattacharyya distance between two diagonal 2-D Gaussians, each a
+    (mean x, mean y, var x, var y) tuple.
 
     Closed form: a Mahalanobis term under the average covariance plus a
     log-determinant term penalising covariance mismatch. Symmetric,
     non-negative, zero iff the Gaussians coincide.
     """
-    avg_x = (a.var_x + b.var_x) / 2.0
-    avg_y = (a.var_y + b.var_y) / 2.0
-    dx = a.mean.x - b.mean.x
-    dy = a.mean.y - b.mean.y
+    amx, amy, avx, avy = a
+    bmx, bmy, bvx, bvy = b
+    avg_x = (avx + bvx) / 2.0
+    avg_y = (avy + bvy) / 2.0
+    dx = amx - bmx
+    dy = amy - bmy
     maha = (dx * dx / avg_x + dy * dy / avg_y) / 8.0
     # product grouped per-axis so the result is bit-exact under argument swap
-    log_det = 0.5 * math.log(
-        (avg_x * avg_y) / math.sqrt((a.var_x * b.var_x) * (a.var_y * b.var_y))
-    )
+    log_det = 0.5 * math.log((avg_x * avg_y) / math.sqrt((avx * bvx) * (avy * bvy)))
     return maha + log_det
 
 
-def region_separation(g: PredictionGroup, kappa: float, eps_min: float) -> float:
+def region_separation(g: Sequence[BBox], kappa: float, eps_min: float) -> float:
     """Mean pairwise Bhattacharyya distance between the boxes' Gaussian models.
 
     Averages over all N(N-1)/2 unordered pairs; a single-box group has no
     pairs and returns zero.
     """
-    n = len(g)
+    n = _group_size(g)
     if n == 1:
         return 0.0
-    gaussians = [to_gaussian(b, kappa, eps_min) for b in g.preds]
+    gaussians = [to_gaussian(b, kappa, eps_min) for b in g]
     total = 0.0
     for i in range(n - 1):
         for j in range(i + 1, n):
@@ -123,7 +114,7 @@ def region_separation(g: PredictionGroup, kappa: float, eps_min: float) -> float
     return 2.0 * total / (n * (n - 1))
 
 
-def diversity_reward(g: PredictionGroup, cfg: RewardConfig) -> tuple[float, float, float]:
+def diversity_reward(g: Sequence[BBox], cfg: RewardConfig) -> tuple[float, float, float]:
     """(spread, separation, weighted sum) of the diversity bonus for one group.
 
     A term whose weight is 0 is switched off: it is not computed and reads
@@ -142,10 +133,10 @@ def correctness_point(pred: BBox, gt: BBox, tau: float) -> float:
     """
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
-    cp = center(pred)
-    cg = center(gt)
-    dist = math.hypot(cp.x - cg.x, cp.y - cg.y)
-    hit = 1.0 if contains(gt, cp) else 0.0
+    px, py = center(pred)
+    gx, gy = center(gt)
+    dist = math.hypot(px - gx, py - gy)
+    hit = 1.0 if contains(gt, px, py) else 0.0
     return hit + math.exp(-dist / tau)
 
 
@@ -157,12 +148,11 @@ def correctness_gaussian(pred: BBox, gt: BBox, kappa: float, eps_min: float) -> 
     Bhattacharyya coefficient between the two boxes' Gaussians. Range (0, 2],
     maximized when pred == gt.
     """
-    ggt = to_gaussian(gt, kappa, eps_min)
-    cp = center(pred)
-    dx = cp.x - ggt.mean.x
-    dy = cp.y - ggt.mean.y
-    point = math.exp(-0.5 * (dx * dx / ggt.var_x + dy * dy / ggt.var_y))
+    gmx, gmy, gvx, gvy = ggt = to_gaussian(gt, kappa, eps_min)
     gp = to_gaussian(pred, kappa, eps_min)
+    dx = gp[0] - gmx  # the Gaussian's mean is the predicted center
+    dy = gp[1] - gmy
+    point = math.exp(-0.5 * (dx * dx / gvx + dy * dy / gvy))
     coverage = math.exp(-bhattacharyya(gp, ggt))
     return point + coverage
 

@@ -33,7 +33,6 @@ SIZE_CLIP = (0.01, 0.5)
 DOMAIN_FIXTURES = (
     {
         "name": "mobile",
-        "kind": "domain",
         "matrix": ((1.0, 0.0), (0.0, 1.0)),
         "offset": (0.0, 0.0),
         "size_mean": 0.12,
@@ -43,7 +42,6 @@ DOMAIN_FIXTURES = (
     },
     {
         "name": "desktop",
-        "kind": "domain",
         "matrix": ((1.06, 0.05), (-0.04, 0.95)),
         "offset": (0.15, -0.12),
         "size_mean": 0.08,
@@ -53,7 +51,6 @@ DOMAIN_FIXTURES = (
     },
     {
         "name": "web",
-        "kind": "domain",
         "matrix": ((0.94, -0.06), (0.05, 1.06)),
         "offset": (-0.12, 0.15),
         "size_mean": 0.06,
@@ -68,7 +65,6 @@ DOMAIN_FIXTURES = (
 RESOLUTION_FIXTURES = (
     {
         "name": "normal",
-        "kind": "resolution",
         "matrix": ((1.0, 0.1), (-0.1, 1.0)),
         "offset": (0.0, 0.0),
         "size_mean": 0.10,
@@ -78,7 +74,6 @@ RESOLUTION_FIXTURES = (
     },
     {
         "name": "high",
-        "kind": "resolution",
         "matrix": ((2.0, 0.2), (-0.2, 2.0)),
         "offset": (0.0, 0.0),
         "size_mean": 0.05,
@@ -102,7 +97,6 @@ class TaskSpec:
     """
 
     name: str
-    kind: str
     matrix: tuple[tuple[float, float], tuple[float, float]]
     offset: tuple[float, float]
     size_mean: float
@@ -131,22 +125,12 @@ class TaskSpec:
         return 4 + self.n_tasks + 1
 
 
-@dataclass(frozen=True)
-class EpisodeInstance:
-    """A single grounding episode: state features, ground-truth box, element kind."""
-
-    state: np.ndarray
-    gt: BBox
-    kind: str  # "text" | "icon"
-
-
 @dataclass(frozen=True, eq=False)
 class EpisodeBatch:
     """`n` episodes as arrays: (n, state_dim) states, (n, 4) xyxy ground-truth
     boxes and an (n,) text mask (False for icons).
 
-    The boxes are checked once, as a whole, against the `BBox` invariants;
-    indexing or iterating builds `EpisodeInstance`s on demand.
+    The boxes are checked once, as a whole, against the `BBox` invariants.
     """
 
     states: np.ndarray
@@ -164,14 +148,6 @@ class EpisodeBatch:
 
     def __len__(self) -> int:
         return len(self.is_text)
-
-    def __getitem__(self, i: int) -> EpisodeInstance:
-        x1, y1, x2, y2 = self.boxes[i]
-        kind = "text" if self.is_text[i] else "icon"
-        return EpisodeInstance(self.states[i], BBox(x1, y1, x2, y2), kind)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
 
 def make_sequence(
@@ -214,7 +190,7 @@ def make_sequence(
     for idx, fixture in enumerate(fixtures):
         merged = dict(fixture)
         extra = overrides.get(merged["name"], {})
-        bad = set(extra) - (set(fixture) - {"name", "kind"})
+        bad = set(extra) - (set(fixture) - {"name"})
         if bad:
             raise ConfigError(
                 f"unknown simulator override fields {sorted(bad)} "

@@ -16,9 +16,8 @@ import numpy as np
 
 from . import policy as pol
 from . import rewards as rw
-from .geometry import BBox, DiagGaussian2, Point
+from .geometry import BBox
 from .policy import GroundingPolicy
-from .rewards import PredictionGroup
 
 VERIFY_SEED = 20240917
 
@@ -36,8 +35,8 @@ def _random_bbox(rng: np.random.Generator) -> BBox:
     return BBox(x1, y1, x2, y2)
 
 
-def _random_group(rng: np.random.Generator, n: int) -> PredictionGroup:
-    return PredictionGroup([_random_bbox(rng) for _ in range(n)])
+def _random_group(rng: np.random.Generator, n: int) -> list[BBox]:
+    return [_random_bbox(rng) for _ in range(n)]
 
 
 def check_center_spread(rng: np.random.Generator, n_groups: int = 1000) -> OracleResult:
@@ -46,7 +45,7 @@ def check_center_spread(rng: np.random.Generator, n_groups: int = 1000) -> Oracl
     for _ in range(n_groups):
         n = int(rng.integers(2, 9))
         group = _random_group(rng, n)
-        cs = [((b.x1 + b.x2) / 2.0, (b.y1 + b.y2) / 2.0) for b in group.preds]
+        cs = [((b.x1 + b.x2) / 2.0, (b.y1 + b.y2) / 2.0) for b in group]
         mx = sum(c[0] for c in cs) / n
         my = sum(c[1] for c in cs) / n
         expected = sum((c[0] - mx) ** 2 + (c[1] - my) ** 2 for c in cs) / n
@@ -99,11 +98,11 @@ def _quad_bhattacharyya(g1, g2) -> float:
 def check_bhattacharyya(rng: np.random.Generator, n_pairs: int = 20) -> OracleResult:
     """Closed form vs the quadrature overlap integral, plus the exact identities."""
     # Exact: identical Gaussians -> 0.
-    a = DiagGaussian2(Point(0.3, 0.7), 0.01, 0.02)
+    a = (0.3, 0.7, 0.01, 0.02)
     if abs(rw.bhattacharyya(a, a)) > 1e-12:
         return OracleResult("bhattacharyya", False, "identical Gaussians not at 0")
     # Exact: equal covariances reduce to Mahalanobis^2 / 8.
-    b = DiagGaussian2(Point(0.5, 0.4), 0.01, 0.02)
+    b = (0.5, 0.4, 0.01, 0.02)
     maha8 = ((0.2 ** 2) / 0.01 + (0.3 ** 2) / 0.02) / 8.0
     if abs(rw.bhattacharyya(a, b) - maha8) > 1e-12:
         return OracleResult(
@@ -118,10 +117,7 @@ def check_bhattacharyya(rng: np.random.Generator, n_pairs: int = 20) -> OracleRe
         vars_ = np.exp(rng.uniform(np.log(1e-3), np.log(2.5e-2), 4))
         g1 = (mus[0], mus[1], vars_[0], vars_[1])
         g2 = (mus[2], mus[3], vars_[2], vars_[3])
-        closed = rw.bhattacharyya(
-            DiagGaussian2(Point(g1[0], g1[1]), g1[2], g1[3]),
-            DiagGaussian2(Point(g2[0], g2[1]), g2[2], g2[3]),
-        )
+        closed = rw.bhattacharyya(g1, g2)
         # Keep the distance in a band where a relative error is meaningful.
         if not 0.1 <= _inline_bhattacharyya(g1, g2) <= 3.0:
             continue
@@ -142,7 +138,7 @@ def check_region_separation(rng: np.random.Generator, n_groups: int = 1000) -> O
     for _ in range(n_groups):
         n = int(rng.integers(2, 9))
         group = _random_group(rng, n)
-        gaussians = [_inline_gaussian(b, kappa, eps_min) for b in group.preds]
+        gaussians = [_inline_gaussian(b, kappa, eps_min) for b in group]
         total = 0.0
         pairs = 0
         for i in range(n):

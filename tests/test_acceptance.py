@@ -16,7 +16,6 @@ import pytest
 import guiflux.rewards as rewards_mod
 from guiflux import verify
 from guiflux.cli import main
-from guiflux.geometry import DiagGaussian2, Point
 from guiflux.harness import RunConfig, reward_trend, run_continual
 from guiflux.persistence import compute_metrics, read_matrix, read_trainlog
 from guiflux.policy import GroundingPolicy, grpo_advantage
@@ -87,9 +86,9 @@ def test_criterion_01_center_spread_oracle():
 
 
 def test_criterion_02_bhattacharyya_quadrature():
-    a = DiagGaussian2(Point(0.31, 0.62), 0.004, 0.009)
+    a = (0.31, 0.62, 0.004, 0.009)
     assert abs(bhattacharyya(a, a)) <= 1e-12
-    b = DiagGaussian2(Point(0.41, 0.42), 0.004, 0.009)
+    b = (0.41, 0.42, 0.004, 0.009)
     maha8 = ((0.1 ** 2) / 0.004 + (0.2 ** 2) / 0.009) / 8.0
     assert abs(bhattacharyya(a, b) - maha8) <= 1e-12
 

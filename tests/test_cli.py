@@ -308,17 +308,19 @@ class TestRunCommand:
         assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["run", "ablate"])
+    @pytest.mark.parametrize("command, sub", [
+        ("run", ""), ("ablate", ""), ("run", "sub"), ("ablate", "sub"),
+    ], ids=["run", "ablate", "run-under-file", "ablate-under-file"])
     def test_out_dir_that_is_a_file_exits_2_before_training(
-        self, tmp_path, monkeypatch, caplog, command
+        self, tmp_path, monkeypatch, caplog, command, sub
     ):
         def never(cfg, seed=None):
-            raise AssertionError("trained although out_dir is a file")
+            raise AssertionError("trained although out_dir cannot be a directory")
 
         monkeypatch.setattr("guiflux.harness.run_continual", never)
         taken = tmp_path / "taken"
         taken.write_text("not a directory")
-        assert main([command, write_cfg(tmp_path, TINY), str(taken)]) == 2
+        assert main([command, write_cfg(tmp_path, TINY), str(taken / sub)]) == 2
         assert str(taken) in caplog.text
 
 
@@ -405,6 +407,23 @@ class TestAblateCommand:
         out = tmp_path / "grid"
         assert main(["ablate", write_cfg(tmp_path, doc), str(out)]) == 2
         assert "sweep.scale_points[1]" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale_points", [
+        [[1, 1], [2, 1], [1, 1]],
+        [[1, 1], [2, 1], [1.0000001, 1]],  # both label their cells a1_g1
+    ], ids=["exact", "same_label"])
+    def test_colliding_scale_points_exit_2_naming_path(self, tmp_path, caplog, scale_points):
+        doc = {**TINY, "sweep": {"scale_points": scale_points}}
+        out = tmp_path / "grid"
+        assert main(["ablate", write_cfg(tmp_path, doc), str(out)]) == 2
+        assert "sweep.scale_points[2]" in caplog.text and "sweep.scale_points[0]" in caplog.text
+        assert not out.exists()
+
+    def test_duplicate_seeds_exit_2_naming_seeds(self, tmp_path, caplog):
+        out = tmp_path / "grid"
+        assert main(["ablate", write_cfg(tmp_path, {**TINY, "seeds": [0, 1, 0]}), str(out)]) == 2
+        assert "seeds" in caplog.text
         assert not out.exists()
 
     @pytest.mark.parametrize("scale_points", [[], {}])
@@ -527,3 +546,10 @@ class TestPlotCommand:
         (out / name).write_text(content)
         assert main(["plot", str(out)]) == 2
         assert str(out / name) in caplog.text
+
+    def test_unwritable_plot_exits_2_naming_file(self, tmp_path, caplog):
+        out = tmp_path / "run"
+        assert main(["run", write_cfg(tmp_path, TINY), str(out)]) == 0
+        (out / "rewards.svg").mkdir()
+        assert main(["plot", str(out)]) == 2
+        assert str(out / "rewards.svg") in caplog.text

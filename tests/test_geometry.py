@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from guiflux.geometry import BBox, DiagGaussian2, Point, center, contains, iou, to_gaussian
+from guiflux.geometry import BBox, center, contains, iou, to_gaussian
 
 from conftest import random_bbox
 
@@ -37,59 +37,52 @@ class TestBBox:
 
 class TestCenter:
     def test_full_screen(self):
-        assert center(BBox(0, 0, 1, 1)) == Point(0.5, 0.5)
+        assert center(BBox(0, 0, 1, 1)) == (0.5, 0.5)
 
     def test_point_box(self):
-        assert center(BBox(0.2, 0.2, 0.2, 0.2)) == Point(0.2, 0.2)
+        assert center(BBox(0.2, 0.2, 0.2, 0.2)) == (0.2, 0.2)
 
     def test_midpoint_formula(self):
-        c = center(BBox(0.1, 0.3, 0.5, 0.7))
-        assert c.x == pytest.approx(0.3, abs=1e-15)
-        assert c.y == pytest.approx(0.5, abs=1e-15)
+        x, y = center(BBox(0.1, 0.3, 0.5, 0.7))
+        assert x == pytest.approx(0.3, abs=1e-15)
+        assert y == pytest.approx(0.5, abs=1e-15)
 
     def test_translation_equivariance(self, rng):
         for _ in range(100):
             b = BBox(0.1, 0.2, 0.4, 0.5)
             tx, ty = rng.uniform(-0.1, 0.5, 2)
             shifted = BBox(b.x1 + tx, b.y1 + ty, b.x2 + tx, b.y2 + ty)
-            c0, c1 = center(b), center(shifted)
-            assert c1.x == pytest.approx(c0.x + tx, abs=1e-12)
-            assert c1.y == pytest.approx(c0.y + ty, abs=1e-12)
+            (x0, y0), (x1, y1) = center(b), center(shifted)
+            assert x1 == pytest.approx(x0 + tx, abs=1e-12)
+            assert y1 == pytest.approx(y0 + ty, abs=1e-12)
 
 
 class TestToGaussian:
     def test_unit_box(self):
-        g = to_gaussian(BBox(0, 0, 1, 1), kappa=0.25, eps_min=1e-8)
-        assert g.mean == Point(0.5, 0.5)
-        assert g.var_x == pytest.approx(0.0625, abs=1e-15)
-        assert g.var_y == pytest.approx(0.0625, abs=1e-15)
+        mx, my, vx, vy = to_gaussian(BBox(0, 0, 1, 1), kappa=0.25, eps_min=1e-8)
+        assert (mx, my) == (0.5, 0.5)
+        assert vx == pytest.approx(0.0625, abs=1e-15)
+        assert vy == pytest.approx(0.0625, abs=1e-15)
 
     def test_zero_area_floored(self):
         g = to_gaussian(BBox(0.4, 0.4, 0.4, 0.4), kappa=0.25, eps_min=1e-8)
-        assert g.var_x == 1e-8
-        assert g.var_y == 1e-8
+        assert g[2:] == (1e-8, 1e-8)
 
     def test_rectangular(self):
-        g = to_gaussian(BBox(0, 0, 0.8, 0.4), kappa=0.25, eps_min=1e-8)
-        assert g.var_x == pytest.approx(0.04, rel=1e-12)
-        assert g.var_y == pytest.approx(0.01, rel=1e-12)
+        _, _, vx, vy = to_gaussian(BBox(0, 0, 0.8, 0.4), kappa=0.25, eps_min=1e-8)
+        assert vx == pytest.approx(0.04, rel=1e-12)
+        assert vy == pytest.approx(0.01, rel=1e-12)
 
     def test_mean_equals_center(self, rng):
         for _ in range(50):
             b = random_bbox(rng)
-            assert to_gaussian(b, 0.3, 1e-8).mean == center(b)
+            assert to_gaussian(b, 0.3, 1e-8)[:2] == center(b)
 
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
             to_gaussian(BBox(0, 0, 1, 1), kappa=0.0, eps_min=1e-8)
         with pytest.raises(ValueError):
             to_gaussian(BBox(0, 0, 1, 1), kappa=0.25, eps_min=0.0)
-
-
-class TestDiagGaussian2:
-    def test_positive_variance_required(self):
-        with pytest.raises(ValueError):
-            DiagGaussian2(Point(0, 0), 0.0, 0.1)
 
 
 class TestIoU:
@@ -125,15 +118,15 @@ class TestIoU:
 
 class TestContains:
     def test_interior(self):
-        assert contains(BBox(0, 0, 1, 1), Point(0.5, 0.5))
+        assert contains(BBox(0, 0, 1, 1), 0.5, 0.5)
 
     def test_boundary_inclusive(self):
-        assert contains(BBox(0, 0, 0.5, 0.5), Point(0.5, 0.5))
+        assert contains(BBox(0, 0, 0.5, 0.5), 0.5, 0.5)
 
     def test_outside(self):
-        assert not contains(BBox(0, 0, 0.5, 0.5), Point(0.6, 0.2))
+        assert not contains(BBox(0, 0, 0.5, 0.5), 0.6, 0.2)
 
     def test_center_always_inside(self, rng):
         for _ in range(100):
             b = random_bbox(rng)
-            assert contains(b, center(b))
+            assert contains(b, *center(b))

@@ -118,11 +118,11 @@ class TestSampleGroup:
         assert r1.boxes == r2.boxes
 
     def test_floor_std_collapses_spread(self, rng):
-        from guiflux.rewards import PredictionGroup, center_spread
+        from guiflux.rewards import center_spread
 
         theta = GroundingPolicy(np.zeros((6, 4)), np.zeros(4), np.full(4, -6.0))
         rollout = sample_group(theta, np.zeros(6), 8, rng)
-        assert center_spread(PredictionGroup(rollout.boxes)) < 1e-4
+        assert center_spread(rollout.boxes) < 1e-4
 
     def test_logp_behavior_is_sampling_policy_logp(self, rng):
         theta = make_policy(rng)

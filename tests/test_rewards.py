@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import guiflux.rewards as rewards_mod
-from guiflux.geometry import BBox, DiagGaussian2, Point, iou, to_gaussian
+from guiflux.geometry import BBox, iou, to_gaussian
 from guiflux.rewards import (
-    PredictionGroup,
     RewardConfig,
     bhattacharyya,
     center_spread,
@@ -41,11 +40,9 @@ def brute_separation(boxes, kappa, eps_min):
 class TestPredictionGroup:
     def test_requires_boxes(self):
         with pytest.raises(ValueError):
-            PredictionGroup([])
-
-    def test_rejects_non_boxes(self):
-        with pytest.raises(TypeError):
-            PredictionGroup([(0, 0, 1, 1)])
+            center_spread([])
+        with pytest.raises(ValueError):
+            region_separation([], 0.25, 1e-8)
 
 
 class TestRewardConfig:
@@ -65,62 +62,60 @@ class TestRewardConfig:
 class TestCenterSpread:
     def test_identical_boxes_zero(self):
         b = BBox(0.2, 0.2, 0.4, 0.4)
-        assert center_spread(PredictionGroup([b] * 5)) == 0.0
+        assert center_spread([b] * 5) == 0.0
 
     def test_two_box_example(self):
-        g = PredictionGroup([BBox(0.05, 0.4, 0.15, 0.6), BBox(0.25, 0.4, 0.35, 0.6)])
+        g = [BBox(0.05, 0.4, 0.15, 0.6), BBox(0.25, 0.4, 0.35, 0.6)]
         # centers (0.1, 0.5) and (0.3, 0.5): centroid (0.2, 0.5), spread 0.01
         assert center_spread(g) == pytest.approx(0.01, abs=1e-12)
 
     def test_single_box_zero(self):
-        assert center_spread(PredictionGroup([BBox(0, 0, 1, 1)])) == 0.0
+        assert center_spread([BBox(0, 0, 1, 1)]) == 0.0
 
     def test_translation_invariance(self, rng):
         boxes = [BBox(0.1, 0.1, 0.2, 0.3), BBox(0.3, 0.2, 0.5, 0.4), BBox(0.2, 0.5, 0.4, 0.6)]
-        base = center_spread(PredictionGroup(boxes))
+        base = center_spread(boxes)
         for _ in range(20):
             tx, ty = rng.uniform(0, 0.4, 2)
             moved = [BBox(b.x1 + tx, b.y1 + ty, b.x2 + tx, b.y2 + ty) for b in boxes]
-            assert center_spread(PredictionGroup(moved)) == pytest.approx(base, abs=1e-12)
+            assert center_spread(moved) == pytest.approx(base, abs=1e-12)
 
     def test_similarity_scaling(self):
         boxes = [BBox(0.1, 0.1, 0.2, 0.3), BBox(0.3, 0.2, 0.5, 0.4)]
         s = 0.5
         scaled = [BBox(b.x1 * s, b.y1 * s, b.x2 * s, b.y2 * s) for b in boxes]
-        assert center_spread(PredictionGroup(scaled)) == pytest.approx(
-            s * s * center_spread(PredictionGroup(boxes)), rel=1e-12
-        )
+        assert center_spread(scaled) == pytest.approx(s * s * center_spread(boxes), rel=1e-12)
 
     def test_brute_force_oracle(self, rng):
         for _ in range(300):
             n = int(rng.integers(2, 9))
             boxes = [random_bbox(rng) for _ in range(n)]
-            got = center_spread(PredictionGroup(boxes))
+            got = center_spread(boxes)
             assert got == pytest.approx(brute_spread(boxes), abs=1e-9)
             assert got >= 0.0
 
 
 class TestBhattacharyya:
     def test_identical_zero(self):
-        g = DiagGaussian2(Point(0.3, 0.6), 0.01, 0.02)
+        g = (0.3, 0.6, 0.01, 0.02)
         assert abs(bhattacharyya(g, g)) < 1e-12
 
     def test_equal_covariance_mahalanobis(self):
-        a = DiagGaussian2(Point(0.0, 0.0), 0.01, 0.01)
-        b = DiagGaussian2(Point(0.2, 0.0), 0.01, 0.01)
+        a = (0.0, 0.0, 0.01, 0.01)
+        b = (0.2, 0.0, 0.01, 0.01)
         assert bhattacharyya(a, b) == pytest.approx(0.5, abs=1e-12)
 
     def test_pure_log_term(self):
-        a = DiagGaussian2(Point(0.5, 0.5), 0.01, 0.01)
-        b = DiagGaussian2(Point(0.5, 0.5), 0.04, 0.04)
+        a = (0.5, 0.5, 0.01, 0.01)
+        b = (0.5, 0.5, 0.04, 0.04)
         assert bhattacharyya(a, b) == pytest.approx(math.log(0.025 / 0.02), abs=1e-12)
 
     def test_symmetric_nonnegative(self, rng):
         for _ in range(200):
             m = rng.random(4)
             v = np.exp(rng.uniform(-8, -2, 4))
-            a = DiagGaussian2(Point(m[0], m[1]), v[0], v[1])
-            b = DiagGaussian2(Point(m[2], m[3]), v[2], v[3])
+            a = (m[0], m[1], v[0], v[1])
+            b = (m[2], m[3], v[2], v[3])
             d = bhattacharyya(a, b)
             assert d == bhattacharyya(b, a)
             assert d >= 0.0
@@ -129,61 +124,59 @@ class TestBhattacharyya:
 class TestRegionSeparation:
     def test_identical_boxes_zero(self):
         b = BBox(0.2, 0.3, 0.5, 0.6)
-        assert region_separation(PredictionGroup([b] * 4), 0.25, 1e-8) == 0.0
+        assert region_separation([b] * 4, 0.25, 1e-8) == 0.0
 
     def test_two_boxes_single_pair(self):
         boxes = [BBox(0.1, 0.1, 0.3, 0.3), BBox(0.5, 0.5, 0.8, 0.9)]
         expected = bhattacharyya(
             to_gaussian(boxes[0], 0.25, 1e-8), to_gaussian(boxes[1], 0.25, 1e-8)
         )
-        got = region_separation(PredictionGroup(boxes), 0.25, 1e-8)
+        got = region_separation(boxes, 0.25, 1e-8)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_single_box_zero(self):
-        assert region_separation(PredictionGroup([BBox(0, 0, 0.5, 0.5)]), 0.25, 1e-8) == 0.0
+        assert region_separation([BBox(0, 0, 0.5, 0.5)], 0.25, 1e-8) == 0.0
 
     def test_pairwise_oracle(self, rng):
         for _ in range(300):
             n = int(rng.integers(2, 9))
             boxes = [random_bbox(rng) for _ in range(n)]
-            got = region_separation(PredictionGroup(boxes), 0.25, 1e-8)
+            got = region_separation(boxes, 0.25, 1e-8)
             assert got == pytest.approx(brute_separation(boxes, 0.25, 1e-8), abs=1e-9)
 
     def test_permutation_invariance(self, rng):
         boxes = [random_bbox(rng) for _ in range(5)]
-        base = region_separation(PredictionGroup(boxes), 0.25, 1e-8)
-        spread = center_spread(PredictionGroup(boxes))
+        base = region_separation(boxes, 0.25, 1e-8)
+        spread = center_spread(boxes)
         for _ in range(5):
             perm = list(rng.permutation(5))
             shuffled = [boxes[i] for i in perm]
-            assert region_separation(PredictionGroup(shuffled), 0.25, 1e-8) == pytest.approx(base, abs=1e-12)
-            assert center_spread(PredictionGroup(shuffled)) == pytest.approx(spread, abs=1e-12)
+            assert region_separation(shuffled, 0.25, 1e-8) == pytest.approx(base, abs=1e-12)
+            assert center_spread(shuffled) == pytest.approx(spread, abs=1e-12)
 
 
 class TestDiversityReward:
     def test_zero_weights(self, rng):
         cfg = RewardConfig(alpha=0.0, gamma=0.0)
         boxes = [random_bbox(rng) for _ in range(4)]
-        assert diversity_reward(PredictionGroup(boxes), cfg)[2] == 0.0
+        assert diversity_reward(boxes, cfg)[2] == 0.0
 
     def test_alpha_only_reduces_to_spread(self, rng):
         cfg = RewardConfig(alpha=1.0, gamma=0.0)
-        boxes = [random_bbox(rng) for _ in range(4)]
-        g = PredictionGroup(boxes)
+        g = [random_bbox(rng) for _ in range(4)]
         assert diversity_reward(g, cfg)[2] == pytest.approx(center_spread(g), abs=1e-12)
 
     def test_weighted_composition(self, rng):
         cfg = RewardConfig(alpha=15.0, gamma=0.5)
         boxes = [random_bbox(rng) for _ in range(4)]
-        g = PredictionGroup(boxes)
         expected = 15.0 * brute_spread(boxes) + 0.5 * brute_separation(
             boxes, cfg.kappa, cfg.eps_min
         )
-        assert diversity_reward(g, cfg)[2] == pytest.approx(expected, rel=1e-12)
+        assert diversity_reward(boxes, cfg)[2] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_weight_term_is_off(self, rng, monkeypatch):
         # a term whose weight is 0 is neither computed nor logged
-        g = PredictionGroup([random_bbox(rng) for _ in range(4)])
+        g = [random_bbox(rng) for _ in range(4)]
         spread = center_spread(g)
         sep = region_separation(g, 1.0, 1e-8)
         monkeypatch.setattr(rewards_mod, "center_spread", lambda g: pytest.fail("spread computed"))
@@ -195,8 +188,7 @@ class TestDiversityReward:
         assert diversity_reward(g, RewardConfig(alpha=2.0, gamma=0.0)) == (spread, 0.0, 2.0 * spread)
 
     def test_linear_in_alpha(self, rng):
-        boxes = [random_bbox(rng) for _ in range(4)]
-        g = PredictionGroup(boxes)
+        g = [random_bbox(rng) for _ in range(4)]
         lo = diversity_reward(g, RewardConfig(alpha=5.0, gamma=0.0))[2]
         hi = diversity_reward(g, RewardConfig(alpha=10.0, gamma=0.0))[2]
         assert hi == pytest.approx(2.0 * lo, rel=1e-12)
@@ -247,7 +239,7 @@ class TestCorrectness:
         gp = to_gaussian(pred, kappa, eps)
         dx = (0.25 + 0.5) / 2 - 0.3
         dy = (0.3 + 0.55) / 2 - 0.35
-        point = math.exp(-0.5 * (dx * dx / ggt.var_x + dy * dy / ggt.var_y))
+        point = math.exp(-0.5 * (dx * dx / ggt[2] + dy * dy / ggt[3]))
         coverage = math.exp(-bhattacharyya(gp, ggt))
         got = correctness_gaussian(pred, gt, kappa, eps)
         assert got == pytest.approx(point + coverage, rel=1e-12)
@@ -279,7 +271,7 @@ def boxes(draw):
     return BBox(x1, y1, x2, y2)
 
 
-gaussians = st.builds(DiagGaussian2, st.builds(Point, unit, unit), variances, variances)
+gaussians = st.tuples(unit, unit, variances, variances)
 
 
 @st.composite
@@ -300,14 +292,14 @@ class TestRewardProperties:
         group, permuted = groups
         # the centroid's rounding depends on summation order: five centers one
         # ulp apart have a spread of ~1e-32 that reordering moves by a third
-        assert center_spread(PredictionGroup(permuted)) == pytest.approx(
-            center_spread(PredictionGroup(group)), rel=1e-12, abs=1e-20
+        assert center_spread(permuted) == pytest.approx(
+            center_spread(group), rel=1e-12, abs=1e-20
         )
 
     @settings(max_examples=300, deadline=None)
     @given(group_and_permutation())
     def test_region_separation_permutation_invariant(self, groups):
         group, permuted = groups
-        assert region_separation(PredictionGroup(permuted), 0.5, 1e-8) == pytest.approx(
-            region_separation(PredictionGroup(group), 0.5, 1e-8), rel=1e-12
+        assert region_separation(permuted, 0.5, 1e-8) == pytest.approx(
+            region_separation(group, 0.5, 1e-8), rel=1e-12
         )

@@ -15,7 +15,6 @@ from guiflux.simulator import (
     SCENARIOS,
     SIZE_CLIP,
     EpisodeBatch,
-    EpisodeInstance,
     TaskSpec,
     make_sequence,
     sample_instances,
@@ -140,7 +139,7 @@ class TestMakeSequence:
 class TestTaskSpec:
     def test_invariants(self):
         base = dict(
-            name="x", kind="domain", matrix=((1, 0), (0, 1)), offset=(0, 0),
+            name="x", matrix=((1, 0), (0, 1)), offset=(0, 0),
             size_mean=0.1, size_spread=0.01, text_fraction=0.5, noise_sigma=0.0,
             index=0, n_tasks=1,
         )
@@ -159,47 +158,48 @@ class TestSampleInstance:
         mobile = tasks[0]  # identity affine, zero offset
         rng = np.random.default_rng(5)
         for _ in range(20):
-            inst = sample_instances(mobile, 1, rng)[0]
-            np.testing.assert_allclose(inst.state[:4], target_latent(inst.gt), atol=1e-12)
+            batch = sample_instances(mobile, 1, rng)
+            state, gt = batch.states[0], BBox(*batch.boxes[0])
+            np.testing.assert_allclose(state[:4], target_latent(gt), atol=1e-12)
             # observation decodes back to the exact box
-            cx = 1 / (1 + math.exp(-inst.state[0]))
-            cy = 1 / (1 + math.exp(-inst.state[1]))
-            w = math.exp(inst.state[2])
-            h = math.exp(inst.state[3])
-            assert cx == pytest.approx((inst.gt.x1 + inst.gt.x2) / 2, abs=1e-12)
-            assert w == pytest.approx(inst.gt.x2 - inst.gt.x1, abs=1e-12)
-            assert cy == pytest.approx((inst.gt.y1 + inst.gt.y2) / 2, abs=1e-12)
-            assert h == pytest.approx(inst.gt.y2 - inst.gt.y1, abs=1e-12)
+            cx = 1 / (1 + math.exp(-state[0]))
+            cy = 1 / (1 + math.exp(-state[1]))
+            w = math.exp(state[2])
+            h = math.exp(state[3])
+            assert cx == pytest.approx((gt.x1 + gt.x2) / 2, abs=1e-12)
+            assert w == pytest.approx(gt.x2 - gt.x1, abs=1e-12)
+            assert cy == pytest.approx((gt.y1 + gt.y2) / 2, abs=1e-12)
+            assert h == pytest.approx(gt.y2 - gt.y1, abs=1e-12)
 
     def test_deterministic_given_rng_state(self):
         task = make_sequence("domain_flux", 0)[1]
-        a = sample_instances(task, 1, np.random.default_rng(42))[0]
-        b = sample_instances(task, 1, np.random.default_rng(42))[0]
-        assert np.array_equal(a.state, b.state)
-        assert a.gt == b.gt and a.kind == b.kind
+        a = sample_instances(task, 1, np.random.default_rng(42))
+        b = sample_instances(task, 1, np.random.default_rng(42))
+        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.boxes, b.boxes) and np.array_equal(a.is_text, b.is_text)
 
     def test_text_fraction_concentration(self):
         task = make_sequence("domain_flux", 0)[0]  # text_fraction 0.7
         rng = np.random.default_rng(3)
-        kinds = [i.kind for i in sample_instances(task, 10_000, rng)]
-        frac = sum(k == "text" for k in kinds) / len(kinds)
+        frac = sample_instances(task, 10_000, rng).is_text.mean()
         assert abs(frac - 0.7) < 0.02
 
     def test_gt_always_valid(self):
         rng = np.random.default_rng(11)
         for task in make_sequence("domain_flux", 0) + make_sequence("resolution_flux", 0):
-            for inst in sample_instances(task, 500, rng):
-                assert 0.0 <= inst.gt.x1 <= inst.gt.x2 <= 1.0
-                assert 0.0 <= inst.gt.y1 <= inst.gt.y2 <= 1.0
-                assert np.isfinite(inst.state).all()
+            batch = sample_instances(task, 500, rng)
+            for (x1, y1, x2, y2), state in zip(batch.boxes, batch.states):
+                assert 0.0 <= x1 <= x2 <= 1.0
+                assert 0.0 <= y1 <= y2 <= 1.0
+                assert np.isfinite(state).all()
 
     def test_state_layout(self):
         task = make_sequence("domain_flux", 0)[1]
-        inst = sample_instances(task, 1, np.random.default_rng(0))[0]
-        one_hot = inst.state[4:7]
+        state = sample_instances(task, 1, np.random.default_rng(0)).states[0]
+        one_hot = state[4:7]
         assert list(one_hot) == [0.0, 1.0, 0.0]
-        assert inst.state[7] in (0.0, 1.0)
-        assert inst.state.shape == (8,)
+        assert state[7] in (0.0, 1.0)
+        assert state.shape == (8,)
 
 
 class TestTaskDistinctness:
@@ -231,20 +231,6 @@ class TestEpisodeBatch:
             assert ["text" if t else "icon" for t in batch.is_text] == kinds
             # the draws consume the stream exactly as the scalar loop did
             assert rng_a.random() == rng_b.random()
-
-    def test_instances_are_views_of_the_arrays(self):
-        task = make_sequence("domain_flux", 0)[2]
-        batch = sample_instances(task, 5, np.random.default_rng(4))
-        instances = list(batch)
-        assert len(instances) == 5
-        for i, inst in enumerate(instances):
-            assert isinstance(inst, EpisodeInstance)
-            assert np.array_equal(inst.state, batch.states[i])
-            assert (inst.gt.x1, inst.gt.y1, inst.gt.x2, inst.gt.y2) == tuple(batch.boxes[i])
-            assert inst.kind == ("text" if batch.is_text[i] else "icon")
-        assert batch[-1].gt == instances[-1].gt
-        with pytest.raises(IndexError):
-            batch[5]
 
     @pytest.mark.parametrize("corner, value", [
         (0, math.nan), (1, math.inf), (2, -math.inf), (0, -1e-12), (3, 1.0 + 1e-12),
@@ -309,7 +295,6 @@ def task_specs(draw):
     n_tasks = draw(st.integers(1, 4))
     return TaskSpec(
         name="t",
-        kind="domain",
         matrix=matrix,
         offset=(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))),
         size_mean=draw(st.floats(1e-6, 0.5)),
