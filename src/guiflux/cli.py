@@ -55,8 +55,8 @@ def cmd_run(args) -> int:
     # fails before any training when the output path cannot be a directory
     Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else cfg.seeds[0]
-    matrix, records, tasks = harness.run_continual(cfg, seed=seed)
-    persistence.write_run(args.out_dir, cfg, seed, matrix, records, tasks)
+    matrix, records = harness.run_continual(cfg, seed=seed)
+    persistence.write_run(args.out_dir, cfg, seed, matrix, records)
     log.info(
         "run complete: scenario=%s seed=%d final_average=%.4f -> %s",
         cfg.scenario, seed, matrix.final_average(), args.out_dir,
@@ -72,7 +72,7 @@ def cmd_ablate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     runs = harness.ablate(cfg)
     for run in runs:
-        persistence.write_run(out / run.run_id, run.cfg, run.seed, run.matrix, run.records, run.tasks)
+        persistence.write_run(out / run.run_id, run.cfg, run.seed, run.matrix, run.records)
     persistence.write_summary(out, runs)
     log.info("ablation grid complete: %d runs -> %s", len(runs), args.out_dir)
     return EXIT_OK

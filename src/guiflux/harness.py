@@ -13,6 +13,7 @@ streams.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -59,12 +60,20 @@ def child_rng(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([master_seed, *key])))
 
 
+def scale_label(alpha_scale: float, gamma_scale: float) -> str:
+    """The scale point's part of an ablation cell id; two points with the same
+    label would write the same run directories."""
+    return f"a{alpha_scale:g}_g{gamma_scale:g}"
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one continual run needs; parsed from the config file.
 
     The method's switches are its weights: a diversity term is off when
     reward.alpha or reward.gamma is 0, the KL penalty when optim.beta is 0.
+    Construction validates every field and builds the scenario's `tasks`
+    once, with the simulator overrides applied.
     """
 
     scenario: str = "domain_flux"
@@ -75,6 +84,7 @@ class RunConfig:
     seeds: tuple[int, ...] = (0,)
     scale_points: tuple[tuple[float, float], ...] = DEFAULT_SCALE_POINTS
     sim_overrides: dict = field(default_factory=dict)
+    tasks: tuple[TaskSpec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.steps_per_task < 0:
@@ -82,8 +92,28 @@ class RunConfig:
         if self.eval_episodes < 1:
             raise ValueError("eval_episodes must be >= 1")
         # a repeated seed would overwrite its own ablation run directories
-        if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
-            raise ValueError("seeds must be a non-empty list of distinct non-negative ints")
+        ints = all(type(s) is int and s >= 0 for s in self.seeds)  # type() rules out bools
+        if not (self.seeds and ints and len(set(self.seeds)) == len(self.seeds)):
+            raise ValueError("seeds: must be a non-empty list of distinct non-negative integers")
+        if not self.scale_points:
+            raise ValueError("sweep.scale_points: must hold at least one [alpha, gamma] pair")
+        labels: dict[str, int] = {}
+        for i, (a, g) in enumerate(self.scale_points):
+            if not (0.0 < a < math.inf and 0.0 < g < math.inf):
+                raise ValueError(
+                    f"sweep.scale_points[{i}]: scales must be positive and finite, "
+                    f"got [{a:g}, {g:g}]"
+                )
+            label = scale_label(a, g)
+            if label in labels:
+                raise ValueError(
+                    f"sweep.scale_points[{i}]: [{a!r}, {g!r}] names the same grid cells "
+                    f"({label}) as sweep.scale_points[{labels[label]}]"
+                )
+            labels[label] = i
+        # rejects an unknown scenario and invalid overrides before any run starts
+        tasks = make_sequence(self.scenario, self.seeds[0], self.sim_overrides)
+        object.__setattr__(self, "tasks", tuple(tasks))
 
 
 @dataclass(frozen=True)
@@ -213,16 +243,16 @@ def _train_step(
     rollout = sample_group(policy, state, cfg.optim.n_samples, rng_actions)
     scores = np.array([rw.correctness(box, gt, cfg.reward) for box in rollout.boxes])
     spread, separation, r_div = rw.diversity_reward(rollout.boxes, cfg.reward)
-    rollout.advantages = grpo_advantage(scores)
-    rollout.r_div = r_div
+    # the group-shared diversity bonus is added to every advantage
+    shaped = grpo_advantage(scores) + r_div
 
     kl_val = kl_ref_theta(ref, policy, state)
-    grad = grad_objective(rollout, policy, ref, cfg.optim.beta)
+    grad = grad_objective(rollout, shaped, policy, ref, cfg.optim.beta)
     policy = step(policy, grad, cfg.optim.lr)
     # logged post-update: at the behavior policy the ratios are identically 1
     # and the surrogate reduces to the diversity bonus, which carries no
     # step-level information
-    j_val = objective(rollout, policy, ref, cfg.optim.beta)
+    j_val = objective(rollout, shaped, policy, ref, cfg.optim.beta)
 
     records.append(
         TrainRecord(
@@ -241,7 +271,7 @@ def _train_step(
 
 def run_continual(
     cfg: RunConfig, seed: int | None = None
-) -> tuple[AccuracyMatrix, list[TrainRecord], list[TaskSpec]]:
+) -> tuple[AccuracyMatrix, list[TrainRecord]]:
     """Full continual run for one master seed.
 
     A run is a list of stages, each a label and the tasks it trains: one
@@ -251,7 +281,7 @@ def run_continual(
     task after stage k.
     """
     master = int(cfg.seeds[0] if seed is None else seed)
-    tasks = make_sequence(cfg.scenario, master, cfg.sim_overrides)
+    tasks = cfg.tasks
     if cfg.scenario == "joint":
         stages = [(JOINT_STAGE, tasks)]
     else:
@@ -279,7 +309,7 @@ def run_continual(
         task_names=[t.name for t in tasks],
         stage_labels=stage_labels,
     )
-    return matrix, records, tasks
+    return matrix, records
 
 
 def first_trained_stages(m: AccuracyMatrix) -> list[int]:
@@ -353,12 +383,6 @@ def reward_trend(records: list[TrainRecord], task: int | None = None) -> float |
     return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
 
 
-def scale_label(alpha_scale: float, gamma_scale: float) -> str:
-    """The scale point's part of an ablation cell id; two points with the same
-    label would write the same run directories."""
-    return f"a{alpha_scale:g}_g{gamma_scale:g}"
-
-
 @dataclass(frozen=True)
 class AblationRun:
     """One (variant, kl, scales, seed) cell run of the ablation grid.
@@ -375,7 +399,6 @@ class AblationRun:
     cfg: RunConfig
     matrix: AccuracyMatrix
     records: list[TrainRecord]
-    tasks: list[TaskSpec]
 
     @property
     def cell_id(self) -> str:
@@ -409,12 +432,9 @@ def ablate(base: RunConfig) -> list[AblationRun]:
                     optim=replace(base.optim, beta=base.optim.beta if use_kl else 0.0),
                 )
                 for s in base.seeds:
-                    matrix, records, tasks = run_continual(cell_cfg, seed=s)
+                    matrix, records = run_continual(cell_cfg, seed=s)
                     runs.append(
-                        AblationRun(
-                            variant, use_kl, a_scale, g_scale, s,
-                            cell_cfg, matrix, records, tasks,
-                        )
+                        AblationRun(variant, use_kl, a_scale, g_scale, s, cell_cfg, matrix, records)
                     )
                     log.info("ablation cell %s done", runs[-1].run_id)
     return runs

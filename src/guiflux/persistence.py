@@ -11,8 +11,9 @@ import csv
 import io
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,6 @@ from .harness import (
     forward_transfer,
     reward_trend,
 )
-from .simulator import TaskSpec
 
 MANIFEST_NAME = "manifest.json"
 MATRIX_NAME = "matrix.csv"
@@ -36,7 +36,12 @@ TRAINLOG_NAME = "trainlog.csv"
 METRICS_NAME = "metrics.json"
 SUMMARY_NAME = "summary.csv"
 
-TRAINLOG_HEADER = ["step", "task", "correctness", "apr", "arr", "r_aif", "kl", "objective"]
+# trainlog.csv has one column per TrainRecord field, in field order; each
+# value is written as the repr of its field's type. The annotations are
+# strings because harness postpones their evaluation.
+TRAINLOG_HEADER = [f.name for f in fields(TrainRecord)]
+_TRAINLOG_KINDS = [int if f.type == "int" else float for f in fields(TrainRecord)]
+_trainlog_values = attrgetter(*TRAINLOG_HEADER)
 
 
 def write_atomic(path: Path, data: str):
@@ -49,14 +54,14 @@ def write_json(path: Path, obj) -> None:
     write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def write_manifest(out_dir: Path, cfg: RunConfig, master_seed: int, tasks: list[TaskSpec]) -> dict:
+def write_manifest(out_dir: Path, cfg: RunConfig, master_seed: int) -> dict:
     """Write manifest.json: config echo, seed, and every fixture constant used."""
     manifest = {
         "artifact": {"name": "guiflux", "version": __version__},
         "master_seed": int(master_seed),
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "config": render_config(cfg),
-        "fixtures": [asdict(t) for t in tasks],
+        "fixtures": [asdict(t) for t in cfg.tasks],
     }
     write_json(out_dir / MANIFEST_NAME, manifest)
     return manifest
@@ -98,10 +103,7 @@ def write_trainlog(out_dir: Path, records: list[TrainRecord]) -> None:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(TRAINLOG_HEADER)
     for r in records:
-        w.writerow(
-            [r.step, r.task]
-            + [repr(float(v)) for v in (r.correctness, r.apr, r.arr, r.r_aif, r.kl, r.objective)]
-        )
+        w.writerow([repr(kind(v)) for kind, v in zip(_TRAINLOG_KINDS, _trainlog_values(r))])
     write_atomic(out_dir / TRAINLOG_NAME, buf.getvalue())
 
 
@@ -111,14 +113,12 @@ def read_trainlog(path: Path) -> list[TrainRecord]:
     if not rows or rows[0] != TRAINLOG_HEADER:
         raise ValueError(f"{path} is not a train log (bad header)")
     out = []
-    for r in rows[1:]:
-        out.append(
-            TrainRecord(
-                step=int(r[0]), task=int(r[1]),
-                correctness=float(r[2]), apr=float(r[3]), arr=float(r[4]),
-                r_aif=float(r[5]), kl=float(r[6]), objective=float(r[7]),
+    for line, r in enumerate(rows[1:], start=2):
+        if len(r) != len(TRAINLOG_HEADER):
+            raise ValueError(
+                f"{path} line {line}: expected {len(TRAINLOG_HEADER)} columns, got {len(r)}"
             )
-        )
+        out.append(TrainRecord(*(kind(v) for kind, v in zip(_TRAINLOG_KINDS, r))))
     return out
 
 
@@ -144,11 +144,11 @@ def write_metrics(out_dir: Path, m: AccuracyMatrix, records: list[TrainRecord]) 
 
 
 def write_run(out_dir: str | Path, cfg: RunConfig, master_seed: int,
-              m: AccuracyMatrix, records: list[TrainRecord], tasks: list[TaskSpec]) -> None:
+              m: AccuracyMatrix, records: list[TrainRecord]) -> None:
     """Persist one complete run: manifest, matrix, train log, metrics."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_manifest(out, cfg, master_seed, tasks)
+    write_manifest(out, cfg, master_seed)
     write_matrix(out, m)
     write_trainlog(out, records)
     write_metrics(out, m, records)

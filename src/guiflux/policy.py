@@ -116,20 +116,14 @@ class PolicyGrad:
     dlog_std: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupRollout:
-    """One instruction's group: N raw actions, their boxes, log-probs and scores.
-
-    `advantages` and `r_div` stay unfilled (None / 0) until the scoring stage
-    populates them.
-    """
+    """One instruction's group: N raw actions, their boxes and log-probs."""
 
     state: np.ndarray          # (feature_dim,)
     actions: np.ndarray        # (N, 4) raw actions
     boxes: list[BBox]          # N decoded boxes
     logp_behavior: np.ndarray  # (N,) log-prob under the sampling policy; anchors the ratio
-    advantages: np.ndarray | None = None
-    r_div: float = 0.0         # group-shared diversity bonus added to every advantage
 
     def __post_init__(self):
         n = self.actions.shape[0]
@@ -224,35 +218,33 @@ def kl_ref_theta(ref: GroundingPolicy, theta: GroundingPolicy, state: np.ndarray
 
 def objective(
     rollout: GroupRollout,
+    shaped: np.ndarray,
     theta: GroundingPolicy,
     ref: GroundingPolicy,
     beta: float,
 ) -> float:
-    """J(theta) for a populated rollout.
+    """J(theta) for a rollout and its (N,) shaped advantages A_i + r_div.
 
-    J = mean_i ratio_i * (A_i + r_div) - beta * KL(ref || theta at state),
+    J = mean_i ratio_i * shaped_i - beta * KL(ref || theta at state),
     with ratio_i = exp(logp_theta_i - logp_behavior_i): logp under `theta`
     is recomputed at the stored actions, so the ratio is 1 only when `theta`
     is the sampling policy.
     """
-    if rollout.advantages is None:
-        raise ValueError("rollout advantages not populated")
     mean = theta.action_mean(rollout.state)
     logp = gaussian_logp(rollout.actions, mean, theta.log_std)
     ratios = np.exp(logp - rollout.logp_behavior)
-    surrogate = float((ratios * (rollout.advantages + rollout.r_div)).mean())
+    surrogate = float((ratios * shaped).mean())
     return surrogate - beta * kl_ref_theta(ref, theta, rollout.state)
 
 
 def grad_objective(
     rollout: GroupRollout,
+    shaped: np.ndarray,
     theta: GroundingPolicy,
     ref: GroundingPolicy,
     beta: float,
 ) -> PolicyGrad:
     """Analytic gradient of `objective` w.r.t. theta's (W, b, log_std)."""
-    if rollout.advantages is None:
-        raise ValueError("rollout advantages not populated")
     state = rollout.state
     mean = theta.action_mean(state)
     std = theta.action_std()
@@ -261,7 +253,7 @@ def grad_objective(
     diff = rollout.actions - mean                     # (N, 4)
     z2 = diff * diff / var                            # (N, 4)
     logp = (-0.5 * z2 - theta.log_std - 0.5 * LOG_2PI).sum(axis=1)
-    weights = np.exp(logp - rollout.logp_behavior) * (rollout.advantages + rollout.r_div)
+    weights = np.exp(logp - rollout.logp_behavior) * shaped
 
     n = rollout.n
     # d logp / d mean = diff / var; d logp / d log_std = z^2 - 1
@@ -284,8 +276,9 @@ def grad_objective(
 def step(theta: GroundingPolicy, grad: PolicyGrad, lr: float) -> GroundingPolicy:
     """One gradient-ascent step; log_std is re-clamped to its bounds.
 
-    Raises NumericalAbort on non-finite gradient entries so the run stops
-    with a diagnostic instead of silently corrupting the policy.
+    Raises NumericalAbort on non-finite gradient entries, or when a finite
+    gradient times `lr` overflows W or b, so the run stops with a diagnostic
+    instead of silently corrupting the policy.
     """
     if not (np.isfinite(grad.dW).all() and np.isfinite(grad.db).all()
             and np.isfinite(grad.dlog_std).all()):
@@ -294,9 +287,9 @@ def step(theta: GroundingPolicy, grad: PolicyGrad, lr: float) -> GroundingPolicy
             f"|dW|max={np.abs(grad.dW).max() if grad.dW.size else 0}, "
             f"db={grad.db}, dlog_std={grad.dlog_std}"
         )
+    # the gradient check above stays: np.clip would turn an inf log_std finite
     new_log_std = np.clip(theta.log_std + lr * grad.dlog_std, LOG_STD_MIN, LOG_STD_MAX)
-    return GroundingPolicy(
-        theta.W + lr * grad.dW,
-        theta.b + lr * grad.db,
-        new_log_std,
-    )
+    try:
+        return GroundingPolicy(theta.W + lr * grad.dW, theta.b + lr * grad.db, new_log_std)
+    except ValueError as e:
+        raise NumericalAbort(f"update with lr={lr} overflowed the policy: {e}") from e

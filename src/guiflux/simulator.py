@@ -172,9 +172,7 @@ def make_sequence(
         # Same tasks as domain_flux; the harness trains them simultaneously.
         fixtures = list(DOMAIN_FIXTURES)
     else:
-        raise ConfigError(
-            f"unknown scenario {scenario!r}; expected one of {SCENARIOS}"
-        )
+        raise ConfigError(f"scenario: unknown scenario {scenario!r}; expected one of {SCENARIOS}")
 
     overrides = dict(overrides or {})
     known = {f["name"] for f in fixtures}

@@ -190,9 +190,9 @@ def _random_fixture(rng: np.random.Generator, feature_dim: int = 8, n: int = 4):
     )
     # Sampled from `ref`, differentiated at `theta`: the ratios are not 1.
     rollout = pol.sample_group(ref, state, n, rng)
-    rollout.advantages = pol.grpo_advantage(rng.random(n) * 2.0)
-    rollout.r_div = float(rng.random())
-    return theta, ref, rollout
+    advantages = pol.grpo_advantage(rng.random(n) * 2.0)
+    shaped = advantages + float(rng.random())  # plus a random diversity bonus
+    return theta, ref, rollout, shaped
 
 
 def check_gradient(rng: np.random.Generator, n_fixtures: int = 10, h: float = 1e-5) -> OracleResult:
@@ -200,8 +200,8 @@ def check_gradient(rng: np.random.Generator, n_fixtures: int = 10, h: float = 1e
     worst = 0.0
     for k in range(n_fixtures):
         beta = 0.0 if k % 2 == 0 else 0.04
-        theta, ref, rollout = _random_fixture(rng)
-        grad = pol.grad_objective(rollout, theta, ref, beta)
+        theta, ref, rollout, shaped = _random_fixture(rng)
+        grad = pol.grad_objective(rollout, shaped, theta, ref, beta)
         analytic = np.concatenate([grad.dW.ravel(), grad.db, grad.dlog_std])
 
         flat = np.concatenate([theta.W.ravel(), theta.b, theta.log_std])
@@ -217,8 +217,8 @@ def check_gradient(rng: np.random.Generator, n_fixtures: int = 10, h: float = 1e
             up = flat.copy(); up[i] += h
             dn = flat.copy(); dn[i] -= h
             fd[i] = (
-                pol.objective(rollout, unflatten(up), ref, beta)
-                - pol.objective(rollout, unflatten(dn), ref, beta)
+                pol.objective(rollout, shaped, unflatten(up), ref, beta)
+                - pol.objective(rollout, shaped, unflatten(dn), ref, beta)
             ) / (2.0 * h)
         rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
         worst = max(worst, rel)

@@ -55,7 +55,7 @@ def experiment():
         cfg = arm_config(arm)
         t0 = time.perf_counter()
         for seed in SEEDS:
-            matrix, records, _ = run_continual(cfg, seed=seed)
+            matrix, records = run_continual(cfg, seed=seed)
             out[arm]["final"].append(matrix.final_average())
             out[arm]["matrix"].append(matrix)
             out[arm]["trend"].append(reward_trend(records, task=0))
@@ -162,10 +162,9 @@ def test_criterion_10_forward_transfer():
     # the two not-yet-trained tasks between the full and correctness-only
     # arms on seed means (paired seeds, aggregated over the future tasks).
     from guiflux.harness import STREAM_EVAL, child_rng, evaluate, train_stage
-    from guiflux.simulator import make_sequence
 
     def stage1_future_accuracy(cfg: RunConfig, seed: int) -> float:
-        tasks = make_sequence(cfg.scenario, seed, cfg.sim_overrides)
+        tasks = cfg.tasks
         policy = GroundingPolicy.zeros(
             tasks[0].state_dim, cfg.optim.init_log_std,
             cfg.optim.init_log_std_size, cfg.optim.init_size,

@@ -61,6 +61,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.json")
 
+    def test_non_utf8_file_exits_2_naming_it(self, tmp_path, caplog):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        out = tmp_path / "o"
+        assert main(["run", str(path), str(out)]) == 2
+        assert str(path) in caplog.text and "UTF-8" in caplog.text
+        assert not out.exists()
+
     def test_type_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="steps_per_task"):
             load_config(write_cfg(tmp_path, {"steps_per_task": "many"}))
@@ -288,6 +296,13 @@ class TestRunCommand:
         assert np.isnan(m.icon[:, 0]).all()
         assert not np.isnan(m.text).any() and not np.isnan(m.icon[:, 1:]).any()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_learning_rate_exits_3(self, tmp_path, caplog):
+        # the first gradient is finite; W + lr * dW is not
+        doc = {**TINY, "optim": {"lr": 1e308}}
+        assert main(["run", write_cfg(tmp_path, doc), str(tmp_path / "o")]) == 3
+        assert "numerical abort" in caplog.text
+
     def test_numerical_abort_exits_3(self, tmp_path, monkeypatch):
         from guiflux import cli as cli_mod
         from guiflux.policy import NumericalAbort
@@ -327,8 +342,8 @@ class TestRunCommand:
 class TestPersistenceRoundTrip:
     def test_matrix_exact(self, tmp_path):
         cfg = parse_config(TINY)
-        m, records, tasks = run_continual(cfg, seed=0)
-        write_run(tmp_path, cfg, 0, m, records, tasks)
+        m, records = run_continual(cfg, seed=0)
+        write_run(tmp_path, cfg, 0, m, records)
         back = read_matrix(tmp_path / "matrix.csv")
         assert np.array_equal(back.overall, m.overall)
         assert np.array_equal(back.text, m.text)
@@ -338,31 +353,31 @@ class TestPersistenceRoundTrip:
 
     def test_matrix_nan_round_trip(self, tmp_path):
         cfg = parse_config({**TINY, "simulator": {"overrides": {"web": {"text_fraction": 0.0}}}})
-        m, records, tasks = run_continual(cfg, seed=0)
+        m, records = run_continual(cfg, seed=0)
         assert np.isnan(m.text[:, 2]).all()
-        write_run(tmp_path, cfg, 0, m, records, tasks)
+        write_run(tmp_path, cfg, 0, m, records)
         back = read_matrix(tmp_path / "matrix.csv")
         assert np.array_equal(back.text, m.text, equal_nan=True)
         assert np.array_equal(back.icon, m.icon)
 
     def test_trainlog_exact(self, tmp_path):
         cfg = parse_config(TINY)
-        m, records, tasks = run_continual(cfg, seed=0)
-        write_run(tmp_path, cfg, 0, m, records, tasks)
+        m, records = run_continual(cfg, seed=0)
+        write_run(tmp_path, cfg, 0, m, records)
         back = read_trainlog(tmp_path / "trainlog.csv")
         assert back == records
 
     def test_trainlog_header_contract(self, tmp_path):
         cfg = parse_config(TINY)
-        m, records, tasks = run_continual(cfg, seed=0)
-        write_run(tmp_path, cfg, 0, m, records, tasks)
+        m, records = run_continual(cfg, seed=0)
+        write_run(tmp_path, cfg, 0, m, records)
         header = (tmp_path / "trainlog.csv").read_text().splitlines()[0]
         assert header == "step,task,correctness,apr,arr,r_aif,kl,objective"
 
     def test_matrix_header_contract(self, tmp_path):
         cfg = parse_config(TINY)
-        m, records, tasks = run_continual(cfg, seed=0)
-        write_run(tmp_path, cfg, 0, m, records, tasks)
+        m, records = run_continual(cfg, seed=0)
+        write_run(tmp_path, cfg, 0, m, records)
         header = (tmp_path / "matrix.csv").read_text().splitlines()[0]
         assert header == (
             "stage,mobile,desktop,web,"
@@ -372,8 +387,8 @@ class TestPersistenceRoundTrip:
 
     def test_metrics_recomputable_from_files(self, tmp_path):
         cfg = parse_config(TINY)
-        m, records, tasks = run_continual(cfg, seed=0)
-        write_run(tmp_path, cfg, 0, m, records, tasks)
+        m, records = run_continual(cfg, seed=0)
+        write_run(tmp_path, cfg, 0, m, records)
         stored = json.loads((tmp_path / "metrics.json").read_text())
         again = compute_metrics(
             read_matrix(tmp_path / "matrix.csv"), read_trainlog(tmp_path / "trainlog.csv")
@@ -538,8 +553,9 @@ class TestPlotCommand:
     @pytest.mark.parametrize("name,content", [
         ("trainlog.csv", "step,task,reward\n0,0,1.0\n"),
         ("trainlog.csv", "step,task,correctness,apr,arr,r_aif,kl,objective\n0,0,1.0\n"),
+        ("trainlog.csv", "step,task,correctness,apr,arr,r_aif,kl,objective\n0,0,1,1,1,1,1,1,1\n"),
         ("matrix.csv", "stage,mobile,text_mobile,icon_mobile\nuntrained,x,0.5,0.5\n"),
-    ], ids=["bad_header", "short_row", "non_numeric_cell"])
+    ], ids=["bad_header", "short_row", "long_row", "non_numeric_cell"])
     def test_damaged_input_exits_2_naming_file(self, tmp_path, caplog, name, content):
         out = tmp_path / "run"
         assert main(["run", write_cfg(tmp_path, TINY), str(out)]) == 0

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from guiflux.geometry import BBox, center, contains, iou, to_gaussian
+from guiflux.geometry import BBox, center, check_boxes, contains, iou, to_gaussian
 
 from conftest import random_bbox
 
@@ -27,8 +29,34 @@ class TestBBox:
             BBox(0.0, 0.0, 1.5, 0.5)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            BBox(0.0, 0.0, math.nan, 0.5)
+        for bad in (math.nan, math.inf, -math.inf):
+            for corner in range(4):
+                coords = [0.1, 0.1, 0.9, 0.9]
+                coords[corner] = bad
+                with pytest.raises(ValueError):
+                    BBox(*coords)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.floats(),  # includes nan, +-inf and -0.0
+            st.sampled_from([0.0, -0.0, 1.0, math.nextafter(1.0, 2.0), -5e-324]),
+            st.floats(0.0, 1.0),
+        ),
+        min_size=4, max_size=4,
+    ))
+    def test_accepts_exactly_what_check_boxes_accepts(self, row):
+        try:
+            check_boxes(np.array([row]))
+            valid = True
+        except ValueError:
+            valid = False
+        try:
+            BBox(*row)
+            built = True
+        except ValueError:
+            built = False
+        assert built == valid
 
     def test_degenerate_allowed(self):
         b = BBox(0.2, 0.2, 0.2, 0.2)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -95,7 +97,7 @@ class TestTrainTask:
 
 class TestRunContinual:
     def test_matrix_shape_domain(self):
-        m, records, tasks = run_continual(tiny_config(), seed=0)
+        m, records = run_continual(tiny_config(), seed=0)
         assert m.overall.shape == (4, 3)
         assert m.stage_labels[0] == "untrained"
         assert m.stage_labels[-1] == "mobile->desktop->web"
@@ -104,29 +106,31 @@ class TestRunContinual:
         assert all(b.step == a.step + 1 for a, b in zip(records, records[1:]))
 
     def test_matrix_shape_joint(self):
-        m, records, _ = run_continual(tiny_config(scenario="joint"), seed=0)
+        m, records = run_continual(tiny_config(scenario="joint"), seed=0)
         assert m.overall.shape == (2, 3)
         assert m.stage_labels == ["untrained", "joint"]
         assert len(records) == 3 * 12
 
     def test_deterministic(self):
-        a, ra, _ = run_continual(tiny_config(), seed=5)
-        b, rb, _ = run_continual(tiny_config(), seed=5)
+        a, ra = run_continual(tiny_config(), seed=5)
+        b, rb = run_continual(tiny_config(), seed=5)
         assert np.array_equal(a.overall, b.overall)
         assert np.array_equal(a.text, b.text)
         assert ra == rb
 
     def test_seed_pairing_of_untrained_row(self):
         # flag changes must not perturb the shared instance streams
-        full, _, _ = run_continual(tiny_config(), seed=7)
-        base, _, _ = run_continual(
+        full, _ = run_continual(tiny_config(), seed=7)
+        base, _ = run_continual(
             tiny_config(reward=RewardConfig(alpha=0.0, gamma=0.0)), seed=7
         )
         assert np.array_equal(full.overall[0], base.overall[0])
 
     def test_reversed_scenario_runs(self):
-        m, _, tasks = run_continual(tiny_config(scenario="domain_flux_reversed"), seed=0)
-        assert [t.name for t in tasks] == ["web", "desktop", "mobile"]
+        cfg = tiny_config(scenario="domain_flux_reversed")
+        m, _ = run_continual(cfg, seed=0)
+        assert [t.name for t in cfg.tasks] == ["web", "desktop", "mobile"]
+        assert m.task_names == ["web", "desktop", "mobile"]
         assert m.overall.shape == (4, 3)
 
 
@@ -150,12 +154,12 @@ class TestForwardTransfer:
         assert len(ft) == 3
 
     def test_stage1_has_two_future_tasks(self):
-        m, _, _ = run_continual(tiny_config(), seed=0)
+        m, _ = run_continual(tiny_config(), seed=0)
         ft = forward_transfer(m)
         assert sum(1 for d in ft if d["stage"] == 1) == 2
 
     def test_joint_run_has_no_untrained_tasks(self):
-        m, _, _ = run_continual(tiny_config(scenario="joint"), seed=0)
+        m, _ = run_continual(tiny_config(scenario="joint"), seed=0)
         assert forward_transfer(m) == []
         assert [d["drop"] for d in forgetting(m)] == [0.0, 0.0, 0.0]
 
@@ -246,6 +250,32 @@ class TestAblate:
         runs = ablate(cfg)
         untrained = {tuple(r.matrix.overall[0]) for r in runs}
         assert len(untrained) == 1
+
+
+class TestRunConfig:
+    """RunConfig built in code checks what parse_config used to check."""
+
+    @pytest.mark.parametrize("kw, match", [
+        ({"scenario": "cloud"}, r"^scenario: unknown scenario 'cloud'"),
+        ({"scale_points": ((1.0, 1.0), (0.0, 1.0))}, r"^sweep\.scale_points\[1\]: .*positive"),
+        ({"scale_points": ((1.0, 1.0), (1.0, math.inf))}, r"^sweep\.scale_points\[1\]: .*finite"),
+        ({"scale_points": ((1.0, 1.0), (1.0000001, 1.0))},
+         r"^sweep\.scale_points\[1\]: .*same grid cells \(a1_g1\) as sweep\.scale_points\[0\]"),
+        ({"scale_points": ()}, r"^sweep\.scale_points: must hold"),
+        ({"seeds": (True,)}, r"^seeds: "),
+        ({"seeds": (0, False)}, r"^seeds: "),
+        ({"sim_overrides": {"mobile": {"text_fraction": 1.5}}}, r"^simulator\.overrides\.mobile"),
+    ])
+    def test_rejects_invalid_values(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            tiny_config(**kw)
+
+    def test_carries_its_tasks_with_overrides_applied(self):
+        cfg = tiny_config(scenario="resolution_flux", sim_overrides={"high": {"noise_sigma": 0.0}})
+        overrides = {"high": {"noise_sigma": 0.0}}
+        assert list(cfg.tasks) == make_sequence("resolution_flux", 0, overrides)
+        assert cfg == tiny_config(scenario="resolution_flux", sim_overrides=overrides)
+        assert "tasks" not in repr(cfg)
 
 
 class TestAccuracyMatrix:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -40,11 +41,10 @@ def perturbed(policy, rng, scale=0.05):
 
 
 def make_rollout(rng, behavior, n=4):
+    """A rollout, its advantages and its diversity bonus."""
     state = rng.normal(0, 1.5, behavior.feature_dim)
     rollout = sample_group(behavior, state, n, rng)
-    rollout.advantages = grpo_advantage(rng.random(n) * 2)
-    rollout.r_div = float(rng.random())
-    return rollout
+    return rollout, grpo_advantage(rng.random(n) * 2), float(rng.random())
 
 
 class TestActionToBBox:
@@ -105,6 +105,11 @@ class TestPolicyTypes:
                 boxes=[action_to_bbox(np.zeros(4))] * 3,
                 logp_behavior=np.zeros(4),
             )
+
+    def test_rollout_is_frozen(self, rng):
+        rollout = sample_group(make_policy(rng), np.zeros(6), 4, rng)
+        with pytest.raises(FrozenInstanceError):
+            rollout.boxes = []
 
 
 class TestSampleGroup:
@@ -191,15 +196,16 @@ class TestKL:
 class TestObjective:
     def test_at_reference_equals_diversity_bonus(self, rng):
         theta = make_policy(rng)
-        rollout = make_rollout(rng, theta)
+        rollout, advantages, r_div = make_rollout(rng, theta)
         for beta in (0.0, 0.04):
-            assert objective(rollout, theta, theta, beta) == pytest.approx(rollout.r_div, abs=1e-9)
+            got = objective(rollout, advantages + r_div, theta, theta, beta)
+            assert got == pytest.approx(r_div, abs=1e-9)
 
     def test_term_by_term_recomputation(self, rng):
         # sampled from ref, evaluated at theta: the ratios are not 1
         theta = make_policy(rng)
         ref = perturbed(theta, rng)
-        rollout = make_rollout(rng, ref)
+        rollout, advantages, r_div = make_rollout(rng, ref)
         beta = 0.04
         mean = theta.action_mean(rollout.state)
         expected = 0.0
@@ -210,32 +216,25 @@ class TestObjective:
                 for d in range(4)
             )
             ratio = math.exp(logp_theta - rollout.logp_behavior[i])
-            expected += ratio * (rollout.advantages[i] + rollout.r_div)
+            expected += ratio * (advantages[i] + r_div)
         expected /= rollout.n
         expected -= beta * kl_ref_theta(ref, theta, rollout.state)
-        assert objective(rollout, theta, ref, beta) == pytest.approx(expected, rel=1e-12)
-
-    def test_requires_populated_rollout(self, rng):
-        theta = make_policy(rng)
-        rollout = sample_group(theta, np.zeros(6), 4, rng)
-        with pytest.raises(ValueError):
-            objective(rollout, theta, theta, 0.0)
+        got = objective(rollout, advantages + r_div, theta, ref, beta)
+        assert got == pytest.approx(expected, rel=1e-12)
 
 
 class TestGradObjective:
     def test_zero_weights_zero_gradient(self, rng):
         theta = make_policy(rng)
-        rollout = make_rollout(rng, theta)
-        rollout.advantages = np.zeros(rollout.n)
-        rollout.r_div = 0.0
-        g = grad_objective(rollout, theta, theta, beta=0.0)
+        rollout, _, _ = make_rollout(rng, theta)
+        g = grad_objective(rollout, np.zeros(rollout.n), theta, theta, beta=0.0)
         assert np.allclose(g.dW, 0.0) and np.allclose(g.db, 0.0) and np.allclose(g.dlog_std, 0.0)
 
     def test_kl_gradient_vanishes_at_reference(self, rng):
         theta = make_policy(rng)
-        rollout = make_rollout(rng, theta)
-        g0 = grad_objective(rollout, theta, theta, beta=0.0)
-        g1 = grad_objective(rollout, theta, theta, beta=0.04)
+        rollout, advantages, r_div = make_rollout(rng, theta)
+        g0 = grad_objective(rollout, advantages + r_div, theta, theta, beta=0.0)
+        g1 = grad_objective(rollout, advantages + r_div, theta, theta, beta=0.04)
         assert np.allclose(g0.dW, g1.dW, atol=1e-14)
         assert np.allclose(g0.dlog_std, g1.dlog_std, atol=1e-14)
 
@@ -247,9 +246,7 @@ class TestGradObjective:
         state = rng.normal(0, 1.5, 6)
         rollout = sample_group(theta, state, 4, rng)
         rewards = rng.random(4) * 2
-        rollout.advantages = grpo_advantage(rewards)
-        rollout.r_div = 0.0
-        got = grad_objective(rollout, theta, theta, beta=0.0)
+        got = grad_objective(rollout, grpo_advantage(rewards), theta, theta, beta=0.0)
 
         mean = theta.action_mean(state)
         std = theta.action_std()
@@ -293,6 +290,19 @@ class TestStep:
         g = PolicyGrad(np.full_like(theta.W, np.nan), np.zeros(4), np.zeros(4))
         with pytest.raises(NumericalAbort):
             step(theta, g, lr=0.1)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("part", ["W", "b"])
+    def test_overflowing_update_aborts(self, rng, part):
+        # a finite gradient times a huge lr overflows W or b to inf
+        theta = make_policy(rng)
+        g = PolicyGrad(
+            np.full_like(theta.W, 10.0 if part == "W" else 0.0),
+            np.full(4, 10.0 if part == "b" else 0.0),
+            np.zeros(4),
+        )
+        with pytest.raises(NumericalAbort, match="lr=1e\\+308"):
+            step(theta, g, lr=1e308)
 
 
 class TestGaussianLogp:
