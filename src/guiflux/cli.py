@@ -70,11 +70,19 @@ def cmd_ablate(args) -> int:
         cfg = replace(cfg, seeds=(args.seed,))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    runs = harness.ablate(cfg)
-    for run in runs:
-        persistence.write_run(out / run.run_id, run.cfg, run.seed, run.matrix, run.records)
-    persistence.write_summary(out, runs)
-    log.info("ablation grid complete: %d runs -> %s", len(runs), args.out_dir)
+    # each run is written when it finishes, so an abort keeps the runs before it
+    summary = []
+    for cell in harness.ablate(cfg):
+        finals = []
+        for seed in cfg.seeds:
+            matrix, records = harness.run_continual(cell.cfg, seed=seed)
+            run_id = f"{cell.cell_id}_s{seed}"
+            persistence.write_run(out / run_id, cell.cfg, seed, matrix, records)
+            log.info("ablation run %s done", run_id)
+            finals.append(matrix.final_average())
+        summary.append((cell, finals))
+    persistence.write_summary(out, summary)
+    log.info("ablation grid complete: %d cells -> %s", len(summary), args.out_dir)
     return EXIT_OK
 
 

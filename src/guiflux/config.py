@@ -43,6 +43,8 @@ def load_config(path: str | Path) -> RunConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: line {e.lineno}: {e.msg}") from e
+    except RecursionError as e:
+        raise ConfigError(f"config {path} is nested too deeply to parse") from e
     return parse_config(doc)
 
 
@@ -63,20 +65,19 @@ def parse_config(doc: dict) -> RunConfig:
     if not isinstance(seeds, list):
         raise ConfigError("seeds: must be a non-empty list of non-negative integers")
 
-    scale_points = sweep_doc.get("scale_points", RunConfig.scale_points)
-    try:
-        scale_points = tuple(
-            (float(a), float(g)) for a, g in (tuple(p) for p in scale_points)
-        )
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"sweep.scale_points: expected a list of [alpha, gamma] pairs: {e}") from e
+    points = sweep_doc.get("scale_points", RunConfig.scale_points)
+    if not isinstance(points, (list, tuple)):
+        raise ConfigError("sweep.scale_points: expected a list of [alpha, gamma] pairs")
+    scale_points = tuple(_scale_point(p, f"sweep.scale_points[{i}]") for i, p in enumerate(points))
 
     overrides = sim_doc.get("overrides", {})
     if not isinstance(overrides, dict) or not all(isinstance(v, dict) for v in overrides.values()):
         raise ConfigError("simulator.overrides: must map task name to a field/value object")
 
-    steps_per_task = _value(doc, "steps_per_task", RunConfig.steps_per_task, int)
-    eval_episodes = _value(doc, "eval_episodes", RunConfig.eval_episodes, int)
+    steps_per_task, eval_episodes = (
+        _value(doc.get(key, getattr(RunConfig, key)), key, int)
+        for key in ("steps_per_task", "eval_episodes")
+    )
     try:
         return RunConfig(
             scenario=doc.get("scenario", RunConfig.scenario),
@@ -110,7 +111,7 @@ def _dataclass_section(doc: dict, name: str, cls: type):
     """Parse section `name` into `cls`; its fields give the keys, defaults and types."""
     sub = _section(doc, name, {f.name for f in fields(cls)})
     values = {
-        f.name: _value(sub, f"{name}.{f.name}", f.default, _KINDS[f.type])
+        f.name: _value(sub.get(f.name, f.default), f"{name}.{f.name}", _KINDS[f.type])
         for f in fields(cls)
     }
     try:
@@ -141,10 +142,16 @@ _EXPECTED = {float: "a finite number", int: "an integer", str: "a string"}
 _KINDS = {kind.__name__: kind for kind in _EXPECTED}
 
 
-def _value(doc: dict, path: str, default, kind: type):
-    """The value under the last key of `path` (or `default`), which must be a
-    `kind`; an int is accepted where a float is expected, a bool never is."""
-    v = doc.get(path.split(".")[-1], default)
+def _scale_point(point, path: str) -> tuple[float, float]:
+    """One [alpha, gamma] entry of sweep.scale_points, as two floats."""
+    if not isinstance(point, (list, tuple)) or len(point) != 2:
+        raise ConfigError(f"{path}: expected an [alpha, gamma] pair, got {point!r}")
+    return _value(point[0], path, float), _value(point[1], path, float)
+
+
+def _value(v, path: str, kind: type):
+    """`v`, the value at `path`, which must be a `kind`; an int is accepted
+    where a float is expected, a bool never is."""
     if kind is float and type(v) is int and abs(v) <= sys.float_info.max:
         v = float(v)
     # isfinite rejects the nan and +-inf that JSON NaN/Infinity parse to

@@ -286,10 +286,7 @@ def run_continual(
         stages = [(JOINT_STAGE, tasks)]
     else:
         stages = [(t.name, [t]) for t in tasks]
-    state_dim = tasks[0].state_dim
-    policy = GroundingPolicy.zeros(
-        state_dim, cfg.optim.init_log_std, cfg.optim.init_log_std_size, cfg.optim.init_size
-    )
+    policy = GroundingPolicy.zeros(tasks[0].state_dim, cfg.optim)
 
     rows = [evaluate(policy, tasks, cfg.eval_episodes, child_rng(master, STREAM_EVAL, 0))]
     records: list[TrainRecord] = []
@@ -384,57 +381,51 @@ def reward_trend(records: list[TrainRecord], task: int | None = None) -> float |
 
 
 @dataclass(frozen=True)
-class AblationRun:
-    """One (variant, kl, scales, seed) cell run of the ablation grid.
+class AblationCell:
+    """One (variant, kl, scales) cell of the ablation grid.
 
     `cfg` is the cell's effective config (scaled or zeroed reward weights,
-    zeroed beta when KL is off): `run_continual(cfg, seed)` reproduces it.
+    zeroed beta when KL is off): `run_continual(cfg, seed)` runs it on one
+    seed. The four coordinates cannot be read back from `cfg`: under beta 0
+    the kl0 and kl1 cells have equal configs, and a zeroed weight loses its
+    scale.
     """
 
     variant: str
     use_kl: bool
     alpha_scale: float
     gamma_scale: float
-    seed: int
     cfg: RunConfig
-    matrix: AccuracyMatrix
-    records: list[TrainRecord]
 
     @property
     def cell_id(self) -> str:
         kl = 1 if self.use_kl else 0
         return f"{self.variant}_kl{kl}_{scale_label(self.alpha_scale, self.gamma_scale)}"
 
-    @property
-    def run_id(self) -> str:
-        return f"{self.cell_id}_s{self.seed}"
 
+def ablate(base: RunConfig) -> list[AblationCell]:
+    """The ablation grid's cells, in grid order; runs nothing.
 
-def ablate(base: RunConfig) -> list[AblationRun]:
-    """Execute the full ablation grid, seed-paired.
-
-    Grid: 4 reward variants x KL on/off x the scale points x seeds. Cells
-    sharing a seed see identical instance streams, so differences are
-    attributable to the weights alone. A variant switches a diversity term
-    off by zeroing its weight, and KL off by zeroing beta.
+    Grid: 4 reward variants x KL on/off x the scale points, each cell run
+    on every seed of `base.seeds`. Cells sharing a seed see identical
+    instance streams, so differences are attributable to the weights alone.
+    A variant switches a diversity term off by zeroing its weight, and KL
+    off by zeroing beta.
     """
-    runs = []
-    for variant, use_apr, use_arr in ABLATION_VARIANTS:
-        for use_kl in (True, False):
-            for a_scale, g_scale in base.scale_points:
-                cell_cfg = replace(
-                    base,
-                    reward=replace(
-                        base.reward,
-                        alpha=base.reward.alpha * a_scale if use_apr else 0.0,
-                        gamma=base.reward.gamma * g_scale if use_arr else 0.0,
-                    ),
-                    optim=replace(base.optim, beta=base.optim.beta if use_kl else 0.0),
-                )
-                for s in base.seeds:
-                    matrix, records = run_continual(cell_cfg, seed=s)
-                    runs.append(
-                        AblationRun(variant, use_kl, a_scale, g_scale, s, cell_cfg, matrix, records)
-                    )
-                    log.info("ablation cell %s done", runs[-1].run_id)
-    return runs
+    return [
+        AblationCell(
+            variant, use_kl, a_scale, g_scale,
+            replace(
+                base,
+                reward=replace(
+                    base.reward,
+                    alpha=base.reward.alpha * a_scale if use_apr else 0.0,
+                    gamma=base.reward.gamma * g_scale if use_arr else 0.0,
+                ),
+                optim=replace(base.optim, beta=base.optim.beta if use_kl else 0.0),
+            ),
+        )
+        for variant, use_apr, use_arr in ABLATION_VARIANTS
+        for use_kl in (True, False)
+        for a_scale, g_scale in base.scale_points
+    ]

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .config import render_config
 from .harness import (
-    AblationRun,
+    AblationCell,
     AccuracyMatrix,
     RunConfig,
     TrainRecord,
@@ -154,32 +154,22 @@ def write_run(out_dir: str | Path, cfg: RunConfig, master_seed: int,
     write_metrics(out, m, records)
 
 
-def write_summary(out_dir: Path, runs: list[AblationRun]) -> None:
-    """Aggregate ablation runs into summary.csv: one row per grid cell with
-    seed mean and spread of the final average accuracy."""
-    cells: dict[str, list[AblationRun]] = {}
-    order: list[str] = []
-    for run in runs:
-        if run.cell_id not in cells:
-            cells[run.cell_id] = []
-            order.append(run.cell_id)
-        cells[run.cell_id].append(run)
-
+def write_summary(out_dir: Path, cells: list[tuple[AblationCell, list[float]]]) -> None:
+    """Write summary.csv: one row per grid cell with the seed mean and spread
+    of its runs' final average accuracy, given as (cell, finals) pairs."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(
         ["cell", "variant", "use_kl", "alpha_scale", "gamma_scale",
          "n_seeds", "final_avg_mean", "final_avg_std"]
     )
-    for cell_id in order:
-        group = cells[cell_id]
-        finals = np.array([r.matrix.final_average() for r in group])
-        first = group[0]
+    for cell, finals in cells:
+        finals = np.array(finals)
         w.writerow(
             [
-                cell_id, first.variant, int(first.use_kl),
-                repr(first.alpha_scale), repr(first.gamma_scale),
-                len(group), repr(float(finals.mean())), repr(float(finals.std())),
+                cell.cell_id, cell.variant, int(cell.use_kl),
+                repr(cell.alpha_scale), repr(cell.gamma_scale),
+                len(finals), repr(float(finals.mean())), repr(float(finals.std())),
             ]
         )
     write_atomic(Path(out_dir) / SUMMARY_NAME, buf.getvalue())

@@ -94,16 +94,12 @@ class GroundingPolicy:
         return np.exp(self.log_std)
 
     @staticmethod
-    def zeros(
-        feature_dim: int,
-        log_std: float = OptimConfig.init_log_std,
-        log_std_size: float = OptimConfig.init_log_std_size,
-        init_size: float = OptimConfig.init_size,
-    ) -> "GroundingPolicy":
-        """Untrained policy: screen-centered boxes with a plausible element-size
-        prior, a tight position-noise prior and a wide size-noise prior."""
-        b = np.array([0.0, 0.0, math.log(init_size), math.log(init_size)])
-        log_stds = np.array([log_std, log_std, log_std_size, log_std_size], dtype=float)
+    def zeros(feature_dim: int, optim: OptimConfig = OptimConfig()) -> "GroundingPolicy":
+        """Untrained policy: screen-centered boxes with `optim`'s element-size
+        prior, position-noise prior and size-noise prior."""
+        size, pos_std, size_std = optim.init_size, optim.init_log_std, optim.init_log_std_size
+        b = np.array([0.0, 0.0, math.log(size), math.log(size)])
+        log_stds = np.array([pos_std, pos_std, size_std, size_std], dtype=float)
         return GroundingPolicy(np.zeros((feature_dim, 4)), b, log_stds)
 
 

@@ -16,7 +16,7 @@ import pytest
 import guiflux.rewards as rewards_mod
 from guiflux import verify
 from guiflux.cli import main
-from guiflux.harness import RunConfig, reward_trend, run_continual
+from guiflux.harness import RunConfig, ablate, reward_trend, run_continual
 from guiflux.persistence import compute_metrics, read_matrix, read_trainlog
 from guiflux.policy import GroundingPolicy, grpo_advantage
 from guiflux.rewards import bhattacharyya
@@ -30,20 +30,19 @@ def ok(criterion: int, text: str):
 
 # ---------------------------------------------------------------- experiment
 
-ARMS = ("full", "base", "apr", "arr", "nokl")
+# Each arm is the ablation grid's cell at scale point (1, 1).
+ARMS = {
+    "full": "full_kl1_a1_g1",
+    "base": "neither_kl1_a1_g1",
+    "apr": "apr_only_kl1_a1_g1",
+    "arr": "arr_only_kl1_a1_g1",
+    "nokl": "full_kl0_a1_g1",
+}
+CELLS = {cell.cell_id: cell.cfg for cell in ablate(RunConfig(seeds=SEEDS))}
 
 
 def arm_config(arm: str) -> RunConfig:
-    cfg = RunConfig(seeds=SEEDS)
-    if arm == "base":
-        return replace(cfg, reward=replace(cfg.reward, alpha=0.0, gamma=0.0))
-    if arm == "apr":
-        return replace(cfg, reward=replace(cfg.reward, gamma=0.0))
-    if arm == "arr":
-        return replace(cfg, reward=replace(cfg.reward, alpha=0.0))
-    if arm == "nokl":
-        return replace(cfg, optim=replace(cfg.optim, beta=0.0))
-    return cfg
+    return CELLS[ARMS[arm]]
 
 
 @pytest.fixture(scope="module")
@@ -165,10 +164,7 @@ def test_criterion_10_forward_transfer():
 
     def stage1_future_accuracy(cfg: RunConfig, seed: int) -> float:
         tasks = cfg.tasks
-        policy = GroundingPolicy.zeros(
-            tasks[0].state_dim, cfg.optim.init_log_std,
-            cfg.optim.init_log_std_size, cfg.optim.init_size,
-        )
+        policy = GroundingPolicy.zeros(tasks[0].state_dim, cfg.optim)
         policy = train_stage(policy, tasks[:1], cfg, [], seed, 0)
         row, _, _ = evaluate(policy, tasks, cfg.eval_episodes, child_rng(seed, STREAM_EVAL, 1))
         return float(row[1:].mean())

@@ -1,16 +1,17 @@
+import csv
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from guiflux.cli import main
 from guiflux.config import load_config, parse_config, render_config
 from guiflux.errors import ConfigError
-from guiflux.harness import RunConfig, run_continual
+from guiflux.harness import RunConfig, ablate, run_continual, scale_label
 from guiflux.persistence import (
     compute_metrics,
     read_matrix,
@@ -25,12 +26,79 @@ TINY = {
     "eval_episodes": 40,
     "seeds": [0],
 }
+TWO_SEED_GRID = {
+    **TINY,
+    "steps_per_task": 4,
+    "eval_episodes": 25,
+    "seeds": [0, 1],
+    "sweep": {"scale_points": [[1, 1]]},
+}
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+FUZZ_DOC = {
+    "scenario": "domain_flux",
+    "steps_per_task": 3,
+    "eval_episodes": 10,
+    "seeds": [0, 2],
+    "optim": {"beta": 0.04, "lr": 0.001, "n_samples": 4, "init_size": 0.2},
+    "reward": {"alpha": 15.0, "gamma": 0.5, "kappa": 1.0, "tau": 0.1, "correctness_kind": "iou"},
+    "sweep": {"scale_points": [[1, 1], [2.0, 0.5]]},
+    "simulator": {"overrides": {"mobile": {
+        "noise_sigma": 0.01, "size_mean": 0.1, "matrix": [[1, 0], [0, 1]], "offset": [0.1, 0.0],
+    }}},
+}
+
+
+def _node_paths(node, prefix=()):
+    """The path of every node below `node`: sections, lists, list elements, leaves."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for k, v in items:
+        yield prefix + (k,)
+        if isinstance(v, (dict, list)):
+            yield from _node_paths(v, prefix + (k,))
+
+
+FUZZ_KEYS = sorted({p[-1] for p in _node_paths(FUZZ_DOC) if isinstance(p[-1], str)})
+# Hostile atoms, and lists and objects of them nested a few levels deep,
+# e.g. [true, 1] or {"alpha": [null]}; object keys are the document's own.
+HOSTILE = st.recursive(
+    st.sampled_from([math.nan, math.inf, -math.inf, -1, 0, 1, 0.5, "x", None, True, False]),
+    lambda inner: (
+        st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from(FUZZ_KEYS), inner, max_size=2)
+    ),
+    max_leaves=5,
+)
+
+
+def _leaves(node):
+    items = node.values() if isinstance(node, dict) else node
+    for v in items:
+        if isinstance(v, (dict, list, tuple)):
+            yield from _leaves(v)
+        else:
+            yield v
+
+
+def _floats(obj):
+    """Every float reachable from a (nested) config value."""
+    if isinstance(obj, float):
+        yield obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _floats(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _floats(v)
+    elif hasattr(obj, "__dataclass_fields__"):
+        for name in obj.__dataclass_fields__:
+            yield from _floats(getattr(obj, name))
 
 
 class TestConfig:
@@ -125,13 +193,13 @@ class TestConfig:
             parse_config({section: {key: value}})
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_fuzzed_leaf_is_rejected_or_finite(self, data):
-        """Any one leaf of a valid document replaced by a hostile value either
-        raises ConfigError or parses into a RunConfig with only finite floats."""
-        leaves = list(_leaf_paths(FUZZ_DOC))
-        path = data.draw(st.sampled_from(leaves))
-        value = data.draw(st.sampled_from(HOSTILE_VALUES))
+    @given(path=st.sampled_from(list(_node_paths(FUZZ_DOC))), value=HOSTILE)
+    @example(path=("sweep", "scale_points", 0), value=[True, 1])
+    def test_fuzzed_subtree_is_rejected_or_finite(self, path, value):
+        """Any one node of a valid document (a section, a list, one list
+        element or a leaf) replaced by a hostile value either raises
+        ConfigError or parses into a RunConfig with only finite floats. A
+        document that holds a JSON boolean anywhere is never accepted."""
         doc = json.loads(json.dumps(FUZZ_DOC))
         node = doc
         for k in path[:-1]:
@@ -142,56 +210,16 @@ class TestConfig:
         except ConfigError:
             return
         assert isinstance(cfg, RunConfig)
+        assert not any(type(v) is bool for v in _leaves(doc)), (path, value)
         assert all(math.isfinite(x) for x in _floats(cfg)), (path, value)
-        assert not any(isinstance(v, bool) for v in _leaves(cfg.sim_overrides)), (path, value)
 
-
-FUZZ_DOC = {
-    "scenario": "domain_flux",
-    "steps_per_task": 3,
-    "eval_episodes": 10,
-    "seeds": [0, 2],
-    "optim": {"beta": 0.04, "lr": 0.001, "n_samples": 4, "init_size": 0.2},
-    "reward": {"alpha": 15.0, "gamma": 0.5, "kappa": 1.0, "tau": 0.1, "correctness_kind": "iou"},
-    "sweep": {"scale_points": [[1, 1], [2.0, 0.5]]},
-    "simulator": {"overrides": {"mobile": {
-        "noise_sigma": 0.01, "size_mean": 0.1, "matrix": [[1, 0], [0, 1]], "offset": [0.1, 0.0],
-    }}},
-}
-HOSTILE_VALUES = [math.nan, math.inf, -math.inf, -1, 0, "x", None, [], {}, True]
-
-
-def _leaf_paths(node, prefix=()):
-    items = node.items() if isinstance(node, dict) else enumerate(node)
-    for k, v in items:
-        if isinstance(v, (dict, list)):
-            yield from _leaf_paths(v, prefix + (k,))
-        else:
-            yield prefix + (k,)
-
-
-def _leaves(node):
-    items = node.values() if isinstance(node, dict) else node
-    for v in items:
-        if isinstance(v, (dict, list, tuple)):
-            yield from _leaves(v)
-        else:
-            yield v
-
-
-def _floats(obj):
-    """Every float reachable from a (nested) config value."""
-    if isinstance(obj, float):
-        yield obj
-    elif isinstance(obj, dict):
-        for v in obj.values():
-            yield from _floats(v)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            yield from _floats(v)
-    elif hasattr(obj, "__dataclass_fields__"):
-        for name in obj.__dataclass_fields__:
-            yield from _floats(getattr(obj, name))
+    def test_deeply_nested_file_exits_2_naming_it(self, tmp_path, caplog):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        out = tmp_path / "o"
+        assert main(["run", str(path), str(out)]) == 2
+        assert str(path) in caplog.text
+        assert not out.exists()
 
 
 class TestRunCommand:
@@ -449,27 +477,68 @@ class TestAblateCommand:
         assert "sweep.scale_points" in caplog.text
         assert not out.exists()
 
-    def test_summary_means_match_cell_runs(self, tmp_path):
-        import csv as csv_mod
-
-        doc = dict(TINY)
-        doc.update({
-            "steps_per_task": 4,
-            "eval_episodes": 25,
-            "seeds": [0, 1],
-            "sweep": {"scale_points": [[1, 1]]},
-        })
+    @pytest.mark.parametrize("scale_points, path", [
+        ([[True, 1]], "sweep.scale_points[0]"),
+        ([[1, 1], [2, True]], "sweep.scale_points[1]"),
+    ])
+    def test_boolean_scale_point_exits_2_naming_path(self, tmp_path, caplog, scale_points, path):
+        doc = {**TINY, "sweep": {"scale_points": scale_points}}
         out = tmp_path / "grid"
-        assert main(["ablate", write_cfg(tmp_path, doc), str(out)]) == 0
-        with open(out / "summary.csv", newline="") as f:
-            rows = list(csv_mod.DictReader(f))
+        assert main(["ablate", write_cfg(tmp_path, doc), str(out)]) == 2
+        assert path in caplog.text
+        assert not out.exists()
+
+    @pytest.fixture(scope="class")
+    def two_seed_grid(self, tmp_path_factory):
+        """A seeds-[0, 1] grid at scale point (1, 1): 8 cells, 16 run dirs."""
+        tmp = tmp_path_factory.mktemp("two_seed_grid")
+        out = tmp / "grid"
+        assert main(["ablate", write_cfg(tmp, TWO_SEED_GRID), str(out)]) == 0
+        return out
+
+    def test_summary_means_match_cell_runs(self, two_seed_grid):
+        with open(two_seed_grid / "summary.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        cells = ablate(parse_config(TWO_SEED_GRID))
+        assert [row["cell"] for row in rows] == [c.cell_id for c in cells]
         for row in rows:
-            finals = []
-            for seed in (0, 1):
-                m = read_matrix(out / f"{row['cell']}_s{seed}" / "matrix.csv")
-                finals.append(m.overall[-1].mean())
-            assert float(row["final_avg_mean"]) == pytest.approx(np.mean(finals), abs=1e-12)
+            finals = np.array([
+                read_matrix(two_seed_grid / f"{row['cell']}_s{seed}" / "matrix.csv").final_average()
+                for seed in (0, 1)
+            ])
+            assert row["final_avg_mean"] == repr(float(finals.mean()))
+            assert row["final_avg_std"] == repr(float(finals.std()))
             assert int(row["n_seeds"]) == 2
+            label = scale_label(float(row["alpha_scale"]), float(row["gamma_scale"]))
+            assert row["cell"] == f"{row['variant']}_kl{row['use_kl']}_{label}"
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_abort_in_run_k_keeps_the_finished_runs(
+        self, two_seed_grid, tmp_path, monkeypatch, caplog, k
+    ):
+        from guiflux import cli as cli_mod
+        from guiflux.policy import NumericalAbort
+
+        run_continual = cli_mod.harness.run_continual
+        calls = []
+
+        def abort_kth(cfg, seed=None):
+            calls.append(seed)
+            if len(calls) == k:
+                raise NumericalAbort("synthetic abort")
+            return run_continual(cfg, seed=seed)
+
+        monkeypatch.setattr(cli_mod.harness, "run_continual", abort_kth)
+        out = tmp_path / "grid"
+        assert main(["ablate", write_cfg(tmp_path, TWO_SEED_GRID), str(out)]) == 3
+        assert "synthetic abort" in caplog.text
+        runs = [f"{c.cell_id}_s{s}" for c in ablate(parse_config(TWO_SEED_GRID)) for s in (0, 1)]
+        assert sorted(p.name for p in out.iterdir()) == sorted(runs[: k - 1])
+        for run_id in runs[: k - 1]:
+            for name in ("matrix.csv", "trainlog.csv"):
+                assert (out / run_id / name).read_bytes() == (
+                    two_seed_grid / run_id / name
+                ).read_bytes(), (run_id, name)
 
     @pytest.fixture(scope="class")
     def small_grid(self, tmp_path_factory):

@@ -1,8 +1,11 @@
+import csv
+import json
 import math
 
 import numpy as np
 import pytest
 
+from guiflux import harness
 from guiflux.harness import (
     AccuracyMatrix,
     RunConfig,
@@ -15,6 +18,7 @@ from guiflux.harness import (
     run_continual,
     train_stage,
 )
+from guiflux.persistence import write_run
 from guiflux.policy import GroundingPolicy, OptimConfig
 from guiflux.rewards import RewardConfig
 from guiflux.simulator import make_sequence
@@ -186,6 +190,56 @@ class TestForgetting:
         assert drops[1] == 0.0 and drops[2] == 0.0
 
 
+class TestLiteratureDefinitions:
+    """forward_transfer and forgetting against their literature definitions,
+    recomputed from a written matrix.csv. R[i][j] is the accuracy on task j
+    after stage i; row 0 is the untrained policy (GEM's b), and task j
+    (0-based) is first trained at stage j + 1."""
+
+    @staticmethod
+    def written(tmp_path, cfg, seed):
+        m, records = run_continual(cfg, seed)
+        write_run(tmp_path, cfg, seed, m, records)
+        with open(tmp_path / "matrix.csv", newline="") as f:
+            header, *rows = list(csv.reader(f))
+        n_tasks = (len(header) - 1) // 3
+        R = [[float(v) for v in row[1 : 1 + n_tasks]] for row in rows]
+        return header[1 : 1 + n_tasks], R, json.loads((tmp_path / "metrics.json").read_text())
+
+    def test_sequential_runs(self, tmp_path):
+        cfg = tiny_config(steps_per_task=40, eval_episodes=200, seeds=(0, 1))
+        all_chaudhry = []
+        for seed in cfg.seeds:
+            names, R, metrics = self.written(tmp_path / f"s{seed}", cfg, seed)
+            T = len(names)
+            # GEM (Lopez-Paz & Ranzato, arXiv 1706.08840), 1-based:
+            # FWT = 1/(T-1) sum_{i=2..T} R[i-1][i] - b[i]
+            gem_fwt = sum(R[j][j] - R[0][j] for j in range(1, T)) / (T - 1)
+            # guiflux also scores tasks further ahead; GEM's are the next-task deltas
+            next_task = [
+                d["delta"] for d in metrics["forward_transfer"]
+                if names.index(d["task"]) == d["stage"]
+            ]
+            assert len(next_task) == T - 1
+            assert sum(next_task) / len(next_task) == gem_fwt
+            # Chaudhry et al. (arXiv 1801.10112), 1-based, for j < T:
+            # f_j = max_{l in j..T-1} R[l][j] - R[T][j]
+            chaudhry = [max(R[l][j] - R[T][j] for l in range(j + 1, T)) for j in range(T - 1)]
+            # guiflux's max also takes the final row, so its drop is never negative
+            drops = [d["drop"] for d in metrics["forgetting"]]
+            assert drops == [max(f, 0.0) for f in chaudhry] + [0.0]
+            all_chaudhry += chaudhry
+        # the two seeds forget and improve, so both branches of the max are met
+        assert min(all_chaudhry) < 0.0 < max(all_chaudhry)
+
+    def test_joint_run_has_no_terms(self, tmp_path):
+        # one stage trains every task: neither measure has a task trained after another
+        names, R, metrics = self.written(tmp_path, tiny_config(scenario="joint"), 0)
+        assert len(R) == 2
+        assert metrics["forward_transfer"] == []
+        assert [d["drop"] for d in metrics["forgetting"]] == [0.0] * len(names)
+
+
 class TestRewardTrend:
     @staticmethod
     def records_from(xs, ys):
@@ -232,24 +286,53 @@ class TestRewardTrend:
 class TestAblate:
     def test_grid_structure_and_gates(self):
         cfg = tiny_config(steps_per_task=4, eval_episodes=20, seeds=(0, 1))
-        runs = ablate(cfg)
-        assert len(runs) == 4 * 2 * 1 * 2
-        ids = [r.run_id for r in runs]
+        cells = ablate(cfg)
+        assert len(cells) == 4 * 2 * 1
+        ids = [c.cell_id for c in cells]
         assert len(set(ids)) == len(ids)
-        apr_only = [r for r in runs if r.variant == "apr_only"]
+        apr_only = [c for c in cells if c.variant == "apr_only"]
         assert apr_only and all(
-            all(rec.arr == 0.0 for rec in r.records) for r in apr_only
+            all(rec.arr == 0.0 for rec in run_continual(c.cfg, seed)[1])
+            for c in apr_only for seed in cfg.seeds
         )
-        neither = [r for r in runs if r.variant == "neither"]
+        neither = [c for c in cells if c.variant == "neither"]
         assert neither and all(
-            all(rec.r_aif == 0.0 for rec in r.records) for r in neither
+            all(rec.r_aif == 0.0 for rec in run_continual(c.cfg, seed)[1])
+            for c in neither for seed in cfg.seeds
         )
 
     def test_seed_pairing_across_cells(self):
         cfg = tiny_config(steps_per_task=4, eval_episodes=30, seeds=(3,))
-        runs = ablate(cfg)
-        untrained = {tuple(r.matrix.overall[0]) for r in runs}
+        untrained = {tuple(run_continual(c.cfg, 3)[0].overall[0]) for c in ablate(cfg)}
         assert len(untrained) == 1
+
+    def test_cells_in_grid_order_without_running(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("ablate must not run a cell")
+
+        monkeypatch.setattr(harness, "run_continual", boom)
+        cells = ablate(tiny_config(scale_points=((1.0, 1.0), (2.0, 0.5))))
+        assert [c.cell_id for c in cells] == [
+            f"{variant}_kl{kl}_{label}"
+            for variant in ("full", "apr_only", "arr_only", "neither")
+            for kl in (1, 0)
+            for label in ("a1_g1", "a2_g0.5")
+        ]
+        by_id = {c.cell_id: c.cfg for c in cells}
+        assert by_id["full_kl1_a2_g0.5"].reward.alpha == 2.0 * RewardConfig.alpha
+        assert by_id["full_kl1_a2_g0.5"].reward.gamma == 0.5 * RewardConfig.gamma
+        assert by_id["arr_only_kl0_a1_g1"].reward.alpha == 0.0
+        assert by_id["arr_only_kl0_a1_g1"].optim.beta == 0.0
+
+    def test_coordinates_are_not_read_from_cfg(self):
+        # under beta 0 the KL switch leaves the config unchanged, and a zeroed
+        # weight forgets its scale: only the cell's own fields tell them apart
+        cfg = tiny_config(optim=OptimConfig(beta=0.0), scale_points=((1.0, 1.0), (2.0, 1.0)))
+        cells = ablate(cfg)
+        by_id = {c.cell_id: c for c in cells}
+        assert by_id["full_kl1_a1_g1"].cfg == by_id["full_kl0_a1_g1"].cfg
+        assert by_id["arr_only_kl1_a1_g1"].cfg == by_id["arr_only_kl1_a2_g1"].cfg
+        assert len(by_id) == len(cells) == 16
 
 
 class TestRunConfig:
