@@ -55,7 +55,7 @@ def cmd_run(args) -> int:
     # fails before any training when the output path cannot be a directory
     Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else cfg.seeds[0]
-    matrix, records = harness.run_continual(cfg, seed=seed)
+    matrix, records = harness.run_continual(cfg, seed)
     persistence.write_run(args.out_dir, cfg, seed, matrix, records)
     log.info(
         "run complete: scenario=%s seed=%d final_average=%.4f -> %s",
@@ -75,7 +75,7 @@ def cmd_ablate(args) -> int:
     for cell in harness.ablate(cfg):
         finals = []
         for seed in cfg.seeds:
-            matrix, records = harness.run_continual(cell.cfg, seed=seed)
+            matrix, records = harness.run_continual(cell.cfg, seed)
             run_id = f"{cell.cell_id}_s{seed}"
             persistence.write_run(out / run_id, cell.cfg, seed, matrix, records)
             log.info("ablation run %s done", run_id)

@@ -54,17 +54,15 @@ def write_json(path: Path, obj) -> None:
     write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def write_manifest(out_dir: Path, cfg: RunConfig, master_seed: int) -> dict:
+def write_manifest(out_dir: Path, cfg: RunConfig, master_seed: int) -> None:
     """Write manifest.json: config echo, seed, and every fixture constant used."""
-    manifest = {
+    write_json(out_dir / MANIFEST_NAME, {
         "artifact": {"name": "guiflux", "version": __version__},
         "master_seed": int(master_seed),
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "config": render_config(cfg),
         "fixtures": [asdict(t) for t in cfg.tasks],
-    }
-    write_json(out_dir / MANIFEST_NAME, manifest)
-    return manifest
+    })
 
 
 def write_matrix(out_dir: Path, m: AccuracyMatrix) -> None:
@@ -137,10 +135,8 @@ def compute_metrics(m: AccuracyMatrix, records: list[TrainRecord]) -> dict:
     }
 
 
-def write_metrics(out_dir: Path, m: AccuracyMatrix, records: list[TrainRecord]) -> dict:
-    metrics = compute_metrics(m, records)
-    write_json(out_dir / METRICS_NAME, metrics)
-    return metrics
+def write_metrics(out_dir: Path, m: AccuracyMatrix, records: list[TrainRecord]) -> None:
+    write_json(out_dir / METRICS_NAME, compute_metrics(m, records))
 
 
 def write_run(out_dir: str | Path, cfg: RunConfig, master_seed: int,

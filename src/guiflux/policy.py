@@ -83,10 +83,6 @@ class GroundingPolicy:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "log_std", log_std)
 
-    @property
-    def feature_dim(self) -> int:
-        return self.W.shape[0]
-
     def action_mean(self, state: np.ndarray) -> np.ndarray:
         return np.asarray(state, dtype=float) @ self.W + self.b
 
@@ -101,15 +97,6 @@ class GroundingPolicy:
         b = np.array([0.0, 0.0, math.log(size), math.log(size)])
         log_stds = np.array([pos_std, pos_std, size_std, size_std], dtype=float)
         return GroundingPolicy(np.zeros((feature_dim, 4)), b, log_stds)
-
-
-@dataclass(frozen=True)
-class PolicyGrad:
-    """Gradient of the objective w.r.t. (W, b, log_std)."""
-
-    dW: np.ndarray
-    db: np.ndarray
-    dlog_std: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -239,8 +226,9 @@ def grad_objective(
     theta: GroundingPolicy,
     ref: GroundingPolicy,
     beta: float,
-) -> PolicyGrad:
-    """Analytic gradient of `objective` w.r.t. theta's (W, b, log_std)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Analytic gradient of `objective` w.r.t. theta's (W, b, log_std), as
+    the tuple (dW, db, dlog_std)."""
     state = rollout.state
     mean = theta.action_mean(state)
     std = theta.action_std()
@@ -266,26 +254,28 @@ def grad_objective(
         dlog_std = dlog_std - beta * dkl_dlog_std
 
     dW = np.outer(state, dmu)
-    return PolicyGrad(dW=dW, db=dmu, dlog_std=dlog_std)
+    return dW, dmu, dlog_std
 
 
-def step(theta: GroundingPolicy, grad: PolicyGrad, lr: float) -> GroundingPolicy:
-    """One gradient-ascent step; log_std is re-clamped to its bounds.
+def step(
+    theta: GroundingPolicy, grad: tuple[np.ndarray, np.ndarray, np.ndarray], lr: float
+) -> GroundingPolicy:
+    """One gradient-ascent step along grad = (dW, db, dlog_std); log_std is
+    re-clamped to its bounds.
 
-    Raises NumericalAbort on non-finite gradient entries, or when a finite
-    gradient times `lr` overflows W or b, so the run stops with a diagnostic
-    instead of silently corrupting the policy.
+    Raises NumericalAbort when the new W or b, or dlog_std, is not finite,
+    so the run stops with a diagnostic instead of silently corrupting the
+    policy. theta is finite, so a non-finite dW or db, or a finite one that
+    `lr` overflows, always shows in W or b; dlog_std is checked before the
+    clip, which would turn an inf log_std finite.
     """
-    if not (np.isfinite(grad.dW).all() and np.isfinite(grad.db).all()
-            and np.isfinite(grad.dlog_std).all()):
+    dW, db, dlog_std = grad
+    W = theta.W + lr * dW
+    b = theta.b + lr * db
+    if not (np.isfinite(W).all() and np.isfinite(b).all() and np.isfinite(dlog_std).all()):
         raise NumericalAbort(
-            "non-finite gradient: "
-            f"|dW|max={np.abs(grad.dW).max() if grad.dW.size else 0}, "
-            f"db={grad.db}, dlog_std={grad.dlog_std}"
+            f"update with lr={lr} is not finite: |W|max={np.abs(W).max(initial=0.0)}, "
+            f"b={b}, dlog_std={dlog_std}"
         )
-    # the gradient check above stays: np.clip would turn an inf log_std finite
-    new_log_std = np.clip(theta.log_std + lr * grad.dlog_std, LOG_STD_MIN, LOG_STD_MAX)
-    try:
-        return GroundingPolicy(theta.W + lr * grad.dW, theta.b + lr * grad.db, new_log_std)
-    except ValueError as e:
-        raise NumericalAbort(f"update with lr={lr} overflowed the policy: {e}") from e
+    log_std = np.clip(theta.log_std + lr * dlog_std, LOG_STD_MIN, LOG_STD_MAX)
+    return GroundingPolicy(W, b, log_std)

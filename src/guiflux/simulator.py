@@ -19,9 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import BBox, check_boxes
-
-SCENARIOS = ("domain_flux", "domain_flux_reversed", "resolution_flux", "joint")
+from .geometry import check_boxes
 
 SIZE_CLIP = (0.01, 0.5)
 
@@ -82,6 +80,15 @@ RESOLUTION_FIXTURES = (
         "noise_sigma": 0.02,
     },
 )
+
+# Scenario name -> its tasks' fixtures, in sequence order.
+SCENARIOS = {
+    "domain_flux": DOMAIN_FIXTURES,
+    "domain_flux_reversed": tuple(reversed(DOMAIN_FIXTURES)),
+    "resolution_flux": RESOLUTION_FIXTURES,
+    # Same tasks as domain_flux; the harness trains them simultaneously.
+    "joint": DOMAIN_FIXTURES,
+}
 
 # Icons are drawn smaller than text elements by this factor.
 ICON_SIZE_FACTOR = 0.7
@@ -146,9 +153,6 @@ class EpisodeBatch:
             )
         check_boxes(self.boxes)
 
-    def __len__(self) -> int:
-        return len(self.is_text)
-
 
 def make_sequence(
     scenario: str,
@@ -162,17 +166,12 @@ def make_sequence(
     not depend on `master_seed`: every random draw comes from the streams
     the caller passes to `sample_instances`.
     """
-    if scenario == "domain_flux":
-        fixtures = list(DOMAIN_FIXTURES)
-    elif scenario == "domain_flux_reversed":
-        fixtures = list(reversed(DOMAIN_FIXTURES))
-    elif scenario == "resolution_flux":
-        fixtures = list(RESOLUTION_FIXTURES)
-    elif scenario == "joint":
-        # Same tasks as domain_flux; the harness trains them simultaneously.
-        fixtures = list(DOMAIN_FIXTURES)
-    else:
-        raise ConfigError(f"scenario: unknown scenario {scenario!r}; expected one of {SCENARIOS}")
+    # the type check comes first: a JSON list or object is unhashable
+    if not (isinstance(scenario, str) and scenario in SCENARIOS):
+        raise ConfigError(
+            f"scenario: unknown scenario {scenario!r}; expected one of {tuple(SCENARIOS)}"
+        )
+    fixtures = SCENARIOS[scenario]
 
     overrides = dict(overrides or {})
     known = {f["name"] for f in fixtures}
@@ -216,18 +215,6 @@ def _holds_bool(value) -> bool:
     if isinstance(value, (list, tuple)):
         return any(_holds_bool(v) for v in value)
     return isinstance(value, bool)
-
-
-def target_latent(gt: BBox) -> np.ndarray:
-    """Pre-squash representation of a box: (logit cx, logit cy, log w, log h)."""
-    cx = (gt.x1 + gt.x2) / 2.0
-    cy = (gt.y1 + gt.y2) / 2.0
-    return np.array([
-        math.log(cx / (1.0 - cx)),
-        math.log(cy / (1.0 - cy)),
-        math.log(gt.x2 - gt.x1),
-        math.log(gt.y2 - gt.y1),
-    ])
 
 
 def sample_instances(

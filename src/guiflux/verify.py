@@ -201,8 +201,8 @@ def check_gradient(rng: np.random.Generator, n_fixtures: int = 10, h: float = 1e
     for k in range(n_fixtures):
         beta = 0.0 if k % 2 == 0 else 0.04
         theta, ref, rollout, shaped = _random_fixture(rng)
-        grad = pol.grad_objective(rollout, shaped, theta, ref, beta)
-        analytic = np.concatenate([grad.dW.ravel(), grad.db, grad.dlog_std])
+        dW, db, dlog_std = pol.grad_objective(rollout, shaped, theta, ref, beta)
+        analytic = np.concatenate([dW.ravel(), db, dlog_std])
 
         flat = np.concatenate([theta.W.ravel(), theta.b, theta.log_std])
         fd = np.zeros_like(flat)

@@ -195,6 +195,7 @@ class TestConfig:
     @settings(max_examples=300, deadline=None)
     @given(path=st.sampled_from(list(_node_paths(FUZZ_DOC))), value=HOSTILE)
     @example(path=("sweep", "scale_points", 0), value=[True, 1])
+    @example(path=("scenario",), value=[])
     def test_fuzzed_subtree_is_rejected_or_finite(self, path, value):
         """Any one node of a valid document (a section, a list, one list
         element or a leaf) replaced by a hostile value either raises

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from guiflux.geometry import BBox
 from guiflux.policy import (
+    LOG_STD_MAX,
     GroundingPolicy,
     GroupRollout,
     NumericalAbort,
     OptimConfig,
-    PolicyGrad,
     action_to_bbox,
     gaussian_logp,
     grad_objective,
@@ -42,7 +42,7 @@ def perturbed(policy, rng, scale=0.05):
 
 def make_rollout(rng, behavior, n=4):
     """A rollout, its advantages and its diversity bonus."""
-    state = rng.normal(0, 1.5, behavior.feature_dim)
+    state = rng.normal(0, 1.5, behavior.W.shape[0])
     rollout = sample_group(behavior, state, n, rng)
     return rollout, grpo_advantage(rng.random(n) * 2), float(rng.random())
 
@@ -227,16 +227,16 @@ class TestGradObjective:
     def test_zero_weights_zero_gradient(self, rng):
         theta = make_policy(rng)
         rollout, _, _ = make_rollout(rng, theta)
-        g = grad_objective(rollout, np.zeros(rollout.n), theta, theta, beta=0.0)
-        assert np.allclose(g.dW, 0.0) and np.allclose(g.db, 0.0) and np.allclose(g.dlog_std, 0.0)
+        dW, db, dlog_std = grad_objective(rollout, np.zeros(rollout.n), theta, theta, beta=0.0)
+        assert np.allclose(dW, 0.0) and np.allclose(db, 0.0) and np.allclose(dlog_std, 0.0)
 
     def test_kl_gradient_vanishes_at_reference(self, rng):
         theta = make_policy(rng)
         rollout, advantages, r_div = make_rollout(rng, theta)
-        g0 = grad_objective(rollout, advantages + r_div, theta, theta, beta=0.0)
-        g1 = grad_objective(rollout, advantages + r_div, theta, theta, beta=0.04)
-        assert np.allclose(g0.dW, g1.dW, atol=1e-14)
-        assert np.allclose(g0.dlog_std, g1.dlog_std, atol=1e-14)
+        dW0, _, dlog_std0 = grad_objective(rollout, advantages + r_div, theta, theta, beta=0.0)
+        dW1, _, dlog_std1 = grad_objective(rollout, advantages + r_div, theta, theta, beta=0.04)
+        assert np.allclose(dW0, dW1, atol=1e-14)
+        assert np.allclose(dlog_std0, dlog_std1, atol=1e-14)
 
     def test_matches_plain_policy_gradient_when_shaping_off(self, rng):
         # With no diversity bonus and beta=0 the update direction must equal
@@ -246,7 +246,7 @@ class TestGradObjective:
         state = rng.normal(0, 1.5, 6)
         rollout = sample_group(theta, state, 4, rng)
         rewards = rng.random(4) * 2
-        got = grad_objective(rollout, grpo_advantage(rewards), theta, theta, beta=0.0)
+        dW, db, dlog_std = grad_objective(rollout, grpo_advantage(rewards), theta, theta, beta=0.0)
 
         mean = theta.action_mean(state)
         std = theta.action_std()
@@ -259,44 +259,57 @@ class TestGradObjective:
             dlog += adv[i] * (z * z - 1.0)
         dmu /= 4
         dlog /= 4
-        assert np.allclose(got.db, dmu, rtol=1e-10, atol=1e-12)
-        assert np.allclose(got.dlog_std, dlog, rtol=1e-10, atol=1e-12)
-        assert np.allclose(got.dW, np.outer(state, dmu), rtol=1e-10, atol=1e-12)
+        assert np.allclose(db, dmu, rtol=1e-10, atol=1e-12)
+        assert np.allclose(dlog_std, dlog, rtol=1e-10, atol=1e-12)
+        assert np.allclose(dW, np.outer(state, dmu), rtol=1e-10, atol=1e-12)
 
 
 class TestStep:
     def test_zero_gradient_unchanged(self, rng):
         theta = make_policy(rng)
-        g = PolicyGrad(np.zeros_like(theta.W), np.zeros(4), np.zeros(4))
+        g = (np.zeros_like(theta.W), np.zeros(4), np.zeros(4))
         out = step(theta, g, lr=0.1)
         assert np.array_equal(out.W, theta.W)
         assert np.array_equal(out.b, theta.b)
 
     def test_arithmetic(self, rng):
         theta = make_policy(rng)
-        g = PolicyGrad(np.ones_like(theta.W), np.full(4, 2.0), np.zeros(4))
+        g = (np.ones_like(theta.W), np.full(4, 2.0), np.zeros(4))
         out = step(theta, g, lr=0.01)
         assert np.allclose(out.W, theta.W + 0.01)
         assert np.allclose(out.b, theta.b + 0.02)
 
     def test_log_std_reclamped(self):
         theta = GroundingPolicy(np.zeros((3, 4)), np.zeros(4), np.full(4, 0.9))
-        g = PolicyGrad(np.zeros((3, 4)), np.zeros(4), np.full(4, 100.0))
+        g = (np.zeros((3, 4)), np.zeros(4), np.full(4, 100.0))
         out = step(theta, g, lr=1.0)
         assert np.all(out.log_std == 1.0)
 
-    def test_non_finite_aborts(self, rng):
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("part", [0, 1, 2], ids=["dW", "db", "dlog_std"])
+    def test_non_finite_aborts(self, rng, part, value):
         theta = make_policy(rng)
-        g = PolicyGrad(np.full_like(theta.W, np.nan), np.zeros(4), np.zeros(4))
-        with pytest.raises(NumericalAbort):
-            step(theta, g, lr=0.1)
+        g = [np.zeros_like(theta.W), np.zeros(4), np.zeros(4)]
+        g[part] = np.full_like(g[part], value)
+        with pytest.raises(NumericalAbort, match="lr=0.1"):
+            step(theta, tuple(g), lr=0.1)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_log_std_overflow_clamps_without_abort(self):
+        # finite dlog_std times a huge lr overflows log_std to inf, which the
+        # clip maps to LOG_STD_MAX: the guard reads dlog_std, not log_std
+        theta = GroundingPolicy(np.zeros((3, 4)), np.zeros(4), np.zeros(4))
+        g = (np.zeros((3, 4)), np.zeros(4), np.full(4, 10.0))
+        out = step(theta, g, lr=1e308)
+        assert np.all(out.log_std == LOG_STD_MAX)
+        assert np.array_equal(out.W, theta.W) and np.array_equal(out.b, theta.b)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("part", ["W", "b"])
     def test_overflowing_update_aborts(self, rng, part):
         # a finite gradient times a huge lr overflows W or b to inf
         theta = make_policy(rng)
-        g = PolicyGrad(
+        g = (
             np.full_like(theta.W, 10.0 if part == "W" else 0.0),
             np.full(4, 10.0 if part == "b" else 0.0),
             np.zeros(4),

@@ -18,10 +18,21 @@ from guiflux.simulator import (
     TaskSpec,
     make_sequence,
     sample_instances,
-    target_latent,
 )
 
 from conftest import oracle_policy
+
+
+def target_latent(gt: BBox) -> np.ndarray:
+    """Pre-squash representation of a box: (logit cx, logit cy, log w, log h)."""
+    cx = (gt.x1 + gt.x2) / 2.0
+    cy = (gt.y1 + gt.y2) / 2.0
+    return np.array([
+        math.log(cx / (1.0 - cx)),
+        math.log(cy / (1.0 - cy)),
+        math.log(gt.x2 - gt.x1),
+        math.log(gt.y2 - gt.y1),
+    ])
 
 
 def scalar_reference(task, n, rng):
@@ -225,7 +236,7 @@ class TestEpisodeBatch:
             rng_b = np.random.default_rng(100 + task.index)
             batch = sample_instances(task, n, rng_a)
             states, boxes, kinds = scalar_reference(task, n, rng_b)
-            assert len(batch) == n
+            assert len(batch.is_text) == n
             assert np.array_equal(batch.states, states)
             assert np.array_equal(batch.boxes, boxes)
             assert ["text" if t else "icon" for t in batch.is_text] == kinds
