@@ -73,14 +73,20 @@ def parse_config(doc: dict) -> RunConfig:
     overrides = sim_doc.get("overrides", {})
     if not isinstance(overrides, dict) or not all(isinstance(v, dict) for v in overrides.values()):
         raise ConfigError("simulator.overrides: must map task name to a field/value object")
+    # a matrix, two levels of lists, is the deepest fixture value
+    overrides = {
+        task: {key: _floats(v, f"simulator.overrides.{task}.{key}", 2) for key, v in values.items()}
+        for task, values in overrides.items()
+    }
 
+    scenario = _value(doc.get("scenario", RunConfig.scenario), "scenario", str)
     steps_per_task, eval_episodes = (
         _value(doc.get(key, getattr(RunConfig, key)), key, int)
         for key in ("steps_per_task", "eval_episodes")
     )
     try:
         return RunConfig(
-            scenario=doc.get("scenario", RunConfig.scenario),
+            scenario=scenario,
             steps_per_task=steps_per_task,
             eval_episodes=eval_episodes,
             optim=optim,
@@ -146,7 +152,16 @@ def _scale_point(point, path: str) -> tuple[float, float]:
     """One [alpha, gamma] entry of sweep.scale_points, as two floats."""
     if not isinstance(point, (list, tuple)) or len(point) != 2:
         raise ConfigError(f"{path}: expected an [alpha, gamma] pair, got {point!r}")
-    return _value(point[0], path, float), _value(point[1], path, float)
+    return tuple(_floats(point, path, 1))
+
+
+def _floats(v, path: str, depth: int):
+    """`v`, the value at `path`, as floats: a number, or lists of numbers
+    nested at most `depth` deep. An error names the offending leaf, e.g.
+    `{path}[0][1]`."""
+    if depth and isinstance(v, (list, tuple)):
+        return [_floats(x, f"{path}[{i}]", depth - 1) for i, x in enumerate(v)]
+    return _value(v, path, float)
 
 
 def _value(v, path: str, kind: type):

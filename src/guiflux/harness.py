@@ -184,16 +184,14 @@ def evaluate(
     text = np.zeros(len(tasks))
     icon = np.zeros(len(tasks))
     for t_idx, task in enumerate(tasks):
-        batch = sample_instances(task, episodes, rng)
-        u = batch.states @ policy.W + policy.b
+        states, gt, is_text = sample_instances(task, episodes, rng)
+        u = states @ policy.W + policy.b
         cx = 1.0 / (1.0 + np.exp(-u[:, 0]))
         cy = 1.0 / (1.0 + np.exp(-u[:, 1]))
-        gt = batch.boxes
         hit = (
             (gt[:, 0] <= cx) & (cx <= gt[:, 2])
             & (gt[:, 1] <= cy) & (cy <= gt[:, 3])
         )
-        is_text = batch.is_text
         overall[t_idx] = hit.mean()
         text[t_idx] = hit[is_text].mean() if is_text.any() else np.nan
         icon[t_idx] = hit[~is_text].mean() if not is_text.all() else np.nan
@@ -221,8 +219,8 @@ def train_stage(
     rng_choice = child_rng(master, STREAM_TASK_CHOICE) if len(tasks) > 1 else None
     for _ in range(cfg.steps_per_task * len(tasks)):
         k = 0 if rng_choice is None else int(rng_choice.integers(len(tasks)))
-        batch = sample_instances(tasks[k], 1, rngs_inst[k])
-        state, gt = batch.states[0], BBox(*batch.boxes[0])
+        states, boxes, _ = sample_instances(tasks[k], 1, rngs_inst[k])
+        state, gt = states[0], BBox(*boxes[0])
         # Ratio anchor = behavior policy (rollout.logp_behavior); `ref` only
         # anchors the KL penalty. Anchoring the ratio to the stage-start
         # snapshot as well would make it overflow once the policy has

@@ -14,6 +14,7 @@ run manifest and overridable from the run configuration.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,8 +105,8 @@ class TaskSpec:
     """
 
     name: str
-    matrix: tuple[tuple[float, float], tuple[float, float]]
-    offset: tuple[float, float]
+    matrix: Sequence[Sequence[float]]
+    offset: Sequence[float]
     size_mean: float
     size_spread: float
     text_fraction: float
@@ -132,28 +133,6 @@ class TaskSpec:
         return 4 + self.n_tasks + 1
 
 
-@dataclass(frozen=True, eq=False)
-class EpisodeBatch:
-    """`n` episodes as arrays: (n, state_dim) states, (n, 4) xyxy ground-truth
-    boxes and an (n,) text mask (False for icons).
-
-    The boxes are checked once, as a whole, against the `BBox` invariants.
-    """
-
-    states: np.ndarray
-    boxes: np.ndarray
-    is_text: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.is_text)
-        if self.states.ndim != 2 or self.states.shape[0] != n or self.boxes.shape != (n, 4):
-            raise ValueError(
-                f"batch shapes disagree: states {self.states.shape}, "
-                f"boxes {self.boxes.shape}, is_text {self.is_text.shape}"
-            )
-        check_boxes(self.boxes)
-
-
 def make_sequence(
     scenario: str,
     master_seed: int,
@@ -162,18 +141,18 @@ def make_sequence(
     """Build the ordered task list for a scenario.
 
     `overrides` maps task name to fixture fields to replace (the hook the
-    run configuration uses to re-parameterize the simulator). The tasks do
+    run configuration uses to re-parameterize the simulator); `parse_config`
+    has typed its values as floats or lists of floats. The tasks do
     not depend on `master_seed`: every random draw comes from the streams
     the caller passes to `sample_instances`.
     """
-    # the type check comes first: a JSON list or object is unhashable
-    if not (isinstance(scenario, str) and scenario in SCENARIOS):
+    if scenario not in SCENARIOS:
         raise ConfigError(
             f"scenario: unknown scenario {scenario!r}; expected one of {tuple(SCENARIOS)}"
         )
     fixtures = SCENARIOS[scenario]
 
-    overrides = dict(overrides or {})
+    overrides = overrides or {}
     known = {f["name"] for f in fixtures}
     unknown = set(overrides) - known
     if unknown:
@@ -183,44 +162,30 @@ def make_sequence(
         )
 
     tasks = []
-    n = len(fixtures)
     for idx, fixture in enumerate(fixtures):
-        merged = dict(fixture)
-        extra = overrides.get(merged["name"], {})
+        extra = overrides.get(fixture["name"], {})
         bad = set(extra) - (set(fixture) - {"name"})
         if bad:
             raise ConfigError(
                 f"unknown simulator override fields {sorted(bad)} "
-                f"for task {merged['name']!r}"
+                f"for task {fixture['name']!r}"
             )
-        for key, value in extra.items():
-            # float(True) is 1.0; a JSON boolean is never a fixture number
-            if _holds_bool(value):
-                raise ConfigError(
-                    f"simulator.overrides.{merged['name']}.{key}: expected a number, got {value!r}"
-                )
-        merged.update(extra)
         try:
-            if "matrix" in extra:
-                merged["matrix"] = tuple(tuple(float(v) for v in row) for row in extra["matrix"])
-            if "offset" in extra:
-                merged["offset"] = tuple(float(v) for v in extra["offset"])
-            tasks.append(TaskSpec(index=idx, n_tasks=n, **merged))
+            tasks.append(TaskSpec(**{**fixture, **extra}, index=idx, n_tasks=len(fixtures)))
         except (TypeError, ValueError) as e:
-            raise ConfigError(f"simulator.overrides.{merged['name']}: {e}") from e
+            raise ConfigError(f"simulator.overrides.{fixture['name']}: {e}") from e
     return tasks
-
-
-def _holds_bool(value) -> bool:
-    if isinstance(value, (list, tuple)):
-        return any(_holds_bool(v) for v in value)
-    return isinstance(value, bool)
 
 
 def sample_instances(
     task: TaskSpec, n: int, rng: np.random.Generator
-) -> EpisodeBatch:
-    """Draw `n` episodes from a task; deterministic given the rng state."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw `n` episodes from a task; deterministic given the rng state.
+
+    Returns (n, state_dim) states, (n, 4) xyxy ground-truth boxes and an
+    (n,) text mask (False for icons). The boxes are checked once, as a
+    whole, against the `BBox` invariants.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     is_text = rng.random(n) < task.text_fraction
@@ -251,4 +216,6 @@ def sample_instances(
     # the borders is snapped back so the BBox invariants always hold.
     boxes = np.array([cx - half_w, cy - half_h, cx + half_w, cy + half_h])
     np.minimum(np.maximum(boxes, 0.0, out=boxes), 1.0, out=boxes)
-    return EpisodeBatch(states, boxes.T, is_text)
+    boxes = boxes.T
+    check_boxes(boxes)
+    return states, boxes, is_text

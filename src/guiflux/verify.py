@@ -20,6 +20,12 @@ from .geometry import BBox
 from .policy import GroundingPolicy
 
 VERIFY_SEED = 20240917
+# Random cases per oracle.
+N_GROUPS = 1000
+N_PAIRS = 20
+N_FIXTURES = 10
+# Central-difference step of the gradient check.
+FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -39,10 +45,10 @@ def _random_group(rng: np.random.Generator, n: int) -> list[BBox]:
     return [_random_bbox(rng) for _ in range(n)]
 
 
-def check_center_spread(rng: np.random.Generator, n_groups: int = 1000) -> OracleResult:
+def check_center_spread(rng: np.random.Generator) -> OracleResult:
     """Brute-force mean squared distance to the centroid, plain loops."""
     worst = 0.0
-    for _ in range(n_groups):
+    for _ in range(N_GROUPS):
         n = int(rng.integers(2, 9))
         group = _random_group(rng, n)
         cs = [((b.x1 + b.x2) / 2.0, (b.y1 + b.y2) / 2.0) for b in group]
@@ -95,7 +101,7 @@ def _quad_bhattacharyya(g1, g2) -> float:
     return float(-math.log(dx * dy * (w @ f @ w)))
 
 
-def check_bhattacharyya(rng: np.random.Generator, n_pairs: int = 20) -> OracleResult:
+def check_bhattacharyya(rng: np.random.Generator) -> OracleResult:
     """Closed form vs the quadrature overlap integral, plus the exact identities."""
     # Exact: identical Gaussians -> 0.
     a = (0.3, 0.7, 0.01, 0.02)
@@ -112,7 +118,7 @@ def check_bhattacharyya(rng: np.random.Generator, n_pairs: int = 20) -> OracleRe
 
     worst = 0.0
     tested = 0
-    while tested < n_pairs:
+    while tested < N_PAIRS:
         mus = 0.2 + 0.6 * rng.random(4)
         vars_ = np.exp(rng.uniform(np.log(1e-3), np.log(2.5e-2), 4))
         g1 = (mus[0], mus[1], vars_[0], vars_[1])
@@ -126,16 +132,16 @@ def check_bhattacharyya(rng: np.random.Generator, n_pairs: int = 20) -> OracleRe
         worst = max(worst, abs(closed - quad) / abs(quad))
     return OracleResult(
         "bhattacharyya", worst < 1e-10,
-        f"max rel err vs quadrature = {worst:.3e} ({n_pairs} pairs)",
+        f"max rel err vs quadrature = {worst:.3e} ({N_PAIRS} pairs)",
     )
 
 
-def check_region_separation(rng: np.random.Generator, n_groups: int = 1000) -> OracleResult:
+def check_region_separation(rng: np.random.Generator) -> OracleResult:
     """Double-loop pairwise average with its own inline Gaussian transform
     and distance formula."""
     kappa, eps_min = 0.25, 1e-8
     worst = 0.0
-    for _ in range(n_groups):
+    for _ in range(N_GROUPS):
         n = int(rng.integers(2, 9))
         group = _random_group(rng, n)
         gaussians = [_inline_gaussian(b, kappa, eps_min) for b in group]
@@ -195,10 +201,10 @@ def _random_fixture(rng: np.random.Generator, feature_dim: int = 8, n: int = 4):
     return theta, ref, rollout, shaped
 
 
-def check_gradient(rng: np.random.Generator, n_fixtures: int = 10, h: float = 1e-5) -> OracleResult:
+def check_gradient(rng: np.random.Generator) -> OracleResult:
     """Analytic gradient vs central finite differences of the objective."""
     worst = 0.0
-    for k in range(n_fixtures):
+    for k in range(N_FIXTURES):
         beta = 0.0 if k % 2 == 0 else 0.04
         theta, ref, rollout, shaped = _random_fixture(rng)
         dW, db, dlog_std = pol.grad_objective(rollout, shaped, theta, ref, beta)
@@ -214,25 +220,25 @@ def check_gradient(rng: np.random.Generator, n_fixtures: int = 10, h: float = 1e
             )
 
         for i in range(flat.size):
-            up = flat.copy(); up[i] += h
-            dn = flat.copy(); dn[i] -= h
+            up = flat.copy(); up[i] += FD_STEP
+            dn = flat.copy(); dn[i] -= FD_STEP
             fd[i] = (
                 pol.objective(rollout, shaped, unflatten(up), ref, beta)
                 - pol.objective(rollout, shaped, unflatten(dn), ref, beta)
-            ) / (2.0 * h)
+            ) / (2.0 * FD_STEP)
         rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
         worst = max(worst, rel)
     return OracleResult(
-        "gradient-check", worst < 1e-4, f"max rel err = {worst:.3e} ({n_fixtures} fixtures)"
+        "gradient-check", worst < 1e-4, f"max rel err = {worst:.3e} ({N_FIXTURES} fixtures)"
     )
 
 
-def verify_all(seed: int = VERIFY_SEED) -> list[OracleResult]:
+def verify_all() -> list[OracleResult]:
     """Run every oracle with deterministic streams; order is stable."""
     return [
-        check_center_spread(np.random.default_rng(seed)),
-        check_bhattacharyya(np.random.default_rng(seed + 1)),
-        check_region_separation(np.random.default_rng(seed + 2)),
-        check_advantage(np.random.default_rng(seed + 3)),
-        check_gradient(np.random.default_rng(seed + 4)),
+        check_center_spread(np.random.default_rng(VERIFY_SEED)),
+        check_bhattacharyya(np.random.default_rng(VERIFY_SEED + 1)),
+        check_region_separation(np.random.default_rng(VERIFY_SEED + 2)),
+        check_advantage(np.random.default_rng(VERIFY_SEED + 3)),
+        check_gradient(np.random.default_rng(VERIFY_SEED + 4)),
     ]

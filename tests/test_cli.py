@@ -68,7 +68,7 @@ FUZZ_KEYS = sorted({p[-1] for p in _node_paths(FUZZ_DOC) if isinstance(p[-1], st
 # Hostile atoms, and lists and objects of them nested a few levels deep,
 # e.g. [true, 1] or {"alpha": [null]}; object keys are the document's own.
 HOSTILE = st.recursive(
-    st.sampled_from([math.nan, math.inf, -math.inf, -1, 0, 1, 0.5, "x", None, True, False]),
+    st.sampled_from([math.nan, math.inf, -math.inf, -1, 0, 1, 0.5, "x", "0.5", None, True, False]),
     lambda inner: (
         st.lists(inner, max_size=3)
         | st.dictionaries(st.sampled_from(FUZZ_KEYS), inner, max_size=2)
@@ -77,13 +77,14 @@ HOSTILE = st.recursive(
 )
 
 
-def _leaves(node):
-    items = node.values() if isinstance(node, dict) else node
-    for v in items:
+def _leaves(node, prefix=()):
+    """(path, value) of every leaf below `node`."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for k, v in items:
         if isinstance(v, (dict, list, tuple)):
-            yield from _leaves(v)
+            yield from _leaves(v, prefix + (k,))
         else:
-            yield v
+            yield prefix + (k,), v
 
 
 def _floats(obj):
@@ -152,11 +153,15 @@ class TestConfig:
             "optim": {"lr": 0.01, "beta": 0.1},
             "reward": {"alpha": 2.0, "correctness_kind": "iou"},
             "sweep": {"scale_points": [[1, 1], [2, 1]]},
-            "simulator": {"overrides": {"normal": {"noise_sigma": 0.0}}},
+            "simulator": {"overrides": {"normal": {
+                "noise_sigma": 0.0, "matrix": [[1, 0.1], [-0.1, 1]], "offset": [0.05, 0],
+            }}},
         }
         cfg = load_config(write_cfg(tmp_path, doc))
         assert parse_config(render_config(cfg)) == cfg
         assert json.loads(json.dumps(render_config(cfg))) == render_config(cfg)
+        # every override number is echoed as the float the run used
+        assert all(type(v) is float for _, v in _leaves(render_config(cfg)["simulator"]))
 
     @pytest.mark.parametrize("section, key, value", [
         ("optim", "lr", 0),
@@ -196,11 +201,13 @@ class TestConfig:
     @given(path=st.sampled_from(list(_node_paths(FUZZ_DOC))), value=HOSTILE)
     @example(path=("sweep", "scale_points", 0), value=[True, 1])
     @example(path=("scenario",), value=[])
+    @example(path=("simulator", "overrides", "mobile", "offset", 0), value="0.1")
     def test_fuzzed_subtree_is_rejected_or_finite(self, path, value):
         """Any one node of a valid document (a section, a list, one list
         element or a leaf) replaced by a hostile value either raises
         ConfigError or parses into a RunConfig with only finite floats. A
-        document that holds a JSON boolean anywhere is never accepted."""
+        document that holds a JSON boolean anywhere is never accepted, nor
+        one that holds a string where the config expects no string."""
         doc = json.loads(json.dumps(FUZZ_DOC))
         node = doc
         for k in path[:-1]:
@@ -211,7 +218,10 @@ class TestConfig:
         except ConfigError:
             return
         assert isinstance(cfg, RunConfig)
-        assert not any(type(v) is bool for v in _leaves(doc)), (path, value)
+        leaves = dict(_leaves(doc))
+        assert not any(type(v) is bool for v in leaves.values()), (path, value)
+        strings = {p for p, v in leaves.items() if isinstance(v, str)}
+        assert strings <= {("scenario",), ("reward", "correctness_kind")}, (path, value)
         assert all(math.isfinite(x) for x in _floats(cfg)), (path, value)
 
     def test_deeply_nested_file_exits_2_naming_it(self, tmp_path, caplog):
@@ -312,6 +322,19 @@ class TestRunCommand:
         out = tmp_path / "o"
         assert main(["run", write_cfg(tmp_path, doc), str(out)]) == 2
         assert path in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override, path", [
+        ({"offset": ["0.1", "0.2"]}, "simulator.overrides.mobile.offset[0]"),
+        ({"matrix": [["1", "0"], ["0", "1"]]}, "simulator.overrides.mobile.matrix[0][0]"),
+        ({"size_mean": None}, "simulator.overrides.mobile.size_mean"),
+        ({"size_mean": "0.1"}, "simulator.overrides.mobile.size_mean"),
+    ])
+    def test_non_numeric_override_exits_2_naming_leaf(self, tmp_path, caplog, override, path):
+        doc = {**TINY, "simulator": {"overrides": {"mobile": override}}}
+        out = tmp_path / "o"
+        assert main(["run", write_cfg(tmp_path, doc), str(out)]) == 2
+        assert f"{path}: expected a finite number" in caplog.text
         assert not out.exists()
 
     def test_text_only_task_has_missing_icon_split(self, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import guiflux.simulator as simulator_mod
 from guiflux.errors import ConfigError
 from guiflux.geometry import BBox, check_boxes
 from guiflux.harness import evaluate
@@ -14,7 +15,6 @@ from guiflux.simulator import (
     ICON_SIZE_FACTOR,
     SCENARIOS,
     SIZE_CLIP,
-    EpisodeBatch,
     TaskSpec,
     make_sequence,
     sample_instances,
@@ -169,8 +169,8 @@ class TestSampleInstance:
         mobile = tasks[0]  # identity affine, zero offset
         rng = np.random.default_rng(5)
         for _ in range(20):
-            batch = sample_instances(mobile, 1, rng)
-            state, gt = batch.states[0], BBox(*batch.boxes[0])
+            states, boxes, _ = sample_instances(mobile, 1, rng)
+            state, gt = states[0], BBox(*boxes[0])
             np.testing.assert_allclose(state[:4], target_latent(gt), atol=1e-12)
             # observation decodes back to the exact box
             cx = 1 / (1 + math.exp(-state[0]))
@@ -186,27 +186,28 @@ class TestSampleInstance:
         task = make_sequence("domain_flux", 0)[1]
         a = sample_instances(task, 1, np.random.default_rng(42))
         b = sample_instances(task, 1, np.random.default_rng(42))
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.boxes, b.boxes) and np.array_equal(a.is_text, b.is_text)
+        for x, y in zip(a, b):  # states, boxes, text mask
+            assert np.array_equal(x, y)
 
     def test_text_fraction_concentration(self):
         task = make_sequence("domain_flux", 0)[0]  # text_fraction 0.7
         rng = np.random.default_rng(3)
-        frac = sample_instances(task, 10_000, rng).is_text.mean()
-        assert abs(frac - 0.7) < 0.02
+        _, _, is_text = sample_instances(task, 10_000, rng)
+        assert abs(is_text.mean() - 0.7) < 0.02
 
     def test_gt_always_valid(self):
         rng = np.random.default_rng(11)
         for task in make_sequence("domain_flux", 0) + make_sequence("resolution_flux", 0):
-            batch = sample_instances(task, 500, rng)
-            for (x1, y1, x2, y2), state in zip(batch.boxes, batch.states):
+            states, boxes, _ = sample_instances(task, 500, rng)
+            for (x1, y1, x2, y2), state in zip(boxes, states):
                 assert 0.0 <= x1 <= x2 <= 1.0
                 assert 0.0 <= y1 <= y2 <= 1.0
                 assert np.isfinite(state).all()
 
     def test_state_layout(self):
         task = make_sequence("domain_flux", 0)[1]
-        state = sample_instances(task, 1, np.random.default_rng(0)).states[0]
+        states, _, _ = sample_instances(task, 1, np.random.default_rng(0))
+        state = states[0]
         one_hot = state[4:7]
         assert list(one_hot) == [0.0, 1.0, 0.0]
         assert state[7] in (0.0, 1.0)
@@ -228,18 +229,20 @@ class TestTaskDistinctness:
 
 
 class TestEpisodeBatch:
+    """The (states, boxes, is_text) arrays `sample_instances` returns."""
+
     @pytest.mark.parametrize("scenario", SCENARIOS)
     @pytest.mark.parametrize("n", [1, 3, 2000])
     def test_equals_scalar_reference_bitwise(self, scenario, n):
         for task in make_sequence(scenario, 7):
             rng_a = np.random.default_rng(100 + task.index)
             rng_b = np.random.default_rng(100 + task.index)
-            batch = sample_instances(task, n, rng_a)
+            got_states, got_boxes, is_text = sample_instances(task, n, rng_a)
             states, boxes, kinds = scalar_reference(task, n, rng_b)
-            assert len(batch.is_text) == n
-            assert np.array_equal(batch.states, states)
-            assert np.array_equal(batch.boxes, boxes)
-            assert ["text" if t else "icon" for t in batch.is_text] == kinds
+            assert len(is_text) == n
+            assert np.array_equal(got_states, states)
+            assert np.array_equal(got_boxes, boxes)
+            assert ["text" if t else "icon" for t in is_text] == kinds
             # the draws consume the stream exactly as the scalar loop did
             assert rng_a.random() == rng_b.random()
 
@@ -247,11 +250,17 @@ class TestEpisodeBatch:
         (0, math.nan), (1, math.inf), (2, -math.inf), (0, -1e-12), (3, 1.0 + 1e-12),
     ])
     def test_rejects_corrupted_corner(self, corner, value):
-        batch = sample_instances(make_sequence("domain_flux", 0)[0], 4, np.random.default_rng(0))
-        boxes = batch.boxes.copy()
+        _, boxes, _ = sample_instances(make_sequence("domain_flux", 0)[0], 4, np.random.default_rng(0))
+        boxes = boxes.copy()
         boxes[2, corner] = value
         with pytest.raises(ValueError, match="box 2"):
-            EpisodeBatch(batch.states, boxes, batch.is_text)
+            check_boxes(boxes)
+
+    def test_returned_boxes_are_checked(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(simulator_mod, "check_boxes", checked.append)
+        _, boxes, _ = sample_instances(make_sequence("domain_flux", 0)[0], 4, np.random.default_rng(0))
+        assert len(checked) == 1 and checked[0] is boxes
 
     @pytest.mark.parametrize("lo, hi", [(0, 2), (1, 3)])
     def test_rejects_inverted_box(self, lo, hi):
@@ -268,13 +277,6 @@ class TestEpisodeBatch:
         check_boxes(boxes)
         for row in boxes:
             BBox(*row)
-
-    def test_rejects_mismatched_shapes(self):
-        batch = sample_instances(make_sequence("domain_flux", 0)[0], 4, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="shapes"):
-            EpisodeBatch(batch.states[:3], batch.boxes, batch.is_text)
-        with pytest.raises(ValueError, match="shapes"):
-            EpisodeBatch(batch.states, batch.boxes[:, :3], batch.is_text)
 
 
 class TestEvaluateEquivalence:
@@ -320,10 +322,10 @@ def task_specs(draw):
 @settings(max_examples=150, deadline=None)
 @given(task=task_specs(), n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
 def test_any_valid_task_draws_valid_episodes(task, n, seed):
-    batch = sample_instances(task, n, np.random.default_rng(seed))
-    x1, y1, x2, y2 = batch.boxes.T
+    states, boxes, _ = sample_instances(task, n, np.random.default_rng(seed))
+    x1, y1, x2, y2 = boxes.T
     assert ((0.0 <= x1) & (x1 <= x2) & (x2 <= 1.0)).all()
     assert ((0.0 <= y1) & (y1 <= y2) & (y2 <= 1.0)).all()
-    assert np.isfinite(batch.states).all()
-    assert batch.states.shape == (n, task.state_dim)
-    assert (batch.states[:, 4 + task.index] == 1.0).all()
+    assert np.isfinite(states).all()
+    assert states.shape == (n, task.state_dim)
+    assert (states[:, 4 + task.index] == 1.0).all()
