@@ -66,10 +66,6 @@ def to_gaussian(b: BBox, kappa: float, eps_min: float) -> tuple[float, float, fl
     (var = (kappa*side)^2). Variances are floored at `eps_min` so degenerate
     boxes stay usable.
     """
-    if kappa <= 0.0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    if eps_min <= 0.0:
-        raise ValueError(f"eps_min must be positive, got {eps_min}")
     vx = (kappa * b.width) ** 2
     vy = (kappa * b.height) ** 2
     # the mean is center(b), written out: this runs for every sampled box

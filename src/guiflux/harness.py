@@ -104,6 +104,11 @@ class RunConfig:
                     f"sweep.scale_points[{i}]: scales must be positive and finite, "
                     f"got [{a:g}, {g:g}]"
                 )
+            if not (math.isfinite(self.reward.alpha * a) and math.isfinite(self.reward.gamma * g)):
+                raise ValueError(
+                    f"sweep.scale_points[{i}]: [{a:g}, {g:g}] scales reward.alpha "
+                    f"{self.reward.alpha:g} or reward.gamma {self.reward.gamma:g} to inf"
+                )
             label = scale_label(a, g)
             if label in labels:
                 raise ValueError(
@@ -186,8 +191,10 @@ def evaluate(
     for t_idx, task in enumerate(tasks):
         states, gt, is_text = sample_instances(task, episodes, rng)
         u = states @ policy.W + policy.b
-        cx = 1.0 / (1.0 + np.exp(-u[:, 0]))
-        cy = 1.0 / (1.0 + np.exp(-u[:, 1]))
+        # exp cannot overflow: a hit point moves only within [0, 1.2e-308],
+        # where no box corner lies but 0
+        cx = 1.0 / (1.0 + np.exp(np.minimum(-u[:, 0], 709.0)))
+        cy = 1.0 / (1.0 + np.exp(np.minimum(-u[:, 1], 709.0)))
         hit = (
             (gt[:, 0] <= cx) & (cx <= gt[:, 2])
             & (gt[:, 1] <= cy) & (cy <= gt[:, 3])
@@ -269,7 +276,7 @@ def run_continual(cfg: RunConfig, seed: int) -> tuple[AccuracyMatrix, list[Train
         stages = [(JOINT_STAGE, tasks)]
     else:
         stages = [(t.name, [t]) for t in tasks]
-    policy = GroundingPolicy.zeros(tasks[0].state_dim, cfg.optim)
+    policy = GroundingPolicy.zeros(tasks[0].state_dim)
 
     rows = [evaluate(policy, tasks, cfg.eval_episodes, child_rng(master, STREAM_EVAL, 0))]
     records: list[TrainRecord] = []

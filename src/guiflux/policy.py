@@ -23,6 +23,11 @@ SIZE_MIN = 1e-4
 SIZE_MAX = 1.0
 ADV_STD_FLOOR = 1e-12
 LOG_2PI = math.log(2.0 * math.pi)
+# The untrained policy: screen-centered boxes of this side, with these
+# position and size log-stds.
+INIT_SIZE = 0.2
+INIT_LOG_STD = -1.6
+INIT_LOG_STD_SIZE = -0.5
 
 
 class NumericalAbort(RuntimeError):
@@ -40,9 +45,6 @@ class OptimConfig:
     beta: float = 0.04
     lr: float = 0.0012
     n_samples: int = 4
-    init_log_std: float = -1.6
-    init_log_std_size: float = -0.5
-    init_size: float = 0.2
 
     def __post_init__(self):
         if self.beta < 0.0:
@@ -51,12 +53,6 @@ class OptimConfig:
             raise ValueError("lr must be > 0")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        for name in ("init_log_std", "init_log_std_size"):
-            v = getattr(self, name)
-            if not LOG_STD_MIN <= v <= LOG_STD_MAX:
-                raise ValueError(f"{name} {v} outside [{LOG_STD_MIN}, {LOG_STD_MAX}]")
-        if not SIZE_MIN < self.init_size <= SIZE_MAX:
-            raise ValueError(f"init_size outside ({SIZE_MIN}, {SIZE_MAX}]")
 
 
 @dataclass(frozen=True)
@@ -90,12 +86,11 @@ class GroundingPolicy:
         return np.exp(self.log_std)
 
     @staticmethod
-    def zeros(feature_dim: int, optim: OptimConfig = OptimConfig()) -> "GroundingPolicy":
-        """Untrained policy: screen-centered boxes with `optim`'s element-size
-        prior, position-noise prior and size-noise prior."""
-        size, pos_std, size_std = optim.init_size, optim.init_log_std, optim.init_log_std_size
-        b = np.array([0.0, 0.0, math.log(size), math.log(size)])
-        log_stds = np.array([pos_std, pos_std, size_std, size_std], dtype=float)
+    def zeros(feature_dim: int) -> "GroundingPolicy":
+        """Untrained policy: screen-centered INIT_SIZE boxes with the INIT_LOG_STD
+        position noise and INIT_LOG_STD_SIZE size noise."""
+        b = np.array([0.0, 0.0, math.log(INIT_SIZE), math.log(INIT_SIZE)])
+        log_stds = np.array([INIT_LOG_STD, INIT_LOG_STD, INIT_LOG_STD_SIZE, INIT_LOG_STD_SIZE])
         return GroundingPolicy(np.zeros((feature_dim, 4)), b, log_stds)
 
 
@@ -107,11 +102,6 @@ class GroupRollout:
     actions: np.ndarray        # (N, 4) raw actions
     boxes: list[BBox]          # N decoded boxes
     logp_behavior: np.ndarray  # (N,) log-prob under the sampling policy; anchors the ratio
-
-    def __post_init__(self):
-        n = self.actions.shape[0]
-        if not (len(self.boxes) == n and self.logp_behavior.shape == (n,)):
-            raise ValueError("rollout field lengths disagree")
 
     @property
     def n(self) -> int:
@@ -158,8 +148,6 @@ def sample_group(
 ) -> GroupRollout:
     """Draw N raw actions at `state`, decoding boxes and recording their
     log-probs under the sampling policy."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     state = np.asarray(state, dtype=float)
     mean = policy.action_mean(state)
     std = policy.action_std()

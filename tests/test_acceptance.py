@@ -164,7 +164,7 @@ def test_criterion_10_forward_transfer():
 
     def stage1_future_accuracy(cfg: RunConfig, seed: int) -> float:
         tasks = cfg.tasks
-        policy = GroundingPolicy.zeros(tasks[0].state_dim, cfg.optim)
+        policy = GroundingPolicy.zeros(tasks[0].state_dim)
         policy = train_stage(policy, tasks[:1], cfg, [], seed, 0)
         row, _, _ = evaluate(policy, tasks, cfg.eval_episodes, child_rng(seed, STREAM_EVAL, 1))
         return float(row[1:].mean())

@@ -46,8 +46,8 @@ FUZZ_DOC = {
     "steps_per_task": 3,
     "eval_episodes": 10,
     "seeds": [0, 2],
-    "optim": {"beta": 0.04, "lr": 0.001, "n_samples": 4, "init_size": 0.2},
-    "reward": {"alpha": 15.0, "gamma": 0.5, "kappa": 1.0, "tau": 0.1, "correctness_kind": "iou"},
+    "optim": {"beta": 0.04, "lr": 0.001, "n_samples": 4},
+    "reward": {"alpha": 15.0, "gamma": 0.5, "correctness_kind": "iou"},
     "sweep": {"scale_points": [[1, 1], [2.0, 0.5]]},
     "simulator": {"overrides": {"mobile": {
         "noise_sigma": 0.01, "size_mean": 0.1, "matrix": [[1, 0], [0, 1]], "offset": [0.1, 0.0],
@@ -166,9 +166,7 @@ class TestConfig:
     @pytest.mark.parametrize("section, key, value", [
         ("optim", "lr", 0),
         ("optim", "n_samples", 0),
-        ("optim", "init_log_std", 9.0),
         ("reward", "alpha", -1),
-        ("reward", "tau", 0),
         ("reward", "correctness_kind", "dice"),
     ])
     def test_validation_error_names_section(self, section, key, value):
@@ -191,7 +189,13 @@ class TestConfig:
     @pytest.mark.parametrize("section, key, value", [
         ("optim", "ref_refresh", "per_step"),
         ("optim", "inner_epochs", 2),
+        ("optim", "init_log_std", -1.6),
+        ("optim", "init_log_std_size", -0.5),
+        ("optim", "init_size", 0.2),
         ("reward", "literal_variance", True),
+        ("reward", "kappa", 1.0),
+        ("reward", "eps_min", 1e-8),
+        ("reward", "tau", 0.1),
     ])
     def test_removed_knobs_are_unknown_keys(self, section, key, value):
         with pytest.raises(ConfigError, match=rf"unknown config keys: {section}\.{key}$"):
@@ -281,7 +285,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("fragment, path", [
         ({"optim": {"lr": math.nan}}, "optim.lr"),
         ({"optim": {"beta": math.inf}}, "optim.beta"),
-        ({"reward": {"kappa": math.inf}}, "reward.kappa"),
+        ({"reward": {"alpha": math.inf}}, "reward.alpha"),
         ({"simulator": {"overrides": {"mobile": {"noise_sigma": math.nan}}}},
          "simulator.overrides.mobile"),
     ])
@@ -291,25 +295,6 @@ class TestRunCommand:
         assert main(["run", write_cfg(tmp_path, {**TINY, **fragment}), str(out)]) == 2
         assert path in caplog.text
         assert not out.exists()
-
-    @pytest.mark.parametrize("reward, path", [
-        ({"kappa": 1e40}, "reward.kappa"),
-        ({"kappa": 1e160}, "reward.kappa"),
-        ({"kappa": 1e160, "correctness_kind": "iou"}, "reward.kappa"),
-        ({"eps_min": 1e80}, "reward.eps_min"),
-        ({"eps_min": 1e-100, "kappa": 1e-60}, "reward.eps_min"),
-    ])
-    def test_box_gaussian_over_or_underflow_exits_2(self, tmp_path, caplog, reward, path):
-        doc = {**TINY, "steps_per_task": 5, "eval_episodes": 10, "reward": reward}
-        out = tmp_path / "o"
-        assert main(["run", write_cfg(tmp_path, doc), str(out)]) == 2
-        assert path in caplog.text
-        assert not out.exists()
-
-    @pytest.mark.parametrize("reward", [{"kappa": 1e30}, {"eps_min": 1e60}])
-    def test_large_but_finite_box_gaussian_runs(self, tmp_path, reward):
-        doc = {**TINY, "steps_per_task": 5, "eval_episodes": 10, "reward": reward}
-        assert main(["run", write_cfg(tmp_path, doc), str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("override, path", [
         ({"noise_sigma": True}, "simulator.overrides.mobile.noise_sigma"),
@@ -474,6 +459,19 @@ class TestAblateCommand:
         out = tmp_path / "grid"
         assert main(["ablate", write_cfg(tmp_path, doc), str(out)]) == 2
         assert "sweep.scale_points[1]" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reward, scale_points", [
+        ({}, [[1e308, 1]]),
+        ({"gamma": 10}, [[1, 1e308]]),
+    ], ids=["alpha", "gamma"])
+    def test_overflowing_scale_point_exits_2_naming_path(
+        self, tmp_path, caplog, reward, scale_points
+    ):
+        doc = {**TINY, "reward": reward, "sweep": {"scale_points": scale_points}}
+        out = tmp_path / "grid"
+        assert main(["ablate", write_cfg(tmp_path, doc), str(out)]) == 2
+        assert "sweep.scale_points[0]" in caplog.text
         assert not out.exists()
 
     @pytest.mark.parametrize("scale_points", [

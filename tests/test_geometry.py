@@ -106,12 +106,6 @@ class TestToGaussian:
             b = random_bbox(rng)
             assert to_gaussian(b, 0.3, 1e-8)[:2] == center(b)
 
-    def test_bad_params_rejected(self):
-        with pytest.raises(ValueError):
-            to_gaussian(BBox(0, 0, 1, 1), kappa=0.0, eps_min=1e-8)
-        with pytest.raises(ValueError):
-            to_gaussian(BBox(0, 0, 1, 1), kappa=0.25, eps_min=0.0)
-
 
 class TestIoU:
     def test_identical(self):

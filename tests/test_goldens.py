@@ -4,7 +4,9 @@ Reruns seeds 0-2 of every scenario through `guiflux run` at the length the
 benchmark records them with, and one master seed of every benchmark
 workload, and compares the SHA-256 of matrix.csv and trainlog.csv with
 bench/goldens.json. The file is only read here;
-`python3 bench/goldens.py record` is the one way to rewrite it.
+`python3 bench/goldens.py record` is the one way to rewrite it. The
+`point_distance` runs, which bench/goldens.json does not cover, keep their
+digests in this file.
 """
 
 import hashlib
@@ -31,18 +33,60 @@ SCENARIO_GOLDENS = GOLDENS["scenarios"]
 # and beta 0.
 WORKLOAD_MASTERS = {"train": 3, "eval": 0, "grid": 0}
 
+# (scenario, seed, length) -> (matrix.csv, trainlog.csv) digests under
+# point_distance correctness: they pin TAU and the diversity sums. "short"
+# is the scenario goldens' length, "default" the config's. The
+# resolution_flux run saturates evaluate's sigmoid, where exp overflowed.
+POINT_DISTANCE_GOLDENS = {
+    ("domain_flux", 0, "short"): (
+        "03a8bce3c570bbf27c4bb81cb98d47ce9e5ad44a3e9dcc68845add6d1f188d1b",
+        "25f8206cb49814d5fb286c5b20cbb53ce695167e4717b6ea1d99ae23ce564ef3",
+    ),
+    ("domain_flux", 1, "short"): (
+        "426b23d2730020b625fc3b1e4767c7689d8986272dec997b5196311a3da992e2",
+        "c2f8c01921c8aed7b6651004c2b4ae5d9724effccddb950ae54868e12b583ce8",
+    ),
+    ("domain_flux", 2, "short"): (
+        "3bd75532e60389169517ab720f1e2ca1404e9704c16bece53c7767fdf7e73b6a",
+        "e567900606eac1f4e9e19d1a4ee23a5b536a5b064253e2aaf7a1ee4ff1f5978a",
+    ),
+    ("resolution_flux", 0, "default"): (
+        "7060343cd3c65a2c3e414aa2732bc34ce568e150bc833dc4351b1cdc5a029285",
+        "0e846893f197e154f8690eb0c3ca2f5a74f49b177ec9dba986a9bf576d7412ff",
+    ),
+}
+LENGTHS = {"short": SCENARIO_CONFIG, "default": {}}
+
+
+def _run_digests(tmp_path, doc):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), str(out)]) == 0
+    return tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("matrix.csv", "trainlog.csv")
+    )
+
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("seed", SCENARIO_SEEDS)
 def test_outputs_match_recorded_digests(tmp_path, scenario, seed):
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({**SCENARIO_CONFIG, "scenario": scenario, "seeds": [seed]}))
-    out = tmp_path / "out"
-    assert main(["run", str(cfg), str(out)]) == 0
+    doc = {**SCENARIO_CONFIG, "scenario": scenario, "seeds": [seed]}
+    digests = _run_digests(tmp_path, doc)
     expected = SCENARIO_GOLDENS[scenario][str(seed)]
-    for name in ("matrix.csv", "trainlog.csv"):
-        digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    for name, digest in zip(("matrix.csv", "trainlog.csv"), digests):
         assert digest == expected[name], f"{scenario} seed {seed}: {name} moved"
+
+
+@pytest.mark.parametrize("scenario, seed, length", POINT_DISTANCE_GOLDENS)
+def test_point_distance_outputs_match_recorded_digests(tmp_path, scenario, seed, length):
+    doc = {
+        **LENGTHS[length], "scenario": scenario, "seeds": [seed],
+        "reward": {"correctness_kind": "point_distance"},
+    }
+    expected = POINT_DISTANCE_GOLDENS[scenario, seed, length]
+    assert _run_digests(tmp_path, doc) == expected, f"{scenario} seed {seed} moved"
 
 
 @pytest.mark.parametrize("name, master", WORKLOAD_MASTERS.items())

@@ -21,7 +21,7 @@ from guiflux.harness import (
 from guiflux.persistence import write_run
 from guiflux.policy import GroundingPolicy, OptimConfig
 from guiflux.rewards import RewardConfig
-from guiflux.simulator import make_sequence
+from guiflux.simulator import make_sequence, sample_instances
 
 from conftest import oracle_policy
 
@@ -67,6 +67,24 @@ class TestEvaluate:
         row, text, icon = evaluate(policy, tasks, 200, np.random.default_rng(2))
         for arr in (row, text, icon):
             assert ((0.0 <= arr) & (arr <= 1.0)).all()
+
+    def test_saturated_mean_action_emits_no_warning(self):
+        # a mean x action of -1000 overflowed the unclamped exp; the rates
+        # are still the unclamped formula's
+        tasks = make_sequence("domain_flux", 0)
+        oracle = oracle_policy(tasks[0])
+        policy = GroundingPolicy(oracle.W, oracle.b - [1000.0, 0, 0, 0], oracle.log_std)
+        got = evaluate(policy, tasks, 300, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        for t_idx, task in enumerate(tasks):
+            states, gt, is_text = sample_instances(task, 300, rng)
+            u = states @ policy.W + policy.b
+            with np.errstate(over="ignore"):
+                cx = 1.0 / (1.0 + np.exp(-u[:, 0]))
+                cy = 1.0 / (1.0 + np.exp(-u[:, 1]))
+            hit = (gt[:, 0] <= cx) & (cx <= gt[:, 2]) & (gt[:, 1] <= cy) & (cy <= gt[:, 3])
+            expected = (hit.mean(), hit[is_text].mean(), hit[~is_text].mean())
+            assert tuple(rates[t_idx] for rates in got) == expected
 
 
 class TestTrainTask:

@@ -10,7 +10,6 @@ from guiflux.geometry import BBox
 from guiflux.policy import (
     LOG_STD_MAX,
     GroundingPolicy,
-    GroupRollout,
     NumericalAbort,
     OptimConfig,
     action_to_bbox,
@@ -97,15 +96,6 @@ class TestPolicyTypes:
         with pytest.raises(ValueError):
             OptimConfig(beta=-0.1)
 
-    def test_rollout_length_check(self):
-        with pytest.raises(ValueError):
-            GroupRollout(
-                state=np.zeros(6),
-                actions=np.zeros((4, 4)),
-                boxes=[action_to_bbox(np.zeros(4))] * 3,
-                logp_behavior=np.zeros(4),
-            )
-
     def test_rollout_is_frozen(self, rng):
         rollout = sample_group(make_policy(rng), np.zeros(6), 4, rng)
         with pytest.raises(FrozenInstanceError):
@@ -136,11 +126,6 @@ class TestSampleGroup:
         expected = gaussian_logp(rollout.actions, theta.action_mean(state), theta.log_std)
         assert np.array_equal(rollout.logp_behavior, expected)
         assert len({id(b) for b in rollout.boxes}) == 4
-
-    def test_requires_positive_n(self, rng):
-        theta = make_policy(rng)
-        with pytest.raises(ValueError):
-            sample_group(theta, np.zeros(6), 0, rng)
 
 
 class TestGrpoAdvantage:

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 import guiflux.rewards as rewards_mod
 from guiflux.geometry import BBox, iou, to_gaussian
 from guiflux.rewards import (
+    EPS_MIN,
+    KAPPA,
+    TAU,
     RewardConfig,
     bhattacharyya,
     center_spread,
@@ -94,6 +97,14 @@ class TestCenterSpread:
             assert got == pytest.approx(brute_spread(boxes), abs=1e-9)
             assert got >= 0.0
 
+    def test_sums_left_to_right(self, monkeypatch):
+        # the trainlog goldens hold left-to-right sums; the compensated
+        # builtin sum of Python 3.12+ gives 0.007499999999999999 here
+        g = [BBox(x, 0.5, x, 0.5) for x in (0.1, 0.1, 0.1, 0.3)]
+        assert center_spread(g) == 0.007499999999999998
+        monkeypatch.setattr(rewards_mod, "sum", math.fsum, raising=False)
+        assert center_spread(g) == 0.007499999999999998
+
 
 class TestBhattacharyya:
     def test_identical_zero(self):
@@ -169,9 +180,7 @@ class TestDiversityReward:
     def test_weighted_composition(self, rng):
         cfg = RewardConfig(alpha=15.0, gamma=0.5)
         boxes = [random_bbox(rng) for _ in range(4)]
-        expected = 15.0 * brute_spread(boxes) + 0.5 * brute_separation(
-            boxes, cfg.kappa, cfg.eps_min
-        )
+        expected = 15.0 * brute_spread(boxes) + 0.5 * brute_separation(boxes, KAPPA, EPS_MIN)
         assert diversity_reward(boxes, cfg)[2] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_weight_term_is_off(self, rng, monkeypatch):
@@ -248,9 +257,10 @@ class TestCorrectness:
         gt = BBox(0.3, 0.3, 0.5, 0.5)
         pred = BBox(0.35, 0.3, 0.55, 0.5)
         assert correctness(pred, gt, RewardConfig(correctness_kind="iou")) == iou(pred, gt)
-        assert correctness(pred, gt, RewardConfig(correctness_kind="point_distance", tau=0.2)) == correctness_point(pred, gt, 0.2)
-        cfg = RewardConfig(correctness_kind="gaussian_dense", kappa=0.3)
-        assert correctness(pred, gt, cfg) == correctness_gaussian(pred, gt, 0.3, cfg.eps_min)
+        cfg = RewardConfig(correctness_kind="point_distance")
+        assert correctness(pred, gt, cfg) == correctness_point(pred, gt, TAU)
+        cfg = RewardConfig(correctness_kind="gaussian_dense")
+        assert correctness(pred, gt, cfg) == correctness_gaussian(pred, gt, KAPPA, EPS_MIN)
 
     def test_coverage_term_maximized_at_gt(self, rng):
         gt = BBox(0.4, 0.4, 0.6, 0.6)
