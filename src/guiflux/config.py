@@ -22,14 +22,6 @@ from .harness import RunConfig
 from .policy import OptimConfig
 from .rewards import RewardConfig
 
-_SWEEP_KEYS = {"scale_points"}
-_SIM_KEYS = {"overrides"}
-_TOP_KEYS = {
-    "scenario", "steps_per_task", "eval_episodes", "seeds",
-    "optim", "reward", "sweep", "simulator",
-}
-
-
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a config file into a RunConfig."""
     path = Path(path)
@@ -54,12 +46,14 @@ def parse_config(doc: dict) -> RunConfig:
     This checks the document's shape; RunConfig checks the values."""
     if not isinstance(doc, dict):
         raise ConfigError(f"config root must be an object, got {type(doc).__name__}")
-    _reject_unknown(doc, _TOP_KEYS, "")
+    unknown = _unknown_keys(doc, render_config(RunConfig()), "")
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
     optim = _dataclass_section(doc, "optim", OptimConfig)
     reward = _dataclass_section(doc, "reward", RewardConfig)
-    sweep_doc = _section(doc, "sweep", _SWEEP_KEYS)
-    sim_doc = _section(doc, "simulator", _SIM_KEYS)
+    sweep_doc = doc.get("sweep", {})
+    sim_doc = doc.get("simulator", {})
 
     seeds = doc.get("seeds", list(RunConfig.seeds))
     if not isinstance(seeds, list):
@@ -114,8 +108,8 @@ def render_config(cfg: RunConfig) -> dict:
 
 
 def _dataclass_section(doc: dict, name: str, cls: type):
-    """Parse section `name` into `cls`; its fields give the keys, defaults and types."""
-    sub = _section(doc, name, {f.name for f in fields(cls)})
+    """Parse section `name` into `cls`; its fields give the defaults and types."""
+    sub = doc.get(name, {})
     values = {
         f.name: _value(sub.get(f.name, f.default), f"{name}.{f.name}", _KINDS[f.type])
         for f in fields(cls)
@@ -127,19 +121,18 @@ def _dataclass_section(doc: dict, name: str, cls: type):
         raise ConfigError(f"{name}.{e}") from e
 
 
-def _section(doc: dict, name: str, allowed: set) -> dict:
-    sub = doc.get(name, {})
-    if not isinstance(sub, dict):
-        raise ConfigError(f"{name}: must be an object")
-    _reject_unknown(sub, allowed, name + ".")
-    return sub
-
-
-def _reject_unknown(doc: dict, allowed: set, prefix: str):
-    unknown = set(doc) - allowed
-    if unknown:
-        keys = ", ".join(prefix + k for k in sorted(unknown))
-        raise ConfigError(f"unknown config keys: {keys}")
+def _unknown_keys(doc: dict, layout: dict, prefix: str) -> list[str]:
+    """Paths of the keys of `doc` that the defaulted `layout` lacks. A section
+    that the layout fills with keys must be an object and is walked too."""
+    unknown = []
+    for key, value in doc.items():
+        if key not in layout:
+            unknown.append(prefix + key)
+        elif isinstance(layout[key], dict) and layout[key]:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{prefix}{key}: must be an object")
+            unknown += _unknown_keys(value, layout[key], f"{prefix}{key}.")
+    return unknown
 
 
 _EXPECTED = {float: "a finite number", int: "an integer", str: "a string"}

@@ -88,9 +88,9 @@ class RunConfig:
 
     def __post_init__(self):
         if self.steps_per_task < 0:
-            raise ValueError("steps_per_task must be >= 0")
+            raise ValueError(f"steps_per_task: must be >= 0, got {self.steps_per_task!r}")
         if self.eval_episodes < 1:
-            raise ValueError("eval_episodes must be >= 1")
+            raise ValueError(f"eval_episodes: must be >= 1, got {self.eval_episodes!r}")
         # a repeated seed would overwrite its own ablation run directories
         ints = all(type(s) is int and s >= 0 for s in self.seeds)  # type() rules out bools
         if not (self.seeds and ints and len(set(self.seeds)) == len(self.seeds)):

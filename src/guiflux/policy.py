@@ -48,39 +48,31 @@ class OptimConfig:
 
     def __post_init__(self):
         if self.beta < 0.0:
-            raise ValueError("beta must be >= 0")
+            raise ValueError(f"beta: must be >= 0, got {self.beta!r}")
         if self.lr <= 0.0:
-            raise ValueError("lr must be > 0")
+            raise ValueError(f"lr: must be > 0, got {self.lr!r}")
         if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+            raise ValueError(f"n_samples: must be >= 1, got {self.n_samples!r}")
 
 
 @dataclass(frozen=True)
 class GroundingPolicy:
-    """Linear-Gaussian policy: action mean = state @ W + b, per-dim std exp(log_std)."""
+    """Linear-Gaussian policy: action mean = state @ W + b, per-dim std exp(log_std).
+
+    A record that does not check itself: its makers keep the invariants
+    (float arrays of the shapes below, all finite, log_std in
+    [LOG_STD_MIN, LOG_STD_MAX]). `zeros` builds constants inside the bounds;
+    `step`, the one update guard, aborts unless the new W, b and dlog_std
+    are finite, then clips log_std; `verify`'s fixtures draw log_std inside
+    the bounds.
+    """
 
     W: np.ndarray        # (feature_dim, 4)
     b: np.ndarray        # (4,)
     log_std: np.ndarray  # (4,), clamped to [LOG_STD_MIN, LOG_STD_MAX]
 
-    def __post_init__(self):
-        W = np.asarray(self.W, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        log_std = np.asarray(self.log_std, dtype=float)
-        if W.ndim != 2 or W.shape[1] != 4 or b.shape != (4,) or log_std.shape != (4,):
-            raise ValueError(
-                f"bad parameter shapes W{W.shape} b{b.shape} log_std{log_std.shape}"
-            )
-        if not (np.isfinite(W).all() and np.isfinite(b).all() and np.isfinite(log_std).all()):
-            raise ValueError("non-finite policy parameters")
-        if (log_std < LOG_STD_MIN - 1e-12).any() or (log_std > LOG_STD_MAX + 1e-12).any():
-            raise ValueError(f"log_std outside [{LOG_STD_MIN}, {LOG_STD_MAX}]")
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "log_std", log_std)
-
     def action_mean(self, state: np.ndarray) -> np.ndarray:
-        return np.asarray(state, dtype=float) @ self.W + self.b
+        return state @ self.W + self.b
 
     def action_std(self) -> np.ndarray:
         return np.exp(self.log_std)
@@ -112,9 +104,10 @@ def action_to_bbox(u: np.ndarray) -> BBox:
     """Decode a raw action into a valid box.
 
     Center via sigmoid, sides via exp clamped to [1e-4, 1]; the corners are
-    clipped to [0,1] and re-ordered, so any finite action yields a valid box.
+    clipped to [0,1], so any finite action yields a valid box. The corners
+    need no re-ordering: rounding is monotone, so fl(c - side/2) <= c <=
+    fl(c + side/2) for a side >= 0, and the clip keeps that order.
     """
-    u = np.asarray(u, dtype=float)
     cx = _sigmoid(u[0])
     cy = _sigmoid(u[1])
     w = min(max(math.exp(min(u[2], 10.0)), SIZE_MIN), SIZE_MAX)
@@ -123,7 +116,7 @@ def action_to_bbox(u: np.ndarray) -> BBox:
     x2 = min(max(cx + w / 2.0, 0.0), 1.0)
     y1 = min(max(cy - h / 2.0, 0.0), 1.0)
     y2 = min(max(cy + h / 2.0, 0.0), 1.0)
-    return BBox(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
+    return BBox(x1, y1, x2, y2)
 
 
 def _sigmoid(x: float) -> float:
@@ -148,7 +141,6 @@ def sample_group(
 ) -> GroupRollout:
     """Draw N raw actions at `state`, decoding boxes and recording their
     log-probs under the sampling policy."""
-    state = np.asarray(state, dtype=float)
     mean = policy.action_mean(state)
     std = policy.action_std()
     noise = rng.standard_normal((n_samples, 4))
@@ -164,13 +156,10 @@ def grpo_advantage(rewards: np.ndarray) -> np.ndarray:
     Degenerate groups (all rewards equal, or a single sample) get all-zero
     advantages rather than dividing by ~0.
     """
-    r = np.asarray(rewards, dtype=float)
-    if r.ndim != 1 or r.size < 1:
-        raise ValueError("rewards must be a non-empty 1-d array")
-    std = r.std()
+    std = rewards.std()
     if std < ADV_STD_FLOOR:
-        return np.zeros_like(r)
-    return (r - r.mean()) / std
+        return np.zeros_like(rewards)
+    return (rewards - rewards.mean()) / std
 
 
 def kl_ref_theta(ref: GroundingPolicy, theta: GroundingPolicy, state: np.ndarray) -> float:
@@ -249,7 +238,8 @@ def step(
     theta: GroundingPolicy, grad: tuple[np.ndarray, np.ndarray, np.ndarray], lr: float
 ) -> GroundingPolicy:
     """One gradient-ascent step along grad = (dW, db, dlog_std); log_std is
-    re-clamped to its bounds.
+    re-clamped to its bounds. This is the guard that keeps every trained
+    GroundingPolicy finite and in bounds.
 
     Raises NumericalAbort when the new W or b, or dlog_std, is not finite,
     so the run stops with a diagnostic instead of silently corrupting the

@@ -36,19 +36,15 @@ class RewardConfig:
     correctness_kind: str = "gaussian_dense"
 
     def __post_init__(self):
-        if self.alpha < 0.0 or self.gamma < 0.0:
-            raise ValueError("alpha and gamma must be non-negative")
+        if self.alpha < 0.0:
+            raise ValueError(f"alpha: must be non-negative, got {self.alpha!r}")
+        if self.gamma < 0.0:
+            raise ValueError(f"gamma: must be non-negative, got {self.gamma!r}")
         if self.correctness_kind not in CORRECTNESS_KINDS:
             raise ValueError(
-                f"correctness_kind must be one of {CORRECTNESS_KINDS}, "
+                f"correctness_kind: must be one of {CORRECTNESS_KINDS}, "
                 f"got {self.correctness_kind!r}"
             )
-
-
-def _group_size(g: Sequence[BBox]) -> int:
-    if not g:
-        raise ValueError("prediction group must hold at least one box")
-    return len(g)
 
 
 def center_spread(g: Sequence[BBox]) -> float:
@@ -57,7 +53,7 @@ def center_spread(g: Sequence[BBox]) -> float:
     Zero iff all centers coincide; a single-box group has zero spread by
     definition.
     """
-    n = _group_size(g)
+    n = len(g)
     if n == 1:
         return 0.0
     cs = [center(b) for b in g]
@@ -101,7 +97,7 @@ def region_separation(g: Sequence[BBox], kappa: float, eps_min: float) -> float:
     Averages over all N(N-1)/2 unordered pairs; a single-box group has no
     pairs and returns zero.
     """
-    n = _group_size(g)
+    n = len(g)
     if n == 1:
         return 0.0
     gaussians = [to_gaussian(b, kappa, eps_min) for b in g]

@@ -115,22 +115,36 @@ class TaskSpec:
     n_tasks: int
 
     def __post_init__(self):
-        # written so that nan and +-inf fail every range check
-        if not 0.0 <= self.text_fraction <= 1.0:
-            raise ValueError(f"text_fraction {self.text_fraction} outside [0,1]")
-        if not 0.0 < self.size_mean <= 0.5:
-            raise ValueError(f"size_mean {self.size_mean} outside (0, 0.5]")
-        if not (0.0 <= self.size_spread < math.inf and 0.0 <= self.noise_sigma < math.inf):
-            raise ValueError("size_spread and noise_sigma must be non-negative and finite")
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (2, 2) or not np.isfinite(m).all() or abs(np.linalg.det(m)) < 1e-6:
-            raise ValueError(f"affine matrix must be finite and invertible 2x2, got {self.matrix}")
-        if len(self.offset) != 2 or not all(math.isfinite(v) for v in self.offset):
-            raise ValueError(f"offset must be 2 finite numbers, got {self.offset}")
+        # Each message starts with its field. A value that is not a number
+        # fails the isinstance test, and nan and +-inf fail every range.
+        ranges = (
+            ("text_fraction", lambda v: 0.0 <= v <= 1.0, "outside [0, 1]"),
+            ("size_mean", lambda v: 0.0 < v <= 0.5, "outside (0, 0.5]"),
+            ("size_spread", lambda v: 0.0 <= v < math.inf, "must be non-negative and finite"),
+            ("noise_sigma", lambda v: 0.0 <= v < math.inf, "must be non-negative and finite"),
+        )
+        for field, ok, what in ranges:
+            v = getattr(self, field)
+            if not (isinstance(v, (int, float)) and ok(v)):
+                raise ValueError(f"{field}: {what}, got {v!r}")
+        m = _floats_or_none(self.matrix)
+        if m is None or m.shape != (2, 2) or not np.isfinite(m).all() or abs(np.linalg.det(m)) < 1e-6:
+            raise ValueError(f"matrix: must be a finite invertible 2x2 matrix, got {self.matrix!r}")
+        v = _floats_or_none(self.offset)
+        if v is None or v.shape != (2,) or not np.isfinite(v).all():
+            raise ValueError(f"offset: must be 2 finite numbers, got {self.offset!r}")
 
     @property
     def state_dim(self) -> int:
         return 4 + self.n_tasks + 1
+
+
+def _floats_or_none(v) -> np.ndarray | None:
+    """`v` as a float array, or None when it is not a rectangular array of numbers."""
+    try:
+        return np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        return None
 
 
 def make_sequence(
@@ -153,27 +167,28 @@ def make_sequence(
     fixtures = SCENARIOS[scenario]
 
     overrides = overrides or {}
-    known = {f["name"] for f in fixtures}
-    unknown = set(overrides) - known
+    known = sorted(f["name"] for f in fixtures)
+    unknown = sorted(set(overrides) - set(known))
     if unknown:
         raise ConfigError(
-            f"simulator overrides for unknown tasks {sorted(unknown)}; "
-            f"scenario {scenario!r} has {sorted(known)}"
+            f"simulator.overrides.{unknown[0]}: unknown task; scenario {scenario!r} has {known}"
         )
 
     tasks = []
     for idx, fixture in enumerate(fixtures):
-        extra = overrides.get(fixture["name"], {})
-        bad = set(extra) - (set(fixture) - {"name"})
+        name = fixture["name"]
+        extra = overrides.get(name, {})
+        fields = sorted(set(fixture) - {"name"})
+        bad = sorted(set(extra) - set(fields))
         if bad:
             raise ConfigError(
-                f"unknown simulator override fields {sorted(bad)} "
-                f"for task {fixture['name']!r}"
+                f"simulator.overrides.{name}.{bad[0]}: unknown field; expected one of {fields}"
             )
         try:
             tasks.append(TaskSpec(**{**fixture, **extra}, index=idx, n_tasks=len(fixtures)))
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"simulator.overrides.{fixture['name']}: {e}") from e
+        except ValueError as e:
+            # every TaskSpec message starts with its field
+            raise ConfigError(f"simulator.overrides.{name}.{e}") from e
     return tasks
 
 
@@ -186,8 +201,6 @@ def sample_instances(
     (n,) text mask (False for icons). The boxes are checked once, as a
     whole, against the `BBox` invariants.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     is_text = rng.random(n) < task.text_fraction
     w = rng.normal(task.size_mean, task.size_spread, n)
     h = rng.normal(task.size_mean, task.size_spread, n)

@@ -120,6 +120,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="optim.learning_rate"):
             load_config(write_cfg(tmp_path, {"optim": {"learning_rate": 0.1}}))
 
+    def test_every_unknown_key_in_one_error(self):
+        doc = {"stepz": 1, "optim": {"bogus": 1}, "reward": {"bogus2": 1}, "sweep": {"x": 1}}
+        with pytest.raises(
+            ConfigError, match=r"^unknown config keys: optim\.bogus, reward\.bogus2, stepz, sweep\.x$"
+        ):
+            parse_config(doc)
+
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\n  broken\n}")
@@ -320,6 +327,31 @@ class TestRunCommand:
         out = tmp_path / "o"
         assert main(["run", write_cfg(tmp_path, doc), str(out)]) == 2
         assert f"{path}: expected a finite number" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fragment, path", [
+        ({"steps_per_task": -1}, "steps_per_task"),
+        ({"optim": {"lr": 0}}, "optim.lr"),
+        ({"reward": {"gamma": -1}}, "reward.gamma"),
+        ({"simulator": {"overrides": {"phone": {"noise_sigma": 0.0}}}}, "simulator.overrides.phone"),
+        *(
+            ({"simulator": {"overrides": {"mobile": {field: value}}}},
+             f"simulator.overrides.mobile.{field}")
+            for field, value in [
+                ("colour", 1.0),
+                ("index", 1),
+                ("noise_sigma", -1),
+                ("matrix", [[1, 0], [0]]),
+                ("offset", 0.5),
+                ("size_mean", []),
+                ("text_fraction", 1.5),
+            ]
+        ),
+    ])
+    def test_value_error_starts_with_its_path(self, tmp_path, caplog, fragment, path):
+        out = tmp_path / "o"
+        assert main(["run", write_cfg(tmp_path, {**TINY, **fragment}), str(out)]) == 2
+        assert caplog.records[-1].getMessage().startswith(f"{path}: ")
         assert not out.exists()
 
     def test_text_only_task_has_missing_icon_split(self, tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from guiflux.geometry import BBox
 from guiflux.policy import (
     LOG_STD_MAX,
+    LOG_STD_MIN,
     GroundingPolicy,
     NumericalAbort,
     OptimConfig,
@@ -82,14 +83,6 @@ class TestActionToBBox:
 
 
 class TestPolicyTypes:
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            GroundingPolicy(np.zeros((3, 3)), np.zeros(4), np.zeros(4))
-
-    def test_log_std_bounds(self):
-        with pytest.raises(ValueError):
-            GroundingPolicy(np.zeros((3, 4)), np.zeros(4), np.full(4, -7.0))
-
     def test_optim_config_validation(self):
         with pytest.raises(ValueError):
             OptimConfig(lr=0.0)
@@ -301,6 +294,36 @@ class TestStep:
         )
         with pytest.raises(NumericalAbort, match="lr=1e\\+308"):
             step(theta, g, lr=1e308)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @settings(max_examples=300, deadline=None)
+    @given(
+        theta=st.tuples(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=12, max_size=12),
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
+            st.lists(st.floats(LOG_STD_MIN, LOG_STD_MAX), min_size=4, max_size=4),
+        ),
+        grad=st.tuples(
+            st.lists(st.floats(), min_size=12, max_size=12),
+            st.lists(st.floats(), min_size=4, max_size=4),
+            st.lists(st.floats(), min_size=4, max_size=4),
+        ),
+        lr=st.floats(0.0, 1e308, exclude_min=True),
+    )
+    def test_result_keeps_the_policy_invariants(self, theta, grad, lr):
+        # step is the one guard of GroundingPolicy: from a finite policy,
+        # any gradient and any lr either abort or give a finite policy of the
+        # same shapes with log_std in bounds
+        W, b, log_std = (np.array(v) for v in theta)
+        theta = GroundingPolicy(W.reshape(3, 4), b, log_std)
+        dW, db, dlog_std = (np.array(v) for v in grad)
+        try:
+            out = step(theta, (dW.reshape(3, 4), db, dlog_std), lr)
+        except NumericalAbort:
+            return
+        assert out.W.shape == (3, 4) and out.b.shape == (4,) and out.log_std.shape == (4,)
+        assert np.isfinite(out.W).all() and np.isfinite(out.b).all()
+        assert ((LOG_STD_MIN <= out.log_std) & (out.log_std <= LOG_STD_MAX)).all()
 
 
 class TestGaussianLogp:

@@ -40,14 +40,6 @@ def brute_separation(boxes, kappa, eps_min):
     return 2.0 * total / (n * (n - 1))
 
 
-class TestPredictionGroup:
-    def test_requires_boxes(self):
-        with pytest.raises(ValueError):
-            center_spread([])
-        with pytest.raises(ValueError):
-            region_separation([], 0.25, 1e-8)
-
-
 class TestRewardConfig:
     def test_defaults_valid(self):
         cfg = RewardConfig()
