@@ -70,19 +70,27 @@ def cmd_ablate(args) -> int:
         cfg = replace(cfg, seeds=(args.seed,))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # each run is written when it finishes, so an abort keeps the runs before it
-    summary = []
-    for cell in harness.ablate(cfg):
-        finals = []
-        for seed in cfg.seeds:
-            matrix, records = harness.run_continual(cell.cfg, seed)
+    cells = harness.ablate(cfg)
+    finals: list[list[float]] = [[] for _ in cells]
+    # one batch per seed; its runs are written as it returns, so an abort
+    # keeps every finished run
+    for seed in cfg.seeds:
+        aborts = []
+        results = harness.run_batch([cell.cfg for cell in cells], seed)
+        for cell, result, cell_finals in zip(cells, results, finals):
             run_id = f"{cell.cell_id}_s{seed}"
+            if isinstance(result, NumericalAbort):
+                log.error("ablation run %s aborted: %s", run_id, result)
+                aborts.append(result)
+                continue
+            matrix, records = result
             persistence.write_run(out / run_id, cell.cfg, seed, matrix, records)
             log.info("ablation run %s done", run_id)
-            finals.append(matrix.final_average())
-        summary.append((cell, finals))
-    persistence.write_summary(out, summary)
-    log.info("ablation grid complete: %d cells -> %s", len(summary), args.out_dir)
+            cell_finals.append(matrix.final_average())
+        if aborts:
+            raise aborts[0]
+    persistence.write_summary(out, list(zip(cells, finals)))
+    log.info("ablation grid complete: %d cells -> %s", len(cells), args.out_dir)
     return EXIT_OK
 
 

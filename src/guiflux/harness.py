@@ -1,19 +1,23 @@
-"""Sequential training, evaluation, continual-learning metrics, ablation grid.
+"""Lockstep training, evaluation, continual-learning metrics, ablation grid.
 
 A run is a list of stages: one per task of a scenario in order, or a single
 joint stage that trains every task. Each stage's KL reference is the policy
 at the stage's start. The policy is evaluated on every task after every
 stage (plus once untrained), producing a (stages+1) x tasks accuracy matrix
 with text/icon splits. All randomness flows through named child
-streams of the master seed, so paired runs that differ only in method
-weights (reward.alpha, reward.gamma, optim.beta) see identical instance
-streams.
+streams of the master seed, and no draw depends on the policy, so runs that
+differ only in method weights (reward.alpha, reward.gamma, optim.beta) see
+identical task choices, instances, action noise and evaluation episodes.
+`run_batch` trains such runs as one batch that makes each draw once;
+`run_continual` is the batch of one run.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,6 +26,7 @@ from . import rewards as rw
 from .geometry import BBox
 from .policy import (
     GroundingPolicy,
+    NumericalAbort,
     OptimConfig,
     grad_objective,
     grpo_advantage,
@@ -173,54 +178,66 @@ def evaluate(
     episodes: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One accuracy-matrix row: per-task overall/text/icon success rates.
+    """One accuracy-matrix row per run: (R, tasks) overall/text/icon success rates.
 
-    Evaluation is deterministic given the rng and uses no sampling noise: an
-    episode is a hit when the point (sigmoid(u_x), sigmoid(u_y)) of the
-    policy's mean action u lands inside the ground-truth box. That point is
-    taken before `action_to_bbox` clips the corners to the screen, so near a
-    screen edge it can differ from the center of the decoded mean box. A
-    split with no episodes (e.g. icons under text_fraction 1) is nan:
-    missing, not 0% accurate. Each call draws fresh episodes from `rng`, so
-    two rows of one run differ by sampling noise even when the policy does
-    not change.
+    Every run is scored on the same episodes. Evaluation is deterministic
+    given the rng and uses no sampling noise: an episode is a hit when the
+    point (sigmoid(u_x), sigmoid(u_y)) of the policy's mean action u lands
+    inside the ground-truth box. That point is taken before `action_to_bbox`
+    clips the corners to the screen, so near a screen edge it can differ
+    from the center of the decoded mean box. A split with no episodes (e.g.
+    icons under text_fraction 1) is nan: missing, not 0% accurate. Each call
+    draws fresh episodes from `rng`, so two rows of one run differ by
+    sampling noise even when the policy does not change.
     """
-    overall = np.zeros(len(tasks))
-    text = np.zeros(len(tasks))
-    icon = np.zeros(len(tasks))
+    shape = (policy.b.shape[0], len(tasks))
+    overall = np.zeros(shape)
+    text = np.zeros(shape)
+    icon = np.zeros(shape)
     for t_idx, task in enumerate(tasks):
         states, gt, is_text = sample_instances(task, episodes, rng)
-        u = states @ policy.W + policy.b
+        u = states @ policy.W + policy.b[:, None, :]  # (R, episodes, 4)
         # exp cannot overflow: a hit point moves only within [0, 1.2e-308],
         # where no box corner lies but 0
-        cx = 1.0 / (1.0 + np.exp(np.minimum(-u[:, 0], 709.0)))
-        cy = 1.0 / (1.0 + np.exp(np.minimum(-u[:, 1], 709.0)))
+        cx = 1.0 / (1.0 + np.exp(np.minimum(-u[..., 0], 709.0)))
+        cy = 1.0 / (1.0 + np.exp(np.minimum(-u[..., 1], 709.0)))
         hit = (
             (gt[:, 0] <= cx) & (cx <= gt[:, 2])
             & (gt[:, 1] <= cy) & (cy <= gt[:, 3])
         )
-        overall[t_idx] = hit.mean()
-        text[t_idx] = hit[is_text].mean() if is_text.any() else np.nan
-        icon[t_idx] = hit[~is_text].mean() if not is_text.all() else np.nan
+        n_text = int(is_text.sum())
+        n_icon = episodes - n_text
+        overall[:, t_idx] = hit.mean(axis=1)
+        text[:, t_idx] = (hit & is_text).sum(axis=1) / n_text if n_text else np.nan
+        icon[:, t_idx] = (hit & ~is_text).sum(axis=1) / n_icon if n_icon else np.nan
     return overall, text, icon
 
 
 def train_stage(
     policy: GroundingPolicy,
     tasks: list[TaskSpec],
-    cfg: RunConfig,
-    records: list[TrainRecord],
+    cfgs: Sequence[RunConfig],
+    records: Sequence[list[TrainRecord]],
     master: int,
     stage: int,
-) -> GroundingPolicy:
-    """Run cfg.steps_per_task optimization steps per task of one stage.
+) -> tuple[GroundingPolicy, dict[int, NumericalAbort]]:
+    """Run steps_per_task optimization steps per task of one stage, for
+    every run of a batch in lockstep.
 
+    Row r of `policy` is the run of cfgs[r], whose records go to records[r].
     The KL reference is the policy at the start of the stage. Each task
     draws its instances from its own stream, the stage's actions come from
     one stream, and a stage of more than one task picks each step's task
-    from the task-choice stream.
+    from the task-choice stream; every draw is made once and shared by all
+    runs. A run whose update is not finite leaves the batch. Returns the
+    policies of the runs that finished, in row order, and the NumericalAbort
+    of each run that left, keyed by its row in `policy`.
     """
+    cfg = cfgs[0]
     ref = policy
+    beta = np.array([c.optim.beta for c in cfgs])
+    live = list(range(len(cfgs)))  # the input row of each batch row
+    aborts: dict[int, NumericalAbort] = {}
     rngs_inst = [child_rng(master, STREAM_TRAIN_INSTANCES, t.index) for t in tasks]
     rng_actions = child_rng(master, STREAM_ACTIONS, stage)
     rng_choice = child_rng(master, STREAM_TASK_CHOICE) if len(tasks) > 1 else None
@@ -233,36 +250,57 @@ def train_stage(
         # snapshot as well would make it overflow once the policy has
         # genuinely moved.
         rollout = sample_group(policy, state, cfg.optim.n_samples, rng_actions)
-        scores = np.array([rw.correctness(box, gt, cfg.reward) for box in rollout.boxes])
-        spread, separation, r_div = rw.diversity_reward(rollout.boxes, cfg.reward)
+        scores = np.array(
+            [[rw.correctness(box, gt, cfg.reward) for box in g] for g in rollout.boxes]
+        )
+        bonus = [rw.diversity_reward(g, cfgs[r].reward) for r, g in zip(live, rollout.boxes)]
         # the group-shared diversity bonus is added to every advantage
-        shaped = grpo_advantage(scores) + r_div
+        shaped = grpo_advantage(scores) + np.array([[r_div] for _, _, r_div in bonus])
 
         kl_val = kl_ref_theta(ref, policy, state)
-        grad = grad_objective(rollout, shaped, policy, ref, cfg.optim.beta)
-        policy = step(policy, grad, cfg.optim.lr)
+        logged = list(zip(scores.mean(axis=1).tolist(), bonus, kl_val.tolist()))
+        grad = grad_objective(rollout, shaped, policy, ref, beta)
+        policy, failed = step(policy, grad, cfg.optim.lr)
+        if failed:
+            aborts.update((live[r], e) for r, e in failed.items())
+            keep = [r for r in range(len(live)) if r not in failed]
+            if not keep:
+                break
+            live = [live[r] for r in keep]
+            logged = [logged[r] for r in keep]
+            ref, rollout = ref.take(keep), rollout.take(keep)
+            shaped, beta = shaped[keep], beta[keep]
         # logged post-update: at the behavior policy the ratios are
         # identically 1 and the surrogate reduces to the diversity bonus,
         # which carries no step-level information
-        j_val = objective(rollout, shaped, policy, ref, cfg.optim.beta)
+        j_val = objective(rollout, shaped, policy, ref, beta)
 
-        records.append(
-            TrainRecord(
-                step=len(records),
-                task=tasks[k].index,
-                correctness=float(scores.mean()),
-                apr=spread,
-                arr=separation,
-                r_aif=r_div,
-                kl=kl_val,
-                objective=j_val,
+        for r, (correct, (spread, separation, r_div), kl), j in zip(live, logged, j_val.tolist()):
+            records[r].append(
+                TrainRecord(
+                    step=len(records[r]),
+                    task=tasks[k].index,
+                    correctness=correct,
+                    apr=spread,
+                    arr=separation,
+                    r_aif=r_div,
+                    kl=kl,
+                    objective=j,
+                )
             )
-        )
-    return policy
+    return policy, aborts
 
 
-def run_continual(cfg: RunConfig, seed: int) -> tuple[AccuracyMatrix, list[TrainRecord]]:
-    """Full continual run for one master seed.
+def run_batch(
+    cfgs: Sequence[RunConfig], seed: int
+) -> list[tuple[AccuracyMatrix, list[TrainRecord]] | NumericalAbort]:
+    """Full continual runs of several configs on one master seed, in lockstep.
+
+    The configs may differ only in their method weights (reward.alpha,
+    reward.gamma, optim.beta): every run then sees the same draws, and the
+    batch makes each draw once. Item i of the result is run cfgs[i]'s
+    (matrix, records), or the NumericalAbort that ended it; the other runs
+    still finish.
 
     A run is a list of stages, each a label and the tasks it trains: one
     stage per task in sequence order, or for the "joint" scenario a single
@@ -270,33 +308,69 @@ def run_continual(cfg: RunConfig, seed: int) -> tuple[AccuracyMatrix, list[Train
     Row 0 of the matrix is the untrained policy; row k evaluates on every
     task after stage k.
     """
+    cfg = cfgs[0]
+    if any(_shared(c) != _shared(cfg) for c in cfgs[1:]):
+        raise ValueError(
+            "a batch's configs may differ only in reward.alpha, reward.gamma, optim.beta"
+        )
     master = int(seed)
     tasks = cfg.tasks
     if cfg.scenario == "joint":
         stages = [(JOINT_STAGE, tasks)]
     else:
         stages = [(t.name, [t]) for t in tasks]
-    policy = GroundingPolicy.zeros(tasks[0].state_dim)
-
-    rows = [evaluate(policy, tasks, cfg.eval_episodes, child_rng(master, STREAM_EVAL, 0))]
-    records: list[TrainRecord] = []
     stage_labels = ["untrained"]
-    for k, (label, stage_tasks) in enumerate(stages):
-        policy = train_stage(policy, stage_tasks, cfg, records, master, k)
-        rows.append(
-            evaluate(policy, tasks, cfg.eval_episodes, child_rng(master, STREAM_EVAL, k + 1))
-        )
+    for label, _ in stages:
         prev = stage_labels[-1]
         stage_labels.append(label if prev == "untrained" else f"{prev}->{label}")
 
-    matrix = AccuracyMatrix(
-        overall=np.stack([r[0] for r in rows]),
-        text=np.stack([r[1] for r in rows]),
-        icon=np.stack([r[2] for r in rows]),
-        task_names=[t.name for t in tasks],
-        stage_labels=stage_labels,
+    results: list = [None] * len(cfgs)
+    records: list[list[TrainRecord]] = [[] for _ in cfgs]
+    matrix_rows: list[list] = [[] for _ in cfgs]
+    runs = list(range(len(cfgs)))  # the run of each batch row
+    policy = GroundingPolicy.zeros(tasks[0].state_dim, len(cfgs))
+
+    def score(k: int) -> None:
+        scored = evaluate(policy, tasks, cfg.eval_episodes, child_rng(master, STREAM_EVAL, k))
+        for r, i in enumerate(runs):
+            matrix_rows[i].append([split[r] for split in scored])
+
+    score(0)
+    for k, (_, stage_tasks) in enumerate(stages):
+        policy, aborts = train_stage(
+            policy, stage_tasks, [cfgs[i] for i in runs], [records[i] for i in runs], master, k
+        )
+        for r, e in aborts.items():
+            results[runs[r]] = e
+        runs = [i for r, i in enumerate(runs) if r not in aborts]
+        if not runs:
+            break
+        score(k + 1)
+
+    for i in runs:
+        overall, text, icon = (np.stack(split) for split in zip(*matrix_rows[i]))
+        matrix = AccuracyMatrix(overall, text, icon, [t.name for t in tasks], stage_labels)
+        results[i] = (matrix, records[i])
+    return results
+
+
+def _shared(cfg: RunConfig) -> tuple:
+    """What the runs of one batch must agree on."""
+    return (
+        cfg.scenario, cfg.tasks, cfg.steps_per_task, cfg.eval_episodes,
+        cfg.optim.n_samples, cfg.optim.lr, cfg.reward.correctness_kind,
     )
-    return matrix, records
+
+
+def run_continual(cfg: RunConfig, seed: int) -> tuple[AccuracyMatrix, list[TrainRecord]]:
+    """Full continual run for one master seed: the batch of one run.
+
+    Raises the run's NumericalAbort when an update is not finite.
+    """
+    (result,) = run_batch([cfg], seed)
+    if isinstance(result, NumericalAbort):
+        raise result
+    return result
 
 
 def first_trained_stages(m: AccuracyMatrix) -> list[int]:
@@ -407,17 +481,27 @@ def ablate(base: RunConfig) -> list[AblationCell]:
     return [
         AblationCell(
             variant, use_kl, a_scale, g_scale,
-            replace(
+            _with_weights(
                 base,
-                reward=replace(
-                    base.reward,
-                    alpha=base.reward.alpha * a_scale if use_apr else 0.0,
-                    gamma=base.reward.gamma * g_scale if use_arr else 0.0,
-                ),
-                optim=replace(base.optim, beta=base.optim.beta if use_kl else 0.0),
+                alpha=base.reward.alpha * a_scale if use_apr else 0.0,
+                gamma=base.reward.gamma * g_scale if use_arr else 0.0,
+                beta=base.optim.beta if use_kl else 0.0,
             ),
         )
         for variant, use_apr, use_arr in ABLATION_VARIANTS
         for use_kl in (True, False)
         for a_scale, g_scale in base.scale_points
     ]
+
+
+def _with_weights(base: RunConfig, alpha: float, gamma: float, beta: float) -> RunConfig:
+    """`base` with new method weights, sharing base's tasks.
+
+    RunConfig's own checks are not re-run: base passed them, the weights are
+    checked by RewardConfig and OptimConfig, and the sweep check would scale
+    the already scaled alpha or gamma a second time.
+    """
+    cfg = copy.copy(base)
+    object.__setattr__(cfg, "reward", replace(base.reward, alpha=alpha, gamma=gamma))
+    object.__setattr__(cfg, "optim", replace(base.optim, beta=beta))
+    return cfg

@@ -1,9 +1,11 @@
-"""Linear-Gaussian box policy and its group-relative policy optimization.
+"""Linear-Gaussian box policies and their group-relative policy optimization.
 
-The policy maps a state feature vector to a diagonal Gaussian over a raw
-4-dim action (pre-squash center x/y, log-width, log-height). Groups of N
+A policy maps a state feature vector to a diagonal Gaussian over a raw
+4-dim action (pre-squash center x/y, log-width, log-height). Policies come
+in batches: every array has a leading run axis R, one row per run, and the
+runs of a batch share each state and each draw of action noise. Groups of N
 actions are sampled per instruction, scored, normalized into group-relative
-advantages, and the policy ascends the likelihood-ratio objective with an
+advantages, and each run ascends its likelihood-ratio objective with an
 analytic KL penalty against a frozen reference snapshot. Policies are
 immutable; every update returns a new one.
 """
@@ -57,47 +59,61 @@ class OptimConfig:
 
 @dataclass(frozen=True)
 class GroundingPolicy:
-    """Linear-Gaussian policy: action mean = state @ W + b, per-dim std exp(log_std).
+    """R linear-Gaussian policies, one per run: run r's action mean is
+    state @ W[r] + b[r], its per-dim std exp(log_std[r]).
 
     A record that does not check itself: its makers keep the invariants
     (float arrays of the shapes below, all finite, log_std in
     [LOG_STD_MIN, LOG_STD_MAX]). `zeros` builds constants inside the bounds;
-    `step`, the one update guard, aborts unless the new W, b and dlog_std
-    are finite, then clips log_std; `verify`'s fixtures draw log_std inside
-    the bounds.
+    `step`, the one update guard, keeps only the rows whose new W, b and
+    dlog_std are finite, then clips log_std; `verify`'s fixtures draw
+    log_std inside the bounds.
     """
 
-    W: np.ndarray        # (feature_dim, 4)
-    b: np.ndarray        # (4,)
-    log_std: np.ndarray  # (4,), clamped to [LOG_STD_MIN, LOG_STD_MAX]
+    W: np.ndarray        # (R, feature_dim, 4)
+    b: np.ndarray        # (R, 4)
+    log_std: np.ndarray  # (R, 4), clamped to [LOG_STD_MIN, LOG_STD_MAX]
 
     def action_mean(self, state: np.ndarray) -> np.ndarray:
+        """(R, 4) mean actions at one (feature_dim,) state."""
         return state @ self.W + self.b
 
     def action_std(self) -> np.ndarray:
         return np.exp(self.log_std)
 
+    def take(self, rows) -> "GroundingPolicy":
+        """The policies of the given rows, in that order."""
+        return GroundingPolicy(self.W[rows], self.b[rows], self.log_std[rows])
+
     @staticmethod
-    def zeros(feature_dim: int) -> "GroundingPolicy":
-        """Untrained policy: screen-centered INIT_SIZE boxes with the INIT_LOG_STD
-        position noise and INIT_LOG_STD_SIZE size noise."""
+    def zeros(feature_dim: int, runs: int = 1) -> "GroundingPolicy":
+        """`runs` untrained policies: screen-centered INIT_SIZE boxes with the
+        INIT_LOG_STD position noise and INIT_LOG_STD_SIZE size noise."""
         b = np.array([0.0, 0.0, math.log(INIT_SIZE), math.log(INIT_SIZE)])
         log_stds = np.array([INIT_LOG_STD, INIT_LOG_STD, INIT_LOG_STD_SIZE, INIT_LOG_STD_SIZE])
-        return GroundingPolicy(np.zeros((feature_dim, 4)), b, log_stds)
+        return GroundingPolicy(
+            np.zeros((runs, feature_dim, 4)), np.tile(b, (runs, 1)), np.tile(log_stds, (runs, 1))
+        )
 
 
 @dataclass(frozen=True)
 class GroupRollout:
-    """One instruction's group: N raw actions, their boxes and log-probs."""
+    """One instruction's group per run: N raw actions, their boxes and log-probs."""
 
-    state: np.ndarray          # (feature_dim,)
-    actions: np.ndarray        # (N, 4) raw actions
-    boxes: list[BBox]          # N decoded boxes
-    logp_behavior: np.ndarray  # (N,) log-prob under the sampling policy; anchors the ratio
+    state: np.ndarray              # (feature_dim,), shared by every run
+    actions: np.ndarray            # (R, N, 4) raw actions
+    boxes: list[list[BBox]]        # per run, its N decoded boxes
+    logp_behavior: np.ndarray      # (R, N) log-prob under the sampling policy; anchors the ratio
 
     @property
     def n(self) -> int:
-        return self.actions.shape[0]
+        return self.actions.shape[1]
+
+    def take(self, rows) -> "GroupRollout":
+        """The groups of the given rows, in that order."""
+        return GroupRollout(
+            self.state, self.actions[rows], [self.boxes[r] for r in rows], self.logp_behavior[rows]
+        )
 
 
 def action_to_bbox(u: np.ndarray) -> BBox:
@@ -139,31 +155,33 @@ def sample_group(
     n_samples: int,
     rng: np.random.Generator,
 ) -> GroupRollout:
-    """Draw N raw actions at `state`, decoding boxes and recording their
-    log-probs under the sampling policy."""
-    mean = policy.action_mean(state)
-    std = policy.action_std()
+    """Draw N raw actions per run at `state`, decoding boxes and recording
+    their log-probs under the sampling policy. Every run shares one draw of
+    (N, 4) standard-normal noise."""
+    mean = policy.action_mean(state)[:, None, :]
+    std = policy.action_std()[:, None, :]
     noise = rng.standard_normal((n_samples, 4))
     actions = mean + std * noise
-    boxes = [action_to_bbox(u) for u in actions]
-    logp_behavior = gaussian_logp(actions, mean, policy.log_std)
+    boxes = [[action_to_bbox(u) for u in run] for run in actions]
+    logp_behavior = gaussian_logp(actions, mean, policy.log_std[:, None, :])
     return GroupRollout(state, actions, boxes, logp_behavior)
 
 
 def grpo_advantage(rewards: np.ndarray) -> np.ndarray:
-    """Standardize rewards by the group mean and population std.
+    """Standardize each group (last axis) by its mean and population std.
 
     Degenerate groups (all rewards equal, or a single sample) get all-zero
     advantages rather than dividing by ~0.
     """
-    std = rewards.std()
-    if std < ADV_STD_FLOOR:
-        return np.zeros_like(rewards)
-    return (rewards - rewards.mean()) / std
+    n = rewards.shape[-1]
+    dev = rewards - rewards.sum(axis=-1, keepdims=True) / n
+    std = np.sqrt((dev * dev).sum(axis=-1, keepdims=True) / n)
+    # the floor only keeps the branch np.where discards finite
+    return np.where(std < ADV_STD_FLOOR, 0.0, dev / np.maximum(std, ADV_STD_FLOOR))
 
 
-def kl_ref_theta(ref: GroundingPolicy, theta: GroundingPolicy, state: np.ndarray) -> float:
-    """Exact KL(reference || current) between the action Gaussians at `state`."""
+def kl_ref_theta(ref: GroundingPolicy, theta: GroundingPolicy, state: np.ndarray) -> np.ndarray:
+    """(R,) exact KL(reference || current) between each run's action Gaussians at `state`."""
     mu_r = ref.action_mean(state)
     mu_t = theta.action_mean(state)
     var_r = np.exp(2.0 * ref.log_std)
@@ -173,7 +191,7 @@ def kl_ref_theta(ref: GroundingPolicy, theta: GroundingPolicy, state: np.ndarray
         + (var_r + (mu_r - mu_t) ** 2) / (2.0 * var_t)
         - 0.5
     )
-    return float(per_dim.sum())
+    return per_dim.sum(axis=-1)
 
 
 def objective(
@@ -181,19 +199,20 @@ def objective(
     shaped: np.ndarray,
     theta: GroundingPolicy,
     ref: GroundingPolicy,
-    beta: float,
-) -> float:
-    """J(theta) for a rollout and its (N,) shaped advantages A_i + r_div.
+    beta: np.ndarray,
+) -> np.ndarray:
+    """(R,) J(theta) per run for a rollout and its (R, N) shaped advantages
+    A_i + r_div, under per-run KL weights beta ((R,) or one shared float).
 
     J = mean_i ratio_i * shaped_i - beta * KL(ref || theta at state),
     with ratio_i = exp(logp_theta_i - logp_behavior_i): logp under `theta`
     is recomputed at the stored actions, so the ratio is 1 only when `theta`
     is the sampling policy.
     """
-    mean = theta.action_mean(rollout.state)
-    logp = gaussian_logp(rollout.actions, mean, theta.log_std)
+    mean = theta.action_mean(rollout.state)[:, None, :]
+    logp = gaussian_logp(rollout.actions, mean, theta.log_std[:, None, :])
     ratios = np.exp(logp - rollout.logp_behavior)
-    surrogate = float((ratios * shaped).mean())
+    surrogate = (ratios * shaped).sum(axis=-1) / rollout.n
     return surrogate - beta * kl_ref_theta(ref, theta, rollout.state)
 
 
@@ -202,58 +221,72 @@ def grad_objective(
     shaped: np.ndarray,
     theta: GroundingPolicy,
     ref: GroundingPolicy,
-    beta: float,
+    beta: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Analytic gradient of `objective` w.r.t. theta's (W, b, log_std), as
-    the tuple (dW, db, dlog_std)."""
-    state = rollout.state
-    mean = theta.action_mean(state)
-    std = theta.action_std()
-    var = std * std
+    """Analytic gradient of `objective` w.r.t. each run's (W, b, log_std), as
+    the tuple (dW, db, dlog_std) of (R, feature_dim, 4), (R, 4), (R, 4).
 
-    diff = rollout.actions - mean                     # (N, 4)
-    z2 = diff * diff / var                            # (N, 4)
-    logp = (-0.5 * z2 - theta.log_std - 0.5 * LOG_2PI).sum(axis=1)
-    weights = np.exp(logp - rollout.logp_behavior) * shaped
+    A run whose beta is 0 gets no KL term at all, not 0 times its gradient."""
+    state = rollout.state
+    mean = theta.action_mean(state)                   # (R, 4)
+    std = theta.action_std()
+    var = std * std                                   # (R, 4)
+
+    diff = rollout.actions - mean[:, None, :]         # (R, N, 4)
+    z2 = diff * diff / var[:, None, :]                # (R, N, 4)
+    logp = (-0.5 * z2 - theta.log_std[:, None, :] - 0.5 * LOG_2PI).sum(axis=-1)
+    weights = (np.exp(logp - rollout.logp_behavior) * shaped)[:, :, None]
 
     n = rollout.n
     # d logp / d mean = diff / var; d logp / d log_std = z^2 - 1
-    dmu = (weights[:, None] * diff / var).sum(axis=0) / n
-    dlog_std = (weights[:, None] * (z2 - 1.0)).sum(axis=0) / n
+    dmu = (weights * diff / var[:, None, :]).sum(axis=-2) / n
+    dlog_std = (weights * (z2 - 1.0)).sum(axis=-2) / n
 
-    if beta != 0.0:
+    beta = np.reshape(beta, (-1, 1))
+    if beta.any():
+        kl_on = beta != 0.0
         mu_r = ref.action_mean(state)
         var_r = np.exp(2.0 * ref.log_std)
         # KL(ref||theta) per dim: log s_t - log s_r + (var_r + (mu_r-mu_t)^2)/(2 var_t) - 1/2
         dkl_dmu = (mean - mu_r) / var
         dkl_dlog_std = 1.0 - (var_r + (mu_r - mean) ** 2) / var
-        dmu = dmu - beta * dkl_dmu
-        dlog_std = dlog_std - beta * dkl_dlog_std
+        np.subtract(dmu, beta * dkl_dmu, out=dmu, where=kl_on)
+        np.subtract(dlog_std, beta * dkl_dlog_std, out=dlog_std, where=kl_on)
 
-    dW = np.outer(state, dmu)
+    dW = state[:, None] * dmu[:, None, :]             # np.outer(state, dmu) per run
     return dW, dmu, dlog_std
 
 
 def step(
     theta: GroundingPolicy, grad: tuple[np.ndarray, np.ndarray, np.ndarray], lr: float
-) -> GroundingPolicy:
-    """One gradient-ascent step along grad = (dW, db, dlog_std); log_std is
-    re-clamped to its bounds. This is the guard that keeps every trained
-    GroundingPolicy finite and in bounds.
+) -> tuple[GroundingPolicy, dict[int, NumericalAbort]]:
+    """One gradient-ascent step per run along grad = (dW, db, dlog_std);
+    log_std is re-clamped to its bounds. This is the guard that keeps every
+    trained GroundingPolicy finite and in bounds.
 
-    Raises NumericalAbort when the new W or b, or dlog_std, is not finite,
-    so the run stops with a diagnostic instead of silently corrupting the
-    policy. theta is finite, so a non-finite dW or db, or a finite one that
-    `lr` overflows, always shows in W or b; dlog_std is checked before the
-    clip, which would turn an inf log_std finite.
+    Returns the new policies of the runs whose update is finite, in row
+    order, and a NumericalAbort for each row whose new W or b, or dlog_std,
+    is not finite, keyed by its row in `theta`: such a run stops with a
+    diagnostic instead of silently corrupting its policy. theta is finite,
+    so a non-finite dW or db, or a finite one that `lr` overflows, always
+    shows in W or b; dlog_std is checked before the clip, which would turn
+    an inf log_std finite.
     """
     dW, db, dlog_std = grad
     W = theta.W + lr * dW
     b = theta.b + lr * db
+    log_std = theta.log_std
+    aborts = {}
     if not (np.isfinite(W).all() and np.isfinite(b).all() and np.isfinite(dlog_std).all()):
-        raise NumericalAbort(
-            f"update with lr={lr} is not finite: |W|max={np.abs(W).max(initial=0.0)}, "
-            f"b={b}, dlog_std={dlog_std}"
-        )
-    log_std = np.clip(theta.log_std + lr * dlog_std, LOG_STD_MIN, LOG_STD_MAX)
-    return GroundingPolicy(W, b, log_std)
+        finite = np.isfinite(W).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
+        finite &= np.isfinite(dlog_std).all(axis=1)
+        aborts = {
+            int(r): NumericalAbort(
+                f"update with lr={lr} is not finite: |W|max={np.abs(W[r]).max(initial=0.0)}, "
+                f"b={b[r]}, dlog_std={dlog_std[r]}"
+            )
+            for r in np.flatnonzero(~finite)
+        }
+        W, b, log_std, dlog_std = W[finite], b[finite], log_std[finite], dlog_std[finite]
+    log_std = np.clip(log_std + lr * dlog_std, LOG_STD_MIN, LOG_STD_MAX)
+    return GroundingPolicy(W, b, log_std), aborts

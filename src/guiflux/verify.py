@@ -183,20 +183,21 @@ def check_advantage(rng: np.random.Generator, n_cases: int = 500) -> OracleResul
 
 
 def _random_fixture(rng: np.random.Generator, feature_dim: int = 8, n: int = 4):
+    """A batch of one run: theta, ref, a rollout and its shaped advantages."""
     state = rng.normal(0.0, 1.5, feature_dim)
     theta = GroundingPolicy(
-        rng.normal(0.0, 0.4, (feature_dim, 4)),
-        rng.normal(0.0, 0.3, 4),
-        rng.uniform(-3.0, 0.0, 4),
+        rng.normal(0.0, 0.4, (1, feature_dim, 4)),
+        rng.normal(0.0, 0.3, (1, 4)),
+        rng.uniform(-3.0, 0.0, (1, 4)),
     )
     ref = GroundingPolicy(
-        theta.W + rng.normal(0.0, 0.1, (feature_dim, 4)),
-        theta.b + rng.normal(0.0, 0.1, 4),
-        np.clip(theta.log_std + rng.uniform(-0.3, 0.3, 4), -6.0, 1.0),
+        theta.W + rng.normal(0.0, 0.1, (1, feature_dim, 4)),
+        theta.b + rng.normal(0.0, 0.1, (1, 4)),
+        np.clip(theta.log_std + rng.uniform(-0.3, 0.3, (1, 4)), -6.0, 1.0),
     )
     # Sampled from `ref`, differentiated at `theta`: the ratios are not 1.
     rollout = pol.sample_group(ref, state, n, rng)
-    advantages = pol.grpo_advantage(rng.random(n) * 2.0)
+    advantages = pol.grpo_advantage(rng.random((1, n)) * 2.0)
     shaped = advantages + float(rng.random())  # plus a random diversity bonus
     return theta, ref, rollout, shaped
 
@@ -208,23 +209,23 @@ def check_gradient(rng: np.random.Generator) -> OracleResult:
         beta = 0.0 if k % 2 == 0 else 0.04
         theta, ref, rollout, shaped = _random_fixture(rng)
         dW, db, dlog_std = pol.grad_objective(rollout, shaped, theta, ref, beta)
-        analytic = np.concatenate([dW.ravel(), db, dlog_std])
+        analytic = np.concatenate([dW.ravel(), db.ravel(), dlog_std.ravel()])
 
-        flat = np.concatenate([theta.W.ravel(), theta.b, theta.log_std])
+        flat = np.concatenate([theta.W.ravel(), theta.b.ravel(), theta.log_std.ravel()])
         fd = np.zeros_like(flat)
         nw = theta.W.size
 
         def unflatten(v):
             return GroundingPolicy(
-                v[:nw].reshape(theta.W.shape), v[nw : nw + 4], v[nw + 4 :]
+                v[:nw].reshape(theta.W.shape), v[nw : nw + 4][None], v[nw + 4 :][None]
             )
 
         for i in range(flat.size):
             up = flat.copy(); up[i] += FD_STEP
             dn = flat.copy(); dn[i] -= FD_STEP
             fd[i] = (
-                pol.objective(rollout, shaped, unflatten(up), ref, beta)
-                - pol.objective(rollout, shaped, unflatten(dn), ref, beta)
+                pol.objective(rollout, shaped, unflatten(up), ref, beta)[0]
+                - pol.objective(rollout, shaped, unflatten(dn), ref, beta)[0]
             ) / (2.0 * FD_STEP)
         rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
         worst = max(worst, rel)

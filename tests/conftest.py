@@ -13,7 +13,7 @@ def random_bbox(rng: np.random.Generator) -> BBox:
 
 
 def oracle_policy(task: TaskSpec) -> GroundingPolicy:
-    """Analytic inverse of a task's observation transform.
+    """Analytic inverse of a task's observation transform, as a batch of one.
 
     The observation's first two components are M @ logit-center + offset and
     the next two are M @ log-size, so the exact raw action is recovered by
@@ -26,7 +26,7 @@ def oracle_policy(task: TaskSpec) -> GroundingPolicy:
     W[2:4, 2:4] = m_inv.T
     b = np.zeros(4)
     b[0:2] = -m_inv @ np.asarray(task.offset)
-    return GroundingPolicy(W, b, np.full(4, -6.0))
+    return GroundingPolicy(W[None], b[None], np.full((1, 4), -6.0))
 
 
 @pytest.fixture

@@ -16,9 +16,9 @@ import pytest
 import guiflux.rewards as rewards_mod
 from guiflux import verify
 from guiflux.cli import main
-from guiflux.harness import RunConfig, ablate, reward_trend, run_continual
+from guiflux.harness import RunConfig, ablate, reward_trend, run_batch
 from guiflux.persistence import compute_metrics, read_matrix, read_trainlog
-from guiflux.policy import GroundingPolicy, grpo_advantage
+from guiflux.policy import GroundingPolicy, NumericalAbort, grpo_advantage
 from guiflux.rewards import bhattacharyya
 
 SEEDS = tuple(range(10))
@@ -45,30 +45,38 @@ def arm_config(arm: str) -> RunConfig:
     return CELLS[ARMS[arm]]
 
 
+def finished(results: list) -> list:
+    """A batch's (matrix, records) per run; an aborted run fails the gate."""
+    for result in results:
+        if isinstance(result, NumericalAbort):
+            raise result
+    return results
+
+
 @pytest.fixture(scope="module")
 def experiment():
-    """All arms on domain_flux over the paired seeds, plus wall-clock times."""
+    """All arms on domain_flux over the paired seeds, one batch per seed,
+    plus the batches' wall-clock time."""
     out = {arm: {"final": [], "matrix": [], "trend": []} for arm in ARMS}
-    times = {}
-    for arm in ARMS:
-        cfg = arm_config(arm)
-        t0 = time.perf_counter()
-        for seed in SEEDS:
-            matrix, records = run_continual(cfg, seed=seed)
+    t0 = time.perf_counter()
+    for seed in SEEDS:
+        results = finished(run_batch([arm_config(arm) for arm in ARMS], seed))
+        for arm, (matrix, records) in zip(ARMS, results):
             out[arm]["final"].append(matrix.final_average())
             out[arm]["matrix"].append(matrix)
             out[arm]["trend"].append(reward_trend(records, task=0))
-        times[arm] = time.perf_counter() - t0
-    out["times"] = times
+    out["time"] = time.perf_counter() - t0
     return out
 
 
 @pytest.fixture(scope="module")
 def reversed_experiment():
-    out = {}
-    for arm in ("full", "base"):
-        cfg = replace(arm_config(arm), scenario="domain_flux_reversed")
-        out[arm] = [run_continual(cfg, seed=s)[0].final_average() for s in SEEDS]
+    arms = ("full", "base")
+    cfgs = [replace(arm_config(arm), scenario="domain_flux_reversed") for arm in arms]
+    out = {arm: [] for arm in arms}
+    for seed in SEEDS:
+        for arm, (matrix, _) in zip(arms, finished(run_batch(cfgs, seed))):
+            out[arm].append(matrix.final_average())
     return out
 
 
@@ -126,10 +134,10 @@ def test_criterion_06_continual_benefit(experiment):
     base = np.array(experiment["base"]["final"])
     wins = int((full >= base).sum())
     delta = float((full - base).mean())
-    runtime = experiment["times"]["full"] + experiment["times"]["base"]
+    runtime = experiment["time"]
     assert wins >= 7, f"full >= base in only {wins}/10 seeds"
     assert delta > 0.0, f"mean improvement {delta:+.4f}"
-    assert runtime < 300.0, f"20 paired runs took {runtime:.0f}s"
+    assert runtime < 300.0, f"10 batches of {len(ARMS)} arms took {runtime:.0f}s"
     ok(6, f"full >= baseline in {wins}/10 seeds, mean delta {delta:+.4f}, {runtime:.0f}s")
 
 
@@ -162,18 +170,18 @@ def test_criterion_10_forward_transfer():
     # arms on seed means (paired seeds, aggregated over the future tasks).
     from guiflux.harness import STREAM_EVAL, child_rng, evaluate, train_stage
 
-    def stage1_future_accuracy(cfg: RunConfig, seed: int) -> float:
-        tasks = cfg.tasks
-        policy = GroundingPolicy.zeros(tasks[0].state_dim)
-        policy = train_stage(policy, tasks[:1], cfg, [], seed, 0)
-        row, _, _ = evaluate(policy, tasks, cfg.eval_episodes, child_rng(seed, STREAM_EVAL, 1))
-        return float(row[1:].mean())
+    def stage1_future_accuracy(cfgs: list[RunConfig], seed: int) -> np.ndarray:
+        """Per run of one batch, the mean accuracy on tasks 2 and 3 after stage 1."""
+        tasks = cfgs[0].tasks
+        policy = GroundingPolicy.zeros(tasks[0].state_dim, len(cfgs))
+        policy, aborts = train_stage(policy, tasks[:1], cfgs, [[] for _ in cfgs], seed, 0)
+        assert aborts == {}
+        rows, _, _ = evaluate(policy, tasks, cfgs[0].eval_episodes, child_rng(seed, STREAM_EVAL, 1))
+        return rows[:, 1:].mean(axis=1)
 
     steps = 1300  # task 1 trained to convergence for the transfer snapshot
-    full_cfg = replace(arm_config("full"), steps_per_task=steps)
-    base_cfg = replace(arm_config("base"), steps_per_task=steps)
-    full = np.array([stage1_future_accuracy(full_cfg, s) for s in SEEDS])
-    base = np.array([stage1_future_accuracy(base_cfg, s) for s in SEEDS])
+    cfgs = [replace(arm_config(arm), steps_per_task=steps) for arm in ("full", "base")]
+    full, base = np.array([stage1_future_accuracy(cfgs, s) for s in SEEDS]).T
     assert full.mean() > base.mean(), (
         f"stage-1 zero-shot on future tasks: full {full.mean():.4f} vs base {base.mean():.4f}"
     )

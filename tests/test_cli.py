@@ -401,7 +401,7 @@ class TestRunCommand:
         def never(cfg, seed=None):
             raise AssertionError("trained although out_dir cannot be a directory")
 
-        monkeypatch.setattr("guiflux.harness.run_continual", never)
+        monkeypatch.setattr("guiflux.harness.run_batch", never)
         taken = tmp_path / "taken"
         taken.write_text("not a directory")
         assert main([command, write_cfg(tmp_path, TINY), str(taken / sub)]) == 2
@@ -570,29 +570,69 @@ class TestAblateCommand:
     def test_abort_in_run_k_keeps_the_finished_runs(
         self, two_seed_grid, tmp_path, monkeypatch, caplog, k
     ):
-        from guiflux import cli as cli_mod
-        from guiflux.policy import NumericalAbort
+        # a non-finite update in the k-th run of seed 0's batch: that run
+        # leaves the batch, the other seed-0 runs finish and are written as in
+        # a clean grid, and seed 1 never runs
+        from guiflux import harness
 
-        run_continual = cli_mod.harness.run_continual
-        calls = []
+        step = harness.step
+        batch_sizes = []
 
-        def abort_kth(cfg, seed=None):
-            calls.append(seed)
-            if len(calls) == k:
-                raise NumericalAbort("synthetic abort")
-            return run_continual(cfg, seed=seed)
+        def corrupt_kth_row(theta, grad, lr):
+            batch_sizes.append(theta.W.shape[0])
+            dW, db, dlog_std = grad
+            if len(batch_sizes) == 3:
+                dW = dW.copy()
+                dW[k - 1] = np.nan
+            return step(theta, (dW, db, dlog_std), lr)
 
-        monkeypatch.setattr(cli_mod.harness, "run_continual", abort_kth)
+        monkeypatch.setattr(harness, "step", corrupt_kth_row)
         out = tmp_path / "grid"
         assert main(["ablate", write_cfg(tmp_path, TWO_SEED_GRID), str(out)]) == 3
-        assert "synthetic abort" in caplog.text
-        runs = [f"{c.cell_id}_s{s}" for c in ablate(parse_config(TWO_SEED_GRID)) for s in (0, 1)]
-        assert sorted(p.name for p in out.iterdir()) == sorted(runs[: k - 1])
-        for run_id in runs[: k - 1]:
+        cells = ablate(parse_config(TWO_SEED_GRID))
+        aborted = f"{cells[k - 1].cell_id}_s0"
+        assert f"ablation run {aborted} aborted: update with lr=" in caplog.text
+        # 3 tasks x 4 steps per seed: the batch of 8 shrinks to 7 at step 3
+        assert batch_sizes == [8] * 3 + [7] * 9
+        finished = [f"{c.cell_id}_s0" for c in cells if f"{c.cell_id}_s0" != aborted]
+        assert sorted(p.name for p in out.iterdir()) == sorted(finished)
+        for run_id in finished:
             for name in ("matrix.csv", "trainlog.csv"):
                 assert (out / run_id / name).read_bytes() == (
                     two_seed_grid / run_id / name
                 ).read_bytes(), (run_id, name)
+
+    def test_large_finite_scale_point_runs_every_cell(self, tmp_path):
+        # alpha 15 x 1e154 is finite; building the cells must not scale the
+        # scaled alpha a second time
+        doc = {**TINY, "steps_per_task": 2, "sweep": {"scale_points": [[1, 1], [1e154, 1]]}}
+        out = tmp_path / "grid"
+        assert main(["ablate", write_cfg(tmp_path, doc), str(out)]) == 0
+        assert len([p for p in out.iterdir() if p.is_dir()]) == 16
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert len(summary) - 1 == 16
+        manifest = json.loads((out / "full_kl1_a1e+154_g1_s0" / "manifest.json").read_text())
+        assert manifest["config"]["reward"]["alpha"] == 15.0 * 1e154
+
+    def test_every_run_of_a_batch_equals_its_run_alone(self, tmp_path):
+        # groups of 8: numpy may sum 8 or more terms in another order when the
+        # run axis has length 1, so a batched run and its run alone must agree
+        doc = {
+            **TINY, "steps_per_task": 3, "eval_episodes": 20, "seeds": [0],
+            "optim": {"n_samples": 8}, "reward": {"correctness_kind": "iou"},
+            "sweep": {"scale_points": [[1, 1], [2, 1]]},
+        }
+        grid = tmp_path / "grid"
+        assert main(["ablate", write_cfg(tmp_path, doc), str(grid)]) == 0
+        cells = [p for p in grid.iterdir() if p.is_dir()]
+        assert len(cells) == 16
+        for cell in cells:
+            manifest = json.loads((cell / "manifest.json").read_text())
+            cfg = write_cfg(tmp_path, manifest["config"], name=f"{cell.name}.json")
+            alone = tmp_path / cell.name
+            assert main(["run", cfg, str(alone), "--seed", "0"]) == 0
+            for name in ("matrix.csv", "trainlog.csv"):
+                assert (alone / name).read_bytes() == (cell / name).read_bytes(), (cell.name, name)
 
     @pytest.fixture(scope="class")
     def small_grid(self, tmp_path_factory):

@@ -5,8 +5,8 @@ benchmark records them with, and one master seed of every benchmark
 workload, and compares the SHA-256 of matrix.csv and trainlog.csv with
 bench/goldens.json. The file is only read here;
 `python3 bench/goldens.py record` is the one way to rewrite it. The
-`point_distance` runs, which bench/goldens.json does not cover, keep their
-digests in this file.
+`point_distance` runs and the single runs at 8 samples per group, which
+bench/goldens.json does not cover, keep their digests in this file.
 """
 
 import hashlib
@@ -57,6 +57,26 @@ POINT_DISTANCE_GOLDENS = {
 }
 LENGTHS = {"short": SCENARIO_CONFIG, "default": {}}
 
+# (scenario, seed, correctness_kind) -> (matrix.csv, trainlog.csv) digests of
+# a single `guiflux run` at n_samples 8 and the scenario goldens' length. The
+# bench goldens meet N=8 only inside a 16-run grid; a numpy sum over groups of
+# 8 or more may round differently when the run axis has length 1, so these
+# pin the batch of one.
+EIGHT_SAMPLE_GOLDENS = {
+    ("domain_flux", 0, "iou"): (
+        "00f055a6d20556710b45e175ec462f6dde939e50da5abcee141c0480580b47b6",
+        "c42823213157aea13bf3300432baa7533bed43cd8142d881be963a9124ec8f8a",
+    ),
+    ("domain_flux", 0, "gaussian_dense"): (
+        "53e69669dc2ae578f504e11fd740d6c3bdcafca20503414b17b58a427bda534f",
+        "314f8d76e7cefcb88aa299ed820d469fdc8847c768de074f9a4a2fbe89dd9e36",
+    ),
+    ("joint", 1, "gaussian_dense"): (
+        "9e26158a1746274b53f5a18a4e5616d600f5f96ab205f61e73b74e8e9555478a",
+        "ea28348bb98da874a17761c917c536f42a7ebafe7f73bab2d6e9b858e4cd5887",
+    ),
+}
+
 
 def _run_digests(tmp_path, doc):
     cfg = tmp_path / "config.json"
@@ -87,6 +107,16 @@ def test_point_distance_outputs_match_recorded_digests(tmp_path, scenario, seed,
     }
     expected = POINT_DISTANCE_GOLDENS[scenario, seed, length]
     assert _run_digests(tmp_path, doc) == expected, f"{scenario} seed {seed} moved"
+
+
+@pytest.mark.parametrize("scenario, seed, kind", EIGHT_SAMPLE_GOLDENS)
+def test_eight_sample_run_outputs_match_recorded_digests(tmp_path, scenario, seed, kind):
+    doc = {
+        **SCENARIO_CONFIG, "scenario": scenario, "seeds": [seed],
+        "optim": {"n_samples": 8}, "reward": {"correctness_kind": kind},
+    }
+    expected = EIGHT_SAMPLE_GOLDENS[scenario, seed, kind]
+    assert _run_digests(tmp_path, doc) == expected, f"{scenario} seed {seed} {kind} moved"
 
 
 @pytest.mark.parametrize("name, master", WORKLOAD_MASTERS.items())

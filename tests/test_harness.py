@@ -15,11 +15,12 @@ from guiflux.harness import (
     forgetting,
     forward_transfer,
     reward_trend,
+    run_batch,
     run_continual,
     train_stage,
 )
 from guiflux.persistence import write_run
-from guiflux.policy import GroundingPolicy, OptimConfig
+from guiflux.policy import GroundingPolicy, NumericalAbort, OptimConfig
 from guiflux.rewards import RewardConfig
 from guiflux.simulator import make_sequence, sample_instances
 
@@ -51,7 +52,9 @@ class TestEvaluate:
     def test_oracle_hits_own_task(self):
         overrides = {n: {"noise_sigma": 0.0} for n in ("mobile", "desktop", "web")}
         tasks = make_sequence("domain_flux", 0, overrides)
-        row, text, icon = evaluate(oracle_policy(tasks[0]), tasks, 500, np.random.default_rng(0))
+        row, text, icon = (
+            split[0] for split in evaluate(oracle_policy(tasks[0]), tasks, 500, np.random.default_rng(0))
+        )
         assert row[0] >= 0.99
         assert text[0] >= 0.99 and icon[0] >= 0.99
 
@@ -78,13 +81,13 @@ class TestEvaluate:
         rng = np.random.default_rng(4)
         for t_idx, task in enumerate(tasks):
             states, gt, is_text = sample_instances(task, 300, rng)
-            u = states @ policy.W + policy.b
+            u = states @ policy.W[0] + policy.b[0]
             with np.errstate(over="ignore"):
                 cx = 1.0 / (1.0 + np.exp(-u[:, 0]))
                 cy = 1.0 / (1.0 + np.exp(-u[:, 1]))
             hit = (gt[:, 0] <= cx) & (cx <= gt[:, 2]) & (gt[:, 1] <= cy) & (cy <= gt[:, 3])
             expected = (hit.mean(), hit[is_text].mean(), hit[~is_text].mean())
-            assert tuple(rates[t_idx] for rates in got) == expected
+            assert tuple(rates[0, t_idx] for rates in got) == expected
 
 
 class TestTrainTask:
@@ -92,7 +95,8 @@ class TestTrainTask:
         cfg = tiny_config(steps_per_task=0)
         tasks = make_sequence("domain_flux", 0)
         policy = GroundingPolicy.zeros(tasks[0].state_dim)
-        out = train_stage(policy, tasks[:1], cfg, [], 0, 0)
+        out, aborts = train_stage(policy, tasks[:1], [cfg], [[]], 0, 0)
+        assert aborts == {}
         assert np.array_equal(out.W, policy.W)
 
     def test_all_gates_off_logs_zero_shaping(self):
@@ -102,7 +106,7 @@ class TestTrainTask:
         records = []
         tasks = make_sequence("domain_flux", 0)
         policy = GroundingPolicy.zeros(tasks[0].state_dim)
-        train_stage(policy, tasks[:1], cfg, records, 0, 0)
+        train_stage(policy, tasks[:1], [cfg], [records], 0, 0)
         assert all(r.apr == 0.0 and r.arr == 0.0 and r.r_aif == 0.0 for r in records)
 
     def test_deterministic_log(self):
@@ -112,7 +116,7 @@ class TestTrainTask:
             records = []
             tasks = make_sequence("domain_flux", 0)
             policy = GroundingPolicy.zeros(tasks[0].state_dim)
-            train_stage(policy, tasks[:1], cfg, records, 0, 0)
+            train_stage(policy, tasks[:1], [cfg], [records], 0, 0)
             logs.append(records)
         assert logs[0] == logs[1]
 
@@ -154,6 +158,41 @@ class TestRunContinual:
         assert [t.name for t in cfg.tasks] == ["web", "desktop", "mobile"]
         assert m.task_names == ["web", "desktop", "mobile"]
         assert m.overall.shape == (4, 3)
+
+
+class TestRunBatch:
+    @pytest.mark.parametrize("scenario", ["domain_flux", "joint"])
+    def test_each_run_equals_its_run_alone(self, scenario):
+        cells = ablate(tiny_config(scenario=scenario, steps_per_task=5, eval_episodes=30))
+        cfgs = [c.cfg for c in cells]
+        for (matrix, records), cfg in zip(run_batch(cfgs, 2), cfgs):
+            alone, alone_records = run_continual(cfg, 2)
+            for split in ("overall", "text", "icon"):
+                assert np.array_equal(getattr(matrix, split), getattr(alone, split), equal_nan=True)
+            assert matrix.stage_labels == alone.stage_labels
+            assert records == alone_records
+
+    @pytest.mark.parametrize("kw", [
+        {"steps_per_task": 3}, {"eval_episodes": 7}, {"optim": OptimConfig(n_samples=5)},
+        {"optim": OptimConfig(lr=0.01)}, {"reward": RewardConfig(correctness_kind="iou")},
+        {"scenario": "joint"}, {"sim_overrides": {"mobile": {"noise_sigma": 0.0}}},
+    ])
+    def test_runs_may_differ_only_in_weights(self, kw):
+        with pytest.raises(ValueError, match="only in reward.alpha, reward.gamma, optim.beta"):
+            run_batch([tiny_config(), tiny_config(**kw)], 0)
+
+    def test_every_run_aborting_ends_the_batch(self, monkeypatch):
+        step = harness.step
+
+        def corrupt(theta, grad, lr):
+            dW, db, dlog_std = grad
+            return step(theta, (dW, np.full_like(db, np.nan), dlog_std), lr)
+
+        monkeypatch.setattr(harness, "step", corrupt)
+        results = run_batch([c.cfg for c in ablate(tiny_config())][:3], 0)
+        assert [type(r) for r in results] == [NumericalAbort] * 3
+        with pytest.raises(NumericalAbort, match="not finite"):
+            run_continual(tiny_config(), 0)
 
 
 class TestForwardTransfer:
@@ -328,7 +367,7 @@ class TestAblate:
         def boom(*args, **kwargs):
             raise AssertionError("ablate must not run a cell")
 
-        monkeypatch.setattr(harness, "run_continual", boom)
+        monkeypatch.setattr(harness, "run_batch", boom)
         cells = ablate(tiny_config(scale_points=((1.0, 1.0), (2.0, 0.5))))
         assert [c.cell_id for c in cells] == [
             f"{variant}_kl{kl}_{label}"

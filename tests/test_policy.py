@@ -25,26 +25,33 @@ from guiflux.policy import (
 
 
 def make_policy(rng, feature_dim=6):
+    """A batch of one random policy."""
     return GroundingPolicy(
-        rng.normal(0, 0.4, (feature_dim, 4)),
-        rng.normal(0, 0.3, 4),
-        rng.uniform(-3, 0, 4),
+        rng.normal(0, 0.4, (1, feature_dim, 4)),
+        rng.normal(0, 0.3, (1, 4)),
+        rng.uniform(-3, 0, (1, 4)),
+    )
+
+
+def constant_policy(feature_dim, log_std, b=0.0, runs=1):
+    return GroundingPolicy(
+        np.zeros((runs, feature_dim, 4)), np.full((runs, 4), b), np.full((runs, 4), log_std)
     )
 
 
 def perturbed(policy, rng, scale=0.05):
     return GroundingPolicy(
         policy.W + rng.normal(0, scale, policy.W.shape),
-        policy.b + rng.normal(0, scale, 4),
-        np.clip(policy.log_std + rng.normal(0, scale, 4), -6.0, 1.0),
+        policy.b + rng.normal(0, scale, policy.b.shape),
+        np.clip(policy.log_std + rng.normal(0, scale, policy.log_std.shape), -6.0, 1.0),
     )
 
 
 def make_rollout(rng, behavior, n=4):
-    """A rollout, its advantages and its diversity bonus."""
-    state = rng.normal(0, 1.5, behavior.W.shape[0])
+    """A rollout, its (R, n) advantages and its diversity bonus."""
+    state = rng.normal(0, 1.5, behavior.W.shape[1])
     rollout = sample_group(behavior, state, n, rng)
-    return rollout, grpo_advantage(rng.random(n) * 2), float(rng.random())
+    return rollout, grpo_advantage(rng.random((1, n)) * 2), float(rng.random())
 
 
 class TestActionToBBox:
@@ -108,17 +115,33 @@ class TestSampleGroup:
     def test_floor_std_collapses_spread(self, rng):
         from guiflux.rewards import center_spread
 
-        theta = GroundingPolicy(np.zeros((6, 4)), np.zeros(4), np.full(4, -6.0))
+        theta = constant_policy(6, -6.0)
         rollout = sample_group(theta, np.zeros(6), 8, rng)
-        assert center_spread(rollout.boxes) < 1e-4
+        assert center_spread(rollout.boxes[0]) < 1e-4
 
     def test_logp_behavior_is_sampling_policy_logp(self, rng):
         theta = make_policy(rng)
         state = rng.normal(0, 1, 6)
         rollout = sample_group(theta, state, 4, rng)
-        expected = gaussian_logp(rollout.actions, theta.action_mean(state), theta.log_std)
-        assert np.array_equal(rollout.logp_behavior, expected)
-        assert len({id(b) for b in rollout.boxes}) == 4
+        expected = gaussian_logp(
+            rollout.actions[0], theta.action_mean(state)[0], theta.log_std[0]
+        )
+        assert np.array_equal(rollout.logp_behavior[0], expected)
+        assert len({id(b) for b in rollout.boxes[0]}) == 4
+
+    def test_runs_share_the_noise_draw(self, rng):
+        # two runs of a batch, each equal to its batch of one on the same draw
+        a, b = make_policy(rng), make_policy(rng)
+        both = GroundingPolicy(*(np.concatenate(x) for x in zip(
+            (a.W, a.b, a.log_std), (b.W, b.b, b.log_std)
+        )))
+        state = rng.normal(0, 1, 6)
+        batch = sample_group(both, state, 8, np.random.default_rng(3))
+        for r, alone in enumerate((a, b)):
+            single = sample_group(alone, state, 8, np.random.default_rng(3))
+            assert np.array_equal(batch.actions[r], single.actions[0])
+            assert np.array_equal(batch.logp_behavior[r], single.logp_behavior[0])
+            assert batch.boxes[r] == single.boxes[0]
 
 
 class TestGrpoAdvantage:
@@ -131,6 +154,15 @@ class TestGrpoAdvantage:
 
     def test_single_sample_zero(self):
         assert np.array_equal(grpo_advantage(np.array([3.7])), np.zeros(1))
+
+    def test_rows_are_groups(self, rng):
+        # each row is standardized on its own, exactly as that row alone
+        r = rng.random((5, 8))
+        r[2] = 0.7
+        a = grpo_advantage(r)
+        assert np.array_equal(a[2], np.zeros(8))
+        for k in range(5):
+            assert np.array_equal(a[k], grpo_advantage(r[k]))
 
     def test_normalization_identity(self, rng):
         for _ in range(200):
@@ -148,27 +180,27 @@ class TestKL:
     def test_identical_zero(self, rng):
         theta = make_policy(rng)
         state = rng.normal(0, 1, 6)
-        assert kl_ref_theta(theta, theta, state) == 0.0
+        assert kl_ref_theta(theta, theta, state).tolist() == [0.0]
 
     def test_std_ratio_e(self, rng):
-        ref = GroundingPolicy(np.zeros((6, 4)), np.zeros(4), np.full(4, -2.0))
-        theta = GroundingPolicy(np.zeros((6, 4)), np.zeros(4), np.full(4, -1.0))
+        ref = constant_policy(6, -2.0)
+        theta = constant_policy(6, -1.0)
         per_dim = 1.0 + 1.0 / (2.0 * math.e ** 2) - 0.5
-        assert kl_ref_theta(ref, theta, np.zeros(6)) == pytest.approx(4 * per_dim, rel=1e-12)
+        assert kl_ref_theta(ref, theta, np.zeros(6)) == pytest.approx([4 * per_dim], rel=1e-12)
 
     def test_mean_shift_only(self):
         delta = 0.3
-        ref = GroundingPolicy(np.zeros((6, 4)), np.zeros(4), np.zeros(4))
-        b = np.zeros(4)
-        b[2] = delta
-        theta = GroundingPolicy(np.zeros((6, 4)), b, np.zeros(4))
-        assert kl_ref_theta(ref, theta, np.zeros(6)) == pytest.approx(delta ** 2 / 2, rel=1e-12)
+        ref = constant_policy(6, 0.0)
+        b = np.zeros((1, 4))
+        b[0, 2] = delta
+        theta = GroundingPolicy(np.zeros((1, 6, 4)), b, np.zeros((1, 4)))
+        assert kl_ref_theta(ref, theta, np.zeros(6)) == pytest.approx([delta ** 2 / 2], rel=1e-12)
 
     def test_nonnegative(self, rng):
         for _ in range(100):
             a, b = make_policy(rng), make_policy(rng)
             state = rng.normal(0, 1, 6)
-            assert kl_ref_theta(a, b, state) >= 0.0
+            assert kl_ref_theta(a, b, state)[0] >= 0.0
 
 
 class TestObjective:
@@ -177,7 +209,7 @@ class TestObjective:
         rollout, advantages, r_div = make_rollout(rng, theta)
         for beta in (0.0, 0.04):
             got = objective(rollout, advantages + r_div, theta, theta, beta)
-            assert got == pytest.approx(r_div, abs=1e-9)
+            assert got == pytest.approx([r_div], abs=1e-9)
 
     def test_term_by_term_recomputation(self, rng):
         # sampled from ref, evaluated at theta: the ratios are not 1
@@ -185,27 +217,28 @@ class TestObjective:
         ref = perturbed(theta, rng)
         rollout, advantages, r_div = make_rollout(rng, ref)
         beta = 0.04
-        mean = theta.action_mean(rollout.state)
+        mean = theta.action_mean(rollout.state)[0]
+        log_std = theta.log_std[0]
         expected = 0.0
         for i in range(rollout.n):
             logp_theta = sum(
-                -0.5 * ((rollout.actions[i, d] - mean[d]) / math.exp(theta.log_std[d])) ** 2
-                - theta.log_std[d] - 0.5 * math.log(2 * math.pi)
+                -0.5 * ((rollout.actions[0, i, d] - mean[d]) / math.exp(log_std[d])) ** 2
+                - log_std[d] - 0.5 * math.log(2 * math.pi)
                 for d in range(4)
             )
-            ratio = math.exp(logp_theta - rollout.logp_behavior[i])
-            expected += ratio * (advantages[i] + r_div)
+            ratio = math.exp(logp_theta - rollout.logp_behavior[0, i])
+            expected += ratio * (advantages[0, i] + r_div)
         expected /= rollout.n
-        expected -= beta * kl_ref_theta(ref, theta, rollout.state)
+        expected -= beta * kl_ref_theta(ref, theta, rollout.state)[0]
         got = objective(rollout, advantages + r_div, theta, ref, beta)
-        assert got == pytest.approx(expected, rel=1e-12)
+        assert got == pytest.approx([expected], rel=1e-12)
 
 
 class TestGradObjective:
     def test_zero_weights_zero_gradient(self, rng):
         theta = make_policy(rng)
         rollout, _, _ = make_rollout(rng, theta)
-        dW, db, dlog_std = grad_objective(rollout, np.zeros(rollout.n), theta, theta, beta=0.0)
+        dW, db, dlog_std = grad_objective(rollout, np.zeros((1, rollout.n)), theta, theta, beta=0.0)
         assert np.allclose(dW, 0.0) and np.allclose(db, 0.0) and np.allclose(dlog_std, 0.0)
 
     def test_kl_gradient_vanishes_at_reference(self, rng):
@@ -224,61 +257,103 @@ class TestGradObjective:
         state = rng.normal(0, 1.5, 6)
         rollout = sample_group(theta, state, 4, rng)
         rewards = rng.random(4) * 2
-        dW, db, dlog_std = grad_objective(rollout, grpo_advantage(rewards), theta, theta, beta=0.0)
+        dW, db, dlog_std = grad_objective(
+            rollout, grpo_advantage(rewards[None]), theta, theta, beta=0.0
+        )
 
         mean = theta.action_mean(state)
         std = theta.action_std()
         adv = (rewards - rewards.mean()) / rewards.std()
-        dmu = np.zeros(4)
-        dlog = np.zeros(4)
+        dmu = np.zeros((1, 4))
+        dlog = np.zeros((1, 4))
         for i in range(4):
-            z = (rollout.actions[i] - mean) / std
+            z = (rollout.actions[:, i] - mean) / std
             dmu += adv[i] * z / std
             dlog += adv[i] * (z * z - 1.0)
         dmu /= 4
         dlog /= 4
         assert np.allclose(db, dmu, rtol=1e-10, atol=1e-12)
         assert np.allclose(dlog_std, dlog, rtol=1e-10, atol=1e-12)
-        assert np.allclose(dW, np.outer(state, dmu), rtol=1e-10, atol=1e-12)
+        assert np.allclose(dW[0], np.outer(state, dmu[0]), rtol=1e-10, atol=1e-12)
+
+    def test_beta_zero_run_gets_no_kl_term(self, rng):
+        # per-run beta: each row's gradient equals its batch of one
+        theta = make_policy(rng)
+        ref = perturbed(theta, rng, scale=0.3)
+        rollout, advantages, r_div = make_rollout(rng, theta)
+        two = GroundingPolicy(*(np.concatenate([x, x]) for x in (theta.W, theta.b, theta.log_std)))
+        two_ref = GroundingPolicy(*(np.concatenate([x, x]) for x in (ref.W, ref.b, ref.log_std)))
+        both = grad_objective(
+            rollout.take([0, 0]), np.concatenate([advantages, advantages]) + r_div,
+            two, two_ref, np.array([0.04, 0.0]),
+        )
+        for r, beta in enumerate((0.04, 0.0)):
+            alone = grad_objective(rollout, advantages + r_div, theta, ref, np.array([beta]))
+            for got, want in zip(both, alone):
+                assert np.array_equal(got[r], want[0])
 
 
 class TestStep:
     def test_zero_gradient_unchanged(self, rng):
         theta = make_policy(rng)
-        g = (np.zeros_like(theta.W), np.zeros(4), np.zeros(4))
-        out = step(theta, g, lr=0.1)
+        g = (np.zeros_like(theta.W), np.zeros((1, 4)), np.zeros((1, 4)))
+        out, aborts = step(theta, g, lr=0.1)
+        assert aborts == {}
         assert np.array_equal(out.W, theta.W)
         assert np.array_equal(out.b, theta.b)
 
     def test_arithmetic(self, rng):
         theta = make_policy(rng)
-        g = (np.ones_like(theta.W), np.full(4, 2.0), np.zeros(4))
-        out = step(theta, g, lr=0.01)
+        g = (np.ones_like(theta.W), np.full((1, 4), 2.0), np.zeros((1, 4)))
+        out, _ = step(theta, g, lr=0.01)
         assert np.allclose(out.W, theta.W + 0.01)
         assert np.allclose(out.b, theta.b + 0.02)
 
     def test_log_std_reclamped(self):
-        theta = GroundingPolicy(np.zeros((3, 4)), np.zeros(4), np.full(4, 0.9))
-        g = (np.zeros((3, 4)), np.zeros(4), np.full(4, 100.0))
-        out = step(theta, g, lr=1.0)
+        theta = constant_policy(3, 0.9)
+        g = (np.zeros((1, 3, 4)), np.zeros((1, 4)), np.full((1, 4), 100.0))
+        out, _ = step(theta, g, lr=1.0)
         assert np.all(out.log_std == 1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("part", [0, 1, 2], ids=["dW", "db", "dlog_std"])
     def test_non_finite_aborts(self, rng, part, value):
         theta = make_policy(rng)
-        g = [np.zeros_like(theta.W), np.zeros(4), np.zeros(4)]
+        g = [np.zeros_like(theta.W), np.zeros((1, 4)), np.zeros((1, 4))]
         g[part] = np.full_like(g[part], value)
-        with pytest.raises(NumericalAbort, match="lr=0.1"):
-            step(theta, tuple(g), lr=0.1)
+        out, aborts = step(theta, tuple(g), lr=0.1)
+        assert list(aborts) == [0] and isinstance(aborts[0], NumericalAbort)
+        assert "lr=0.1" in str(aborts[0])
+        assert out.W.shape == (0, 6, 4) and out.b.shape == (0, 4) and out.log_std.shape == (0, 4)
+
+    def test_non_finite_row_leaves_the_others(self, rng):
+        # the runs around an aborted row get exactly their own update
+        runs = [make_policy(rng) for _ in range(3)]
+        grads = [
+            (rng.normal(size=(1, 6, 4)), rng.normal(size=(1, 4)), rng.normal(size=(1, 4)))
+            for _ in runs
+        ]
+        grads[1][1][0, 2] = math.nan
+        batch = GroundingPolicy(*(np.concatenate(x) for x in zip(
+            *((p.W, p.b, p.log_std) for p in runs)
+        )))
+        out, aborts = step(batch, tuple(np.concatenate(x) for x in zip(*grads)), lr=0.1)
+        assert list(aborts) == [1] and "lr=0.1" in str(aborts[1])
+        for row, r in enumerate((0, 2)):
+            alone, none = step(runs[r], grads[r], lr=0.1)
+            assert none == {}
+            assert np.array_equal(out.W[row], alone.W[0])
+            assert np.array_equal(out.b[row], alone.b[0])
+            assert np.array_equal(out.log_std[row], alone.log_std[0])
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_log_std_overflow_clamps_without_abort(self):
         # finite dlog_std times a huge lr overflows log_std to inf, which the
         # clip maps to LOG_STD_MAX: the guard reads dlog_std, not log_std
-        theta = GroundingPolicy(np.zeros((3, 4)), np.zeros(4), np.zeros(4))
-        g = (np.zeros((3, 4)), np.zeros(4), np.full(4, 10.0))
-        out = step(theta, g, lr=1e308)
+        theta = constant_policy(3, 0.0)
+        g = (np.zeros((1, 3, 4)), np.zeros((1, 4)), np.full((1, 4), 10.0))
+        out, aborts = step(theta, g, lr=1e308)
+        assert aborts == {}
         assert np.all(out.log_std == LOG_STD_MAX)
         assert np.array_equal(out.W, theta.W) and np.array_equal(out.b, theta.b)
 
@@ -289,11 +364,11 @@ class TestStep:
         theta = make_policy(rng)
         g = (
             np.full_like(theta.W, 10.0 if part == "W" else 0.0),
-            np.full(4, 10.0 if part == "b" else 0.0),
-            np.zeros(4),
+            np.full((1, 4), 10.0 if part == "b" else 0.0),
+            np.zeros((1, 4)),
         )
-        with pytest.raises(NumericalAbort, match="lr=1e\\+308"):
-            step(theta, g, lr=1e308)
+        _, aborts = step(theta, g, lr=1e308)
+        assert list(aborts) == [0] and "lr=1e+308" in str(aborts[0])
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @settings(max_examples=300, deadline=None)
@@ -315,13 +390,13 @@ class TestStep:
         # any gradient and any lr either abort or give a finite policy of the
         # same shapes with log_std in bounds
         W, b, log_std = (np.array(v) for v in theta)
-        theta = GroundingPolicy(W.reshape(3, 4), b, log_std)
+        theta = GroundingPolicy(W.reshape(1, 3, 4), b.reshape(1, 4), log_std.reshape(1, 4))
         dW, db, dlog_std = (np.array(v) for v in grad)
-        try:
-            out = step(theta, (dW.reshape(3, 4), db, dlog_std), lr)
-        except NumericalAbort:
+        out, aborts = step(theta, (dW.reshape(1, 3, 4), db.reshape(1, 4), dlog_std.reshape(1, 4)), lr)
+        if aborts:
+            assert list(aborts) == [0] and out.W.shape == (0, 3, 4)
             return
-        assert out.W.shape == (3, 4) and out.b.shape == (4,) and out.log_std.shape == (4,)
+        assert out.W.shape == (1, 3, 4) and out.b.shape == (1, 4) and out.log_std.shape == (1, 4)
         assert np.isfinite(out.W).all() and np.isfinite(out.b).all()
         assert ((LOG_STD_MIN <= out.log_std) & (out.log_std <= LOG_STD_MAX)).all()
 

@@ -78,12 +78,12 @@ def scalar_reference(task, n, rng):
 
 
 def reference_evaluate(policy, tasks, episodes, rng):
-    """One accuracy-matrix row scored episode by episode from the scalar
-    reference draws; empty splits are nan."""
+    """One accuracy-matrix row of a batch of one, scored episode by episode
+    from the scalar reference draws; empty splits are nan."""
     rows = []
     for task in tasks:
         states, boxes, kinds = scalar_reference(task, episodes, rng)
-        u = states @ policy.W + policy.b
+        u = states @ policy.W[0] + policy.b[0]
         cx = 1.0 / (1.0 + np.exp(-u[:, 0]))
         cy = 1.0 / (1.0 + np.exp(-u[:, 1]))
         hits = {"text": [], "icon": []}
@@ -222,7 +222,7 @@ class TestTaskDistinctness:
         rng = np.random.default_rng(9)
         for trained in range(3):
             policy = oracle_policy(tasks[trained])
-            row, _, _ = evaluate(policy, tasks, 800, rng)
+            row = evaluate(policy, tasks, 800, rng)[0][0]
             for other in range(3):
                 if other != trained:
                     assert row[other] < row[trained] - 0.05
@@ -286,14 +286,20 @@ class TestEvaluateEquivalence:
         {"mobile": {"text_fraction": 1.0}, "web": {"text_fraction": 0.0}},
     ])
     def test_rows_equal_per_instance_reference(self, overrides):
+        # one batch of four policies is scored on one draw; each run's row
+        # equals the reference for that policy alone on the same draw
         tasks = make_sequence("domain_flux", 3, overrides)
         policies = [GroundingPolicy.zeros(tasks[0].state_dim)]
         policies += [oracle_policy(t) for t in tasks]
-        for k, policy in enumerate(policies):
-            got = evaluate(policy, tasks, 300, np.random.default_rng(k))
-            want = reference_evaluate(policy, tasks, 300, np.random.default_rng(k))
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w, equal_nan=True)
+        batch = GroundingPolicy(*(np.concatenate(x) for x in zip(
+            *((p.W, p.b, p.log_std) for p in policies)
+        )))
+        for k in range(2):
+            got = evaluate(batch, tasks, 300, np.random.default_rng(k))
+            for r, policy in enumerate(policies):
+                want = reference_evaluate(policy, tasks, 300, np.random.default_rng(k))
+                for g, w in zip(got, want):
+                    assert np.array_equal(g[r], w, equal_nan=True)
 
 
 @st.composite
