@@ -218,26 +218,26 @@ def train_stage(
     tasks: list[TaskSpec],
     cfgs: Sequence[RunConfig],
     records: Sequence[list[TrainRecord]],
+    aborts: dict[int, NumericalAbort],
     master: int,
     stage: int,
-) -> tuple[GroundingPolicy, dict[int, NumericalAbort]]:
+) -> GroundingPolicy:
     """Run steps_per_task optimization steps per task of one stage, for
-    every run of a batch in lockstep.
+    every run of a batch in lockstep; returns the batch's policies.
 
     Row r of `policy` is the run of cfgs[r], whose records go to records[r].
     The KL reference is the policy at the start of the stage. Each task
     draws its instances from its own stream, the stage's actions come from
     one stream, and a stage of more than one task picks each step's task
     from the task-choice stream; every draw is made once and shared by all
-    runs. A run whose update is not finite leaves the batch. Returns the
-    policies of the runs that finished, in row order, and the NumericalAbort
-    of each run that left, keyed by its row in `policy`.
+    runs. The first NumericalAbort of a run whose update is not finite goes
+    to aborts[r]; its row keeps its last finite policy and stays in the
+    batch, and its records are not to be read. The stage ends early once
+    every run has aborted.
     """
     cfg = cfgs[0]
     ref = policy
     beta = np.array([c.optim.beta for c in cfgs])
-    live = list(range(len(cfgs)))  # the input row of each batch row
-    aborts: dict[int, NumericalAbort] = {}
     rngs_inst = [child_rng(master, STREAM_TRAIN_INSTANCES, t.index) for t in tasks]
     rng_actions = child_rng(master, STREAM_ACTIONS, stage)
     rng_choice = child_rng(master, STREAM_TASK_CHOICE) if len(tasks) > 1 else None
@@ -253,32 +253,27 @@ def train_stage(
         scores = np.array(
             [[rw.correctness(box, gt, cfg.reward) for box in g] for g in rollout.boxes]
         )
-        bonus = [rw.diversity_reward(g, cfgs[r].reward) for r, g in zip(live, rollout.boxes)]
+        bonus = [rw.diversity_reward(g, c.reward) for c, g in zip(cfgs, rollout.boxes)]
         # the group-shared diversity bonus is added to every advantage
         shaped = grpo_advantage(scores) + np.array([[r_div] for _, _, r_div in bonus])
 
         kl_val = kl_ref_theta(ref, policy, state)
-        logged = list(zip(scores.mean(axis=1).tolist(), bonus, kl_val.tolist()))
         grad = grad_objective(rollout, shaped, policy, ref, beta)
         policy, failed = step(policy, grad, cfg.optim.lr)
-        if failed:
-            aborts.update((live[r], e) for r, e in failed.items())
-            keep = [r for r in range(len(live)) if r not in failed]
-            if not keep:
-                break
-            live = [live[r] for r in keep]
-            logged = [logged[r] for r in keep]
-            ref, rollout = ref.take(keep), rollout.take(keep)
-            shaped, beta = shaped[keep], beta[keep]
+        for r, e in failed.items():
+            aborts.setdefault(r, e)
+        if len(aborts) == len(cfgs):
+            break
         # logged post-update: at the behavior policy the ratios are
         # identically 1 and the surrogate reduces to the diversity bonus,
         # which carries no step-level information
         j_val = objective(rollout, shaped, policy, ref, beta)
 
-        for r, (correct, (spread, separation, r_div), kl), j in zip(live, logged, j_val.tolist()):
-            records[r].append(
+        logged = zip(records, scores.mean(axis=1).tolist(), bonus, kl_val.tolist(), j_val.tolist())
+        for run_records, correct, (spread, separation, r_div), kl, j in logged:
+            run_records.append(
                 TrainRecord(
-                    step=len(records[r]),
+                    step=len(run_records),
                     task=tasks[k].index,
                     correctness=correct,
                     apr=spread,
@@ -288,7 +283,7 @@ def train_stage(
                     objective=j,
                 )
             )
-    return policy, aborts
+    return policy
 
 
 def run_batch(
@@ -324,34 +319,28 @@ def run_batch(
         prev = stage_labels[-1]
         stage_labels.append(label if prev == "untrained" else f"{prev}->{label}")
 
-    results: list = [None] * len(cfgs)
     records: list[list[TrainRecord]] = [[] for _ in cfgs]
-    matrix_rows: list[list] = [[] for _ in cfgs]
-    runs = list(range(len(cfgs)))  # the run of each batch row
+    aborts: dict[int, NumericalAbort] = {}
+    overall, text, icon = (np.zeros((len(cfgs), len(stages) + 1, len(tasks))) for _ in range(3))
     policy = GroundingPolicy.zeros(tasks[0].state_dim, len(cfgs))
 
     def score(k: int) -> None:
-        scored = evaluate(policy, tasks, cfg.eval_episodes, child_rng(master, STREAM_EVAL, k))
-        for r, i in enumerate(runs):
-            matrix_rows[i].append([split[r] for split in scored])
+        rng = child_rng(master, STREAM_EVAL, k)
+        overall[:, k], text[:, k], icon[:, k] = evaluate(policy, tasks, cfg.eval_episodes, rng)
 
     score(0)
     for k, (_, stage_tasks) in enumerate(stages):
-        policy, aborts = train_stage(
-            policy, stage_tasks, [cfgs[i] for i in runs], [records[i] for i in runs], master, k
-        )
-        for r, e in aborts.items():
-            results[runs[r]] = e
-        runs = [i for r, i in enumerate(runs) if r not in aborts]
-        if not runs:
+        policy = train_stage(policy, stage_tasks, cfgs, records, aborts, master, k)
+        if len(aborts) == len(cfgs):
             break
         score(k + 1)
 
-    for i in runs:
-        overall, text, icon = (np.stack(split) for split in zip(*matrix_rows[i]))
-        matrix = AccuracyMatrix(overall, text, icon, [t.name for t in tasks], stage_labels)
-        results[i] = (matrix, records[i])
-    return results
+    task_names = [t.name for t in tasks]
+    return [
+        aborts[i] if i in aborts
+        else (AccuracyMatrix(overall[i], text[i], icon[i], task_names, stage_labels), records[i])
+        for i in range(len(cfgs))
+    ]
 
 
 def _shared(cfg: RunConfig) -> tuple:

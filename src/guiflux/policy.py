@@ -65,8 +65,8 @@ class GroundingPolicy:
     A record that does not check itself: its makers keep the invariants
     (float arrays of the shapes below, all finite, log_std in
     [LOG_STD_MIN, LOG_STD_MAX]). `zeros` builds constants inside the bounds;
-    `step`, the one update guard, keeps only the rows whose new W, b and
-    dlog_std are finite, then clips log_std; `verify`'s fixtures draw
+    `step`, the one update guard, keeps theta's row wherever the new W, b or
+    dlog_std is not finite, then clips log_std; `verify`'s fixtures draw
     log_std inside the bounds.
     """
 
@@ -80,10 +80,6 @@ class GroundingPolicy:
 
     def action_std(self) -> np.ndarray:
         return np.exp(self.log_std)
-
-    def take(self, rows) -> "GroundingPolicy":
-        """The policies of the given rows, in that order."""
-        return GroundingPolicy(self.W[rows], self.b[rows], self.log_std[rows])
 
     @staticmethod
     def zeros(feature_dim: int, runs: int = 1) -> "GroundingPolicy":
@@ -108,12 +104,6 @@ class GroupRollout:
     @property
     def n(self) -> int:
         return self.actions.shape[1]
-
-    def take(self, rows) -> "GroupRollout":
-        """The groups of the given rows, in that order."""
-        return GroupRollout(
-            self.state, self.actions[rows], [self.boxes[r] for r in rows], self.logp_behavior[rows]
-        )
 
 
 def action_to_bbox(u: np.ndarray) -> BBox:
@@ -202,7 +192,7 @@ def objective(
     beta: np.ndarray,
 ) -> np.ndarray:
     """(R,) J(theta) per run for a rollout and its (R, N) shaped advantages
-    A_i + r_div, under per-run KL weights beta ((R,) or one shared float).
+    A_i + r_div, under the (R,) per-run KL weights beta.
 
     J = mean_i ratio_i * shaped_i - beta * KL(ref || theta at state),
     with ratio_i = exp(logp_theta_i - logp_behavior_i): logp under `theta`
@@ -242,7 +232,7 @@ def grad_objective(
     dmu = (weights * diff / var[:, None, :]).sum(axis=-2) / n
     dlog_std = (weights * (z2 - 1.0)).sum(axis=-2) / n
 
-    beta = np.reshape(beta, (-1, 1))
+    beta = beta[:, None]
     if beta.any():
         kl_on = beta != 0.0
         mu_r = ref.action_mean(state)
@@ -264,18 +254,17 @@ def step(
     log_std is re-clamped to its bounds. This is the guard that keeps every
     trained GroundingPolicy finite and in bounds.
 
-    Returns the new policies of the runs whose update is finite, in row
-    order, and a NumericalAbort for each row whose new W or b, or dlog_std,
-    is not finite, keyed by its row in `theta`: such a run stops with a
-    diagnostic instead of silently corrupting its policy. theta is finite,
-    so a non-finite dW or db, or a finite one that `lr` overflows, always
-    shows in W or b; dlog_std is checked before the clip, which would turn
-    an inf log_std finite.
+    Returns the new policies, one per row of `theta`, and a NumericalAbort
+    for each row whose new W or b, or dlog_std, is not finite, keyed by its
+    row: such a row keeps theta's W, b and log_std, so the shapes never
+    change, and its run gets a diagnostic instead of a silently corrupted
+    policy. theta is finite, so a non-finite dW or db, or a finite one that
+    `lr` overflows, always shows in W or b; dlog_std is checked before the
+    clip, which would turn an inf log_std finite.
     """
     dW, db, dlog_std = grad
     W = theta.W + lr * dW
     b = theta.b + lr * db
-    log_std = theta.log_std
     aborts = {}
     if not (np.isfinite(W).all() and np.isfinite(b).all() and np.isfinite(dlog_std).all()):
         finite = np.isfinite(W).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
@@ -287,6 +276,8 @@ def step(
             )
             for r in np.flatnonzero(~finite)
         }
-        W, b, log_std, dlog_std = W[finite], b[finite], log_std[finite], dlog_std[finite]
-    log_std = np.clip(log_std + lr * dlog_std, LOG_STD_MIN, LOG_STD_MAX)
+        W = np.where(finite[:, None, None], W, theta.W)
+        b = np.where(finite[:, None], b, theta.b)
+        dlog_std = np.where(finite[:, None], dlog_std, 0.0)
+    log_std = np.clip(theta.log_std + lr * dlog_std, LOG_STD_MIN, LOG_STD_MAX)
     return GroundingPolicy(W, b, log_std), aborts

@@ -206,7 +206,7 @@ def check_gradient(rng: np.random.Generator) -> OracleResult:
     """Analytic gradient vs central finite differences of the objective."""
     worst = 0.0
     for k in range(N_FIXTURES):
-        beta = 0.0 if k % 2 == 0 else 0.04
+        beta = np.array([0.0 if k % 2 == 0 else 0.04])
         theta, ref, rollout, shaped = _random_fixture(rng)
         dW, db, dlog_std = pol.grad_objective(rollout, shaped, theta, ref, beta)
         analytic = np.concatenate([dW.ravel(), db.ravel(), dlog_std.ravel()])

@@ -174,7 +174,8 @@ def test_criterion_10_forward_transfer():
         """Per run of one batch, the mean accuracy on tasks 2 and 3 after stage 1."""
         tasks = cfgs[0].tasks
         policy = GroundingPolicy.zeros(tasks[0].state_dim, len(cfgs))
-        policy, aborts = train_stage(policy, tasks[:1], cfgs, [[] for _ in cfgs], seed, 0)
+        aborts = {}
+        policy = train_stage(policy, tasks[:1], cfgs, [[] for _ in cfgs], aborts, seed, 0)
         assert aborts == {}
         rows, _, _ = evaluate(policy, tasks, cfgs[0].eval_episodes, child_rng(seed, STREAM_EVAL, 1))
         return rows[:, 1:].mean(axis=1)

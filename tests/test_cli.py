@@ -566,13 +566,15 @@ class TestAblateCommand:
             label = scale_label(float(row["alpha_scale"]), float(row["gamma_scale"]))
             assert row["cell"] == f"{row['variant']}_kl{row['use_kl']}_{label}"
 
+    @pytest.mark.parametrize("at", [3, 7, 11], ids=lambda at: f"step{at}")
     @pytest.mark.parametrize("k", [1, 5])
     def test_abort_in_run_k_keeps_the_finished_runs(
-        self, two_seed_grid, tmp_path, monkeypatch, caplog, k
+        self, two_seed_grid, tmp_path, monkeypatch, caplog, k, at
     ):
-        # a non-finite update in the k-th run of seed 0's batch: that run
-        # leaves the batch, the other seed-0 runs finish and are written as in
-        # a clean grid, and seed 1 never runs
+        # a non-finite update in the k-th run of seed 0's batch at its
+        # `at`-th step (stage 1, 2 or 3): that run keeps its row but none of
+        # its results, the other seed-0 runs finish and are written as in a
+        # clean grid, and seed 1 never runs
         from guiflux import harness
 
         step = harness.step
@@ -581,7 +583,7 @@ class TestAblateCommand:
         def corrupt_kth_row(theta, grad, lr):
             batch_sizes.append(theta.W.shape[0])
             dW, db, dlog_std = grad
-            if len(batch_sizes) == 3:
+            if len(batch_sizes) == at:
                 dW = dW.copy()
                 dW[k - 1] = np.nan
             return step(theta, (dW, db, dlog_std), lr)
@@ -592,8 +594,8 @@ class TestAblateCommand:
         cells = ablate(parse_config(TWO_SEED_GRID))
         aborted = f"{cells[k - 1].cell_id}_s0"
         assert f"ablation run {aborted} aborted: update with lr=" in caplog.text
-        # 3 tasks x 4 steps per seed: the batch of 8 shrinks to 7 at step 3
-        assert batch_sizes == [8] * 3 + [7] * 9
+        # 3 tasks x 4 steps per seed, every one of them on all 8 rows
+        assert batch_sizes == [8] * 12
         finished = [f"{c.cell_id}_s0" for c in cells if f"{c.cell_id}_s0" != aborted]
         assert sorted(p.name for p in out.iterdir()) == sorted(finished)
         for run_id in finished:

@@ -95,7 +95,8 @@ class TestTrainTask:
         cfg = tiny_config(steps_per_task=0)
         tasks = make_sequence("domain_flux", 0)
         policy = GroundingPolicy.zeros(tasks[0].state_dim)
-        out, aborts = train_stage(policy, tasks[:1], [cfg], [[]], 0, 0)
+        aborts = {}
+        out = train_stage(policy, tasks[:1], [cfg], [[]], aborts, 0, 0)
         assert aborts == {}
         assert np.array_equal(out.W, policy.W)
 
@@ -106,7 +107,7 @@ class TestTrainTask:
         records = []
         tasks = make_sequence("domain_flux", 0)
         policy = GroundingPolicy.zeros(tasks[0].state_dim)
-        train_stage(policy, tasks[:1], [cfg], [records], 0, 0)
+        train_stage(policy, tasks[:1], [cfg], [records], {}, 0, 0)
         assert all(r.apr == 0.0 and r.arr == 0.0 and r.r_aif == 0.0 for r in records)
 
     def test_deterministic_log(self):
@@ -116,7 +117,7 @@ class TestTrainTask:
             records = []
             tasks = make_sequence("domain_flux", 0)
             policy = GroundingPolicy.zeros(tasks[0].state_dim)
-            train_stage(policy, tasks[:1], [cfg], [records], 0, 0)
+            train_stage(policy, tasks[:1], [cfg], [records], {}, 0, 0)
             logs.append(records)
         assert logs[0] == logs[1]
 
@@ -182,17 +183,23 @@ class TestRunBatch:
             run_batch([tiny_config(), tiny_config(**kw)], 0)
 
     def test_every_run_aborting_ends_the_batch(self, monkeypatch):
+        # every row aborts at the first step: the batch stops there instead
+        # of training its dead rows on
         step = harness.step
+        calls = []
 
         def corrupt(theta, grad, lr):
+            calls.append(theta.W.shape[0])
             dW, db, dlog_std = grad
             return step(theta, (dW, np.full_like(db, np.nan), dlog_std), lr)
 
         monkeypatch.setattr(harness, "step", corrupt)
         results = run_batch([c.cfg for c in ablate(tiny_config())][:3], 0)
         assert [type(r) for r in results] == [NumericalAbort] * 3
+        assert calls == [3]
         with pytest.raises(NumericalAbort, match="not finite"):
             run_continual(tiny_config(), 0)
+        assert calls == [3, 1]
 
 
 class TestForwardTransfer:

@@ -11,6 +11,7 @@ from guiflux.policy import (
     LOG_STD_MAX,
     LOG_STD_MIN,
     GroundingPolicy,
+    GroupRollout,
     NumericalAbort,
     OptimConfig,
     action_to_bbox,
@@ -208,7 +209,7 @@ class TestObjective:
         theta = make_policy(rng)
         rollout, advantages, r_div = make_rollout(rng, theta)
         for beta in (0.0, 0.04):
-            got = objective(rollout, advantages + r_div, theta, theta, beta)
+            got = objective(rollout, advantages + r_div, theta, theta, np.array([beta]))
             assert got == pytest.approx([r_div], abs=1e-9)
 
     def test_term_by_term_recomputation(self, rng):
@@ -230,7 +231,7 @@ class TestObjective:
             expected += ratio * (advantages[0, i] + r_div)
         expected /= rollout.n
         expected -= beta * kl_ref_theta(ref, theta, rollout.state)[0]
-        got = objective(rollout, advantages + r_div, theta, ref, beta)
+        got = objective(rollout, advantages + r_div, theta, ref, np.array([beta]))
         assert got == pytest.approx([expected], rel=1e-12)
 
 
@@ -238,14 +239,17 @@ class TestGradObjective:
     def test_zero_weights_zero_gradient(self, rng):
         theta = make_policy(rng)
         rollout, _, _ = make_rollout(rng, theta)
-        dW, db, dlog_std = grad_objective(rollout, np.zeros((1, rollout.n)), theta, theta, beta=0.0)
+        dW, db, dlog_std = grad_objective(
+            rollout, np.zeros((1, rollout.n)), theta, theta, beta=np.array([0.0])
+        )
         assert np.allclose(dW, 0.0) and np.allclose(db, 0.0) and np.allclose(dlog_std, 0.0)
 
     def test_kl_gradient_vanishes_at_reference(self, rng):
         theta = make_policy(rng)
         rollout, advantages, r_div = make_rollout(rng, theta)
-        dW0, _, dlog_std0 = grad_objective(rollout, advantages + r_div, theta, theta, beta=0.0)
-        dW1, _, dlog_std1 = grad_objective(rollout, advantages + r_div, theta, theta, beta=0.04)
+        shaped = advantages + r_div
+        dW0, _, dlog_std0 = grad_objective(rollout, shaped, theta, theta, beta=np.array([0.0]))
+        dW1, _, dlog_std1 = grad_objective(rollout, shaped, theta, theta, beta=np.array([0.04]))
         assert np.allclose(dW0, dW1, atol=1e-14)
         assert np.allclose(dlog_std0, dlog_std1, atol=1e-14)
 
@@ -258,7 +262,7 @@ class TestGradObjective:
         rollout = sample_group(theta, state, 4, rng)
         rewards = rng.random(4) * 2
         dW, db, dlog_std = grad_objective(
-            rollout, grpo_advantage(rewards[None]), theta, theta, beta=0.0
+            rollout, grpo_advantage(rewards[None]), theta, theta, beta=np.array([0.0])
         )
 
         mean = theta.action_mean(state)
@@ -283,8 +287,14 @@ class TestGradObjective:
         rollout, advantages, r_div = make_rollout(rng, theta)
         two = GroundingPolicy(*(np.concatenate([x, x]) for x in (theta.W, theta.b, theta.log_std)))
         two_ref = GroundingPolicy(*(np.concatenate([x, x]) for x in (ref.W, ref.b, ref.log_std)))
+        two_rollout = GroupRollout(
+            rollout.state,
+            np.concatenate([rollout.actions, rollout.actions]),
+            rollout.boxes * 2,
+            np.concatenate([rollout.logp_behavior, rollout.logp_behavior]),
+        )
         both = grad_objective(
-            rollout.take([0, 0]), np.concatenate([advantages, advantages]) + r_div,
+            two_rollout, np.concatenate([advantages, advantages]) + r_div,
             two, two_ref, np.array([0.04, 0.0]),
         )
         for r, beta in enumerate((0.04, 0.0)):
@@ -324,10 +334,13 @@ class TestStep:
         out, aborts = step(theta, tuple(g), lr=0.1)
         assert list(aborts) == [0] and isinstance(aborts[0], NumericalAbort)
         assert "lr=0.1" in str(aborts[0])
-        assert out.W.shape == (0, 6, 4) and out.b.shape == (0, 4) and out.log_std.shape == (0, 4)
+        # the aborted row keeps theta's policy
+        assert np.array_equal(out.W, theta.W) and np.array_equal(out.b, theta.b)
+        assert np.array_equal(out.log_std, theta.log_std)
 
     def test_non_finite_row_leaves_the_others(self, rng):
-        # the runs around an aborted row get exactly their own update
+        # the runs around an aborted row get exactly their own update, and
+        # the aborted row keeps its policy
         runs = [make_policy(rng) for _ in range(3)]
         grads = [
             (rng.normal(size=(1, 6, 4)), rng.normal(size=(1, 4)), rng.normal(size=(1, 4)))
@@ -339,12 +352,14 @@ class TestStep:
         )))
         out, aborts = step(batch, tuple(np.concatenate(x) for x in zip(*grads)), lr=0.1)
         assert list(aborts) == [1] and "lr=0.1" in str(aborts[1])
-        for row, r in enumerate((0, 2)):
+        for r in (0, 2):
             alone, none = step(runs[r], grads[r], lr=0.1)
             assert none == {}
-            assert np.array_equal(out.W[row], alone.W[0])
-            assert np.array_equal(out.b[row], alone.b[0])
-            assert np.array_equal(out.log_std[row], alone.log_std[0])
+            assert np.array_equal(out.W[r], alone.W[0])
+            assert np.array_equal(out.b[r], alone.b[0])
+            assert np.array_equal(out.log_std[r], alone.log_std[0])
+        assert np.array_equal(out.W[1], batch.W[1]) and np.array_equal(out.b[1], batch.b[1])
+        assert np.array_equal(out.log_std[1], batch.log_std[1])
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_log_std_overflow_clamps_without_abort(self):
@@ -387,14 +402,16 @@ class TestStep:
     )
     def test_result_keeps_the_policy_invariants(self, theta, grad, lr):
         # step is the one guard of GroundingPolicy: from a finite policy,
-        # any gradient and any lr either abort or give a finite policy of the
-        # same shapes with log_std in bounds
+        # any gradient and any lr either abort and keep theta's row, or give
+        # a finite policy with log_std in bounds; the shapes never change
         W, b, log_std = (np.array(v) for v in theta)
         theta = GroundingPolicy(W.reshape(1, 3, 4), b.reshape(1, 4), log_std.reshape(1, 4))
         dW, db, dlog_std = (np.array(v) for v in grad)
         out, aborts = step(theta, (dW.reshape(1, 3, 4), db.reshape(1, 4), dlog_std.reshape(1, 4)), lr)
         if aborts:
-            assert list(aborts) == [0] and out.W.shape == (0, 3, 4)
+            assert list(aborts) == [0]
+            assert np.array_equal(out.W, theta.W) and np.array_equal(out.b, theta.b)
+            assert np.array_equal(out.log_std, theta.log_std)
             return
         assert out.W.shape == (1, 3, 4) and out.b.shape == (1, 4) and out.log_std.shape == (1, 4)
         assert np.isfinite(out.W).all() and np.isfinite(out.b).all()
