@@ -71,13 +71,20 @@ def cmd_ablate(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cells = harness.ablate(cfg)
+    # A zeroed weight loses its scale, so several cells can hold the same
+    # run: train each distinct (alpha, gamma, beta) once and give its result
+    # to every cell that shares it.
+    runs: dict[tuple[float, float, float], harness.RunConfig] = {}
+    for cell in cells:
+        runs.setdefault(_weights(cell.cfg), cell.cfg)
     finals: list[list[float]] = [[] for _ in cells]
     # one batch per seed; its runs are written as it returns, so an abort
     # keeps every finished run
     for seed in cfg.seeds:
         aborts = []
-        results = harness.run_batch([cell.cfg for cell in cells], seed)
-        for cell, result, cell_finals in zip(cells, results, finals):
+        results = dict(zip(runs, harness.run_batch(list(runs.values()), seed)))
+        for cell, cell_finals in zip(cells, finals):
+            result = results[_weights(cell.cfg)]
             run_id = f"{cell.cell_id}_s{seed}"
             if isinstance(result, NumericalAbort):
                 log.error("ablation run %s aborted: %s", run_id, result)
@@ -92,6 +99,11 @@ def cmd_ablate(args) -> int:
     persistence.write_summary(out, list(zip(cells, finals)))
     log.info("ablation grid complete: %d cells -> %s", len(cells), args.out_dir)
     return EXIT_OK
+
+
+def _weights(cfg: harness.RunConfig) -> tuple[float, float, float]:
+    """The method weights, all that the configs of one ablation batch vary."""
+    return cfg.reward.alpha, cfg.reward.gamma, cfg.optim.beta
 
 
 def _read_run_file(read, path: Path):

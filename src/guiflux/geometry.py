@@ -2,11 +2,15 @@
 
 Everything downstream (rewards, the simulator, evaluation) works on
 normalized [0,1] coordinates; pixel inputs must be divided by the screen
-size before they reach this module.
+size before they reach this module. The box functions take any
+(x1, y1, x2, y2) 4-sequence of floats: the training step passes plain
+tuples it has already bounded, and `BBox`, the validated type of the API
+boundary, iterates as its four corners.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +30,9 @@ class BBox:
         if not (0.0 <= self.x1 <= self.x2 <= 1.0 and 0.0 <= self.y1 <= self.y2 <= 1.0):
             coords = (self.x1, self.y1, self.x2, self.y2)
             raise ValueError(f"box {coords} violates the BBox invariants")
+
+    def __iter__(self):
+        return iter((self.x1, self.y1, self.x2, self.y2))
 
     @property
     def width(self) -> float:
@@ -53,12 +60,15 @@ def check_boxes(boxes: np.ndarray) -> None:
     raise ValueError(f"box {i} {tuple(float(c) for c in boxes[i])} violates the BBox invariants")
 
 
-def center(b: BBox) -> tuple[float, float]:
+def center(b: Sequence[float]) -> tuple[float, float]:
     """Midpoint (x, y) of a box."""
-    return (b.x1 + b.x2) / 2.0, (b.y1 + b.y2) / 2.0
+    x1, y1, x2, y2 = b
+    return (x1 + x2) / 2.0, (y1 + y2) / 2.0
 
 
-def to_gaussian(b: BBox, kappa: float, eps_min: float) -> tuple[float, float, float, float]:
+def to_gaussian(
+    b: Sequence[float], kappa: float, eps_min: float
+) -> tuple[float, float, float, float]:
     """Model a box as a diagonal 2-D Gaussian centered on its midpoint,
     returned as (mean x, mean y, var x, var y).
 
@@ -66,23 +76,27 @@ def to_gaussian(b: BBox, kappa: float, eps_min: float) -> tuple[float, float, fl
     (var = (kappa*side)^2). Variances are floored at `eps_min` so degenerate
     boxes stay usable.
     """
-    vx = (kappa * b.width) ** 2
-    vy = (kappa * b.height) ** 2
+    x1, y1, x2, y2 = b
+    vx = (kappa * (x2 - x1)) ** 2
+    vy = (kappa * (y2 - y1)) ** 2
     # the mean is center(b), written out: this runs for every sampled box
-    return (b.x1 + b.x2) / 2.0, (b.y1 + b.y2) / 2.0, max(vx, eps_min), max(vy, eps_min)
+    return (x1 + x2) / 2.0, (y1 + y2) / 2.0, max(vx, eps_min), max(vy, eps_min)
 
 
-def iou(a: BBox, b: BBox) -> float:
+def iou(a: Sequence[float], b: Sequence[float]) -> float:
     """Intersection over union; 0 when the union has zero area."""
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
+    ix = min(ax2, bx2) - max(ax1, bx1)
+    iy = min(ay2, by2) - max(ay1, by1)
     inter = max(ix, 0.0) * max(iy, 0.0)
-    union = a.area + b.area - inter
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
     if union <= 0.0:
         return 0.0
     return inter / union
 
 
-def contains(b: BBox, x: float, y: float) -> bool:
+def contains(b: Sequence[float], x: float, y: float) -> bool:
     """True iff the point (x, y) lies inside `b`, boundaries inclusive."""
-    return b.x1 <= x <= b.x2 and b.y1 <= y <= b.y2
+    x1, y1, x2, y2 = b
+    return x1 <= x <= x2 and y1 <= y <= y2

@@ -9,7 +9,9 @@ streams of the master seed, and no draw depends on the policy, so runs that
 differ only in method weights (reward.alpha, reward.gamma, optim.beta) see
 identical task choices, instances, action noise and evaluation episodes.
 `run_batch` trains such runs as one batch that makes each draw once;
-`run_continual` is the batch of one run.
+`run_continual` is the batch of one run. For the same reason a stage makes
+its draws up front, DRAW_BLOCK steps at a time, and each training step does
+only the work that depends on the policy.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rewards as rw
-from .geometry import BBox
 from .policy import (
     GroundingPolicy,
     NumericalAbort,
@@ -36,7 +37,7 @@ from .policy import (
     step,
 )
 from .rewards import RewardConfig
-from .simulator import TaskSpec, make_sequence, sample_instances
+from .simulator import TaskSpec, make_sequence, sample_episodes, sample_instances
 
 log = logging.getLogger(__name__)
 
@@ -45,6 +46,10 @@ STREAM_TRAIN_INSTANCES = 0
 STREAM_ACTIONS = 1
 STREAM_EVAL = 2
 STREAM_TASK_CHOICE = 3
+
+# Training steps whose instances and action noise a stage draws at once: a
+# block holds about DRAW_BLOCK * (state_dim + 4 * (n_samples + 1)) floats.
+DRAW_BLOCK = 256
 
 # Stage label of the single stage that trains every task of a joint run.
 JOINT_STAGE = "joint"
@@ -229,11 +234,13 @@ def train_stage(
     The KL reference is the policy at the start of the stage. Each task
     draws its instances from its own stream, the stage's actions come from
     one stream, and a stage of more than one task picks each step's task
-    from the task-choice stream; every draw is made once and shared by all
-    runs. The first NumericalAbort of a run whose update is not finite goes
-    to aborts[r]; its row keeps its last finite policy and stays in the
-    batch, and its records are not to be read. The stage ends early once
-    every run has aborted.
+    from the task-choice stream. No draw depends on the policy, so the
+    stage draws DRAW_BLOCK steps' task choices, instances and action noise
+    at a time, in the order the steps would draw them one by one, and every
+    draw is shared by all runs. The first NumericalAbort of a run whose
+    update is not finite goes to aborts[r]; its row keeps its last finite
+    policy and stays in the batch, and its records are not to be read. The
+    stage ends early once every run has aborted.
     """
     cfg = cfgs[0]
     ref = policy
@@ -241,48 +248,61 @@ def train_stage(
     rngs_inst = [child_rng(master, STREAM_TRAIN_INSTANCES, t.index) for t in tasks]
     rng_actions = child_rng(master, STREAM_ACTIONS, stage)
     rng_choice = child_rng(master, STREAM_TASK_CHOICE) if len(tasks) > 1 else None
-    for _ in range(cfg.steps_per_task * len(tasks)):
-        k = 0 if rng_choice is None else int(rng_choice.integers(len(tasks)))
-        states, boxes, _ = sample_instances(tasks[k], 1, rngs_inst[k])
-        state, gt = states[0], BBox(*boxes[0])
-        # Ratio anchor = behavior policy (rollout.logp_behavior); `ref` only
-        # anchors the KL penalty. Anchoring the ratio to the stage-start
-        # snapshot as well would make it overflow once the policy has
-        # genuinely moved.
-        rollout = sample_group(policy, state, cfg.optim.n_samples, rng_actions)
-        scores = np.array(
-            [[rw.correctness(box, gt, cfg.reward) for box in g] for g in rollout.boxes]
-        )
-        bonus = [rw.diversity_reward(g, c.reward) for c, g in zip(cfgs, rollout.boxes)]
-        # the group-shared diversity bonus is added to every advantage
-        shaped = grpo_advantage(scores) + np.array([[r_div] for _, _, r_div in bonus])
-
-        kl_val = kl_ref_theta(ref, policy, state)
-        grad = grad_objective(rollout, shaped, policy, ref, beta)
-        policy, failed = step(policy, grad, cfg.optim.lr)
-        for r, e in failed.items():
-            aborts.setdefault(r, e)
-        if len(aborts) == len(cfgs):
-            break
-        # logged post-update: at the behavior policy the ratios are
-        # identically 1 and the surrogate reduces to the diversity bonus,
-        # which carries no step-level information
-        j_val = objective(rollout, shaped, policy, ref, beta)
-
-        logged = zip(records, scores.mean(axis=1).tolist(), bonus, kl_val.tolist(), j_val.tolist())
-        for run_records, correct, (spread, separation, r_div), kl, j in logged:
-            run_records.append(
-                TrainRecord(
-                    step=len(run_records),
-                    task=tasks[k].index,
-                    correctness=correct,
-                    apr=spread,
-                    arr=separation,
-                    r_aif=r_div,
-                    kl=kl,
-                    objective=j,
-                )
+    steps = cfg.steps_per_task * len(tasks)
+    for start in range(0, steps, DRAW_BLOCK):
+        block = min(DRAW_BLOCK, steps - start)
+        if rng_choice is None:
+            choices = [0] * block
+        else:
+            choices = [int(rng_choice.integers(len(tasks))) for _ in range(block)]
+        # per task, its episodes of this block in draw order, as (state, gt) pairs
+        episodes = []
+        for t, (task, rng) in enumerate(zip(tasks, rngs_inst)):
+            states, boxes, _ = sample_episodes(task, choices.count(t), rng)
+            episodes.append(iter(zip(states, boxes.tolist())))
+        noise = rng_actions.standard_normal((block, cfg.optim.n_samples, 4))
+        for k, step_noise in zip(choices, noise):
+            state, gt = next(episodes[k])
+            # Ratio anchor = behavior policy (rollout.logp_behavior); `ref` only
+            # anchors the KL penalty. Anchoring the ratio to the stage-start
+            # snapshot as well would make it overflow once the policy has
+            # genuinely moved.
+            rollout = sample_group(policy, state, step_noise)
+            scores = np.array(
+                [[rw.correctness(box, gt, cfg.reward) for box in g] for g in rollout.boxes]
             )
+            bonus = [rw.diversity_reward(g, c.reward) for c, g in zip(cfgs, rollout.boxes)]
+            # the group-shared diversity bonus is added to every advantage
+            shaped = grpo_advantage(scores) + np.array([[r_div] for _, _, r_div in bonus])
+
+            kl_val = kl_ref_theta(ref, policy, state)
+            grad = grad_objective(rollout, shaped, policy, ref, beta)
+            policy, failed = step(policy, grad, cfg.optim.lr)
+            for r, e in failed.items():
+                aborts.setdefault(r, e)
+            if len(aborts) == len(cfgs):
+                return policy
+            # logged post-update: at the behavior policy the ratios are
+            # identically 1 and the surrogate reduces to the diversity bonus,
+            # which carries no step-level information
+            j_val = objective(rollout, shaped, policy, ref, beta)
+
+            logged = zip(
+                records, scores.mean(axis=1).tolist(), bonus, kl_val.tolist(), j_val.tolist()
+            )
+            for run_records, correct, (spread, separation, r_div), kl, j in logged:
+                run_records.append(
+                    TrainRecord(
+                        step=len(run_records),
+                        task=tasks[k].index,
+                        correctness=correct,
+                        apr=spread,
+                        arr=separation,
+                        r_aif=r_div,
+                        kl=kl,
+                        objective=j,
+                    )
+                )
     return policy
 
 

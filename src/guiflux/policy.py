@@ -13,11 +13,10 @@ immutable; every update returns a new one.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-
-from .geometry import BBox
 
 LOG_STD_MIN = -6.0
 LOG_STD_MAX = 1.0
@@ -98,7 +97,7 @@ class GroupRollout:
 
     state: np.ndarray              # (feature_dim,), shared by every run
     actions: np.ndarray            # (R, N, 4) raw actions
-    boxes: list[list[BBox]]        # per run, its N decoded boxes
+    boxes: list[list[tuple[float, ...]]]  # per run, its N decoded (x1, y1, x2, y2)
     logp_behavior: np.ndarray      # (R, N) log-prob under the sampling policy; anchors the ratio
 
     @property
@@ -106,13 +105,14 @@ class GroupRollout:
         return self.actions.shape[1]
 
 
-def action_to_bbox(u: np.ndarray) -> BBox:
-    """Decode a raw action into a valid box.
+def action_to_bbox(u: Sequence[float]) -> tuple[float, float, float, float]:
+    """Decode a raw action into the corners (x1, y1, x2, y2) of a valid box.
 
     Center via sigmoid, sides via exp clamped to [1e-4, 1]; the corners are
-    clipped to [0,1], so any finite action yields a valid box. The corners
-    need no re-ordering: rounding is monotone, so fl(c - side/2) <= c <=
-    fl(c + side/2) for a side >= 0, and the clip keeps that order.
+    clipped to [0,1], so any finite action yields a box that keeps the
+    `BBox` invariants, and the result is not re-checked. The corners need no
+    re-ordering: rounding is monotone, so fl(c - side/2) <= c <= fl(c +
+    side/2) for a side >= 0, and the clip keeps that order.
     """
     cx = _sigmoid(u[0])
     cy = _sigmoid(u[1])
@@ -122,7 +122,7 @@ def action_to_bbox(u: np.ndarray) -> BBox:
     x2 = min(max(cx + w / 2.0, 0.0), 1.0)
     y1 = min(max(cy - h / 2.0, 0.0), 1.0)
     y2 = min(max(cy + h / 2.0, 0.0), 1.0)
-    return BBox(x1, y1, x2, y2)
+    return x1, y1, x2, y2
 
 
 def _sigmoid(x: float) -> float:
@@ -139,20 +139,15 @@ def gaussian_logp(actions: np.ndarray, mean: np.ndarray, log_std: np.ndarray) ->
     return (-0.5 * z * z - log_std - 0.5 * LOG_2PI).sum(axis=-1)
 
 
-def sample_group(
-    policy: GroundingPolicy,
-    state: np.ndarray,
-    n_samples: int,
-    rng: np.random.Generator,
-) -> GroupRollout:
-    """Draw N raw actions per run at `state`, decoding boxes and recording
-    their log-probs under the sampling policy. Every run shares one draw of
-    (N, 4) standard-normal noise."""
+def sample_group(policy: GroundingPolicy, state: np.ndarray, noise: np.ndarray) -> GroupRollout:
+    """N raw actions per run at `state`, mean + std * noise for the (N, 4)
+    standard-normal `noise` that every run shares, with their decoded boxes
+    and their log-probs under the sampling policy."""
     mean = policy.action_mean(state)[:, None, :]
     std = policy.action_std()[:, None, :]
-    noise = rng.standard_normal((n_samples, 4))
     actions = mean + std * noise
-    boxes = [[action_to_bbox(u) for u in run] for run in actions]
+    # plain Python floats: scalar arithmetic on numpy float64 costs more per box
+    boxes = [[action_to_bbox(u) for u in run] for run in actions.tolist()]
     logp_behavior = gaussian_logp(actions, mean, policy.log_std[:, None, :])
     return GroupRollout(state, actions, boxes, logp_behavior)
 

@@ -5,7 +5,8 @@ group, the sequence of N boxes sampled for one instruction (spatial spread
 of box centers plus pairwise separation of the boxes' Gaussian region
 models), and the per-sample correctness rewards that score a prediction
 against its ground-truth box (IoU, center-distance, and a dense Gaussian
-point+coverage variant).
+point+coverage variant). A box is any (x1, y1, x2, y2) 4-sequence of
+floats, a `BBox` or a plain tuple.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .geometry import BBox, center, contains, iou, to_gaussian
+from .geometry import center, contains, iou, to_gaussian
 
 CORRECTNESS_KINDS = ("iou", "point_distance", "gaussian_dense")
 # Box -> Gaussian transform: variance (KAPPA * side)^2, floored at EPS_MIN.
@@ -47,7 +48,7 @@ class RewardConfig:
             )
 
 
-def center_spread(g: Sequence[BBox]) -> float:
+def center_spread(g: Sequence[Sequence[float]]) -> float:
     """Mean squared distance of the group's box centers from their centroid.
 
     Zero iff all centers coincide; a single-box group has zero spread by
@@ -56,7 +57,8 @@ def center_spread(g: Sequence[BBox]) -> float:
     n = len(g)
     if n == 1:
         return 0.0
-    cs = [center(b) for b in g]
+    # center(b), written out: this runs for every sampled group
+    cs = [((x1 + x2) / 2.0, (y1 + y2) / 2.0) for x1, y1, x2, y2 in g]
     # explicit left-to-right sums: the builtin sum is compensated from
     # Python 3.12 on, which changes the last bit of the result
     sx = sy = 0.0
@@ -91,7 +93,7 @@ def bhattacharyya(a: tuple[float, ...], b: tuple[float, ...]) -> float:
     return maha + log_det
 
 
-def region_separation(g: Sequence[BBox], kappa: float, eps_min: float) -> float:
+def region_separation(g: Sequence[Sequence[float]], kappa: float, eps_min: float) -> float:
     """Mean pairwise Bhattacharyya distance between the boxes' Gaussian models.
 
     Averages over all N(N-1)/2 unordered pairs; a single-box group has no
@@ -108,7 +110,7 @@ def region_separation(g: Sequence[BBox], kappa: float, eps_min: float) -> float:
     return 2.0 * total / (n * (n - 1))
 
 
-def diversity_reward(g: Sequence[BBox], cfg: RewardConfig) -> tuple[float, float, float]:
+def diversity_reward(g: Sequence[Sequence[float]], cfg: RewardConfig) -> tuple[float, float, float]:
     """(spread, separation, weighted sum) of the diversity bonus for one group.
 
     A term whose weight is 0 is switched off: it is not computed and reads
@@ -119,7 +121,7 @@ def diversity_reward(g: Sequence[BBox], cfg: RewardConfig) -> tuple[float, float
     return spread, separation, cfg.alpha * spread + cfg.gamma * separation
 
 
-def correctness_point(pred: BBox, gt: BBox, tau: float) -> float:
+def correctness_point(pred: Sequence[float], gt: Sequence[float], tau: float) -> float:
     """Center-distance correctness: exponential decay plus a hit bonus.
 
     exp(-dist/tau) for the distance between the two centers, plus 1 when the
@@ -132,7 +134,9 @@ def correctness_point(pred: BBox, gt: BBox, tau: float) -> float:
     return hit + math.exp(-dist / tau)
 
 
-def correctness_gaussian(pred: BBox, gt: BBox, kappa: float, eps_min: float) -> float:
+def correctness_gaussian(
+    pred: Sequence[float], gt: Sequence[float], kappa: float, eps_min: float
+) -> float:
     """Dense correctness: Gaussian point score plus region-coverage score.
 
     The point term evaluates the predicted center under the ground-truth
@@ -149,7 +153,7 @@ def correctness_gaussian(pred: BBox, gt: BBox, kappa: float, eps_min: float) -> 
     return point + coverage
 
 
-def correctness(pred: BBox, gt: BBox, cfg: RewardConfig) -> float:
+def correctness(pred: Sequence[float], gt: Sequence[float], cfg: RewardConfig) -> float:
     """Dispatch on cfg.correctness_kind."""
     if cfg.correctness_kind == "iou":
         return iou(pred, gt)

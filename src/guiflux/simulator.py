@@ -201,26 +201,77 @@ def sample_instances(
     (n,) text mask (False for icons). The boxes are checked once, as a
     whole, against the `BBox` invariants.
     """
-    is_text = rng.random(n) < task.text_fraction
-    w = rng.normal(task.size_mean, task.size_spread, n)
-    h = rng.normal(task.size_mean, task.size_spread, n)
+    draws = (
+        rng.random(n),
+        rng.normal(task.size_mean, task.size_spread, n),
+        rng.normal(task.size_mean, task.size_spread, n),
+        rng.random(n),
+        rng.random(n),
+        rng.standard_normal((n, 4)),
+    )
+    return _episodes(task, *draws, per_episode=False)
+
+
+def sample_episodes(
+    task: TaskSpec, k: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exactly what k calls of `sample_instances(task, 1, rng)` return,
+    stacked: (k, state_dim) states, (k, 4) boxes and a (k,) text mask.
+
+    The draws are made episode by episode in the order of one such call,
+    so a stream gives the same episodes in blocks of any size.
+    """
+    mean, spread = task.size_mean, task.size_spread
+    scalars = []
+    noise = np.empty((k, 4))
+    for row in noise:
+        # kind, width, height, center x, center y, then the observation noise
+        scalars.append((
+            rng.random(), rng.normal(mean, spread), rng.normal(mean, spread),
+            rng.random(), rng.random(),
+        ))
+        rng.standard_normal(out=row)
+    u_kind, w, h, u_x, u_y = np.array(scalars).reshape(k, 5).T
+    return _episodes(task, u_kind, w, h, u_x, u_y, noise, per_episode=True)
+
+
+def _episodes(
+    task: TaskSpec,
+    u_kind: np.ndarray,
+    w: np.ndarray,
+    h: np.ndarray,
+    u_x: np.ndarray,
+    u_y: np.ndarray,
+    noise: np.ndarray,
+    per_episode: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Episodes from their raw draws: (n,) uniforms for the kind and the
+    center, (n,) unscaled sizes, and (n, 4) standard-normal observation
+    noise. `per_episode` applies the observation affine one episode at a
+    time, as a batch of (1, 2) @ (2, 2) products: a single (n, 2) @ (2, 2)
+    takes another BLAS path and can round differently in the last bit, so
+    this is what keeps a stack of one-episode draws equal to its parts."""
+    n = len(w)
+    is_text = u_kind < task.text_fraction
     factor = np.where(is_text, 1.0, ICON_SIZE_FACTOR)
     # minimum(maximum(.)) equals np.clip on finite inputs at half the cost
     w = np.minimum(np.maximum(w * factor, SIZE_CLIP[0]), SIZE_CLIP[1])
     h = np.minimum(np.maximum(h * factor, SIZE_CLIP[0]), SIZE_CLIP[1])
     half_w = w / 2.0
     half_h = h / 2.0
-    cx = half_w + rng.random(n) * (1.0 - w)
-    cy = half_h + rng.random(n) * (1.0 - h)
-    noise = task.noise_sigma * rng.standard_normal((n, 4))
+    cx = half_w + u_x * (1.0 - w)
+    cy = half_h + u_y * (1.0 - h)
+    noise = task.noise_sigma * noise
 
-    matrix = np.asarray(task.matrix)
+    matrix_t = np.asarray(task.matrix).T
     # One np.log call gives the same elements as one call per column; C order
     # keeps the matmuls below on the same BLAS path at every n.
     latent = np.log(np.array([cx / (1.0 - cx), cy / (1.0 - cy), w, h]).T.copy())
+    if per_episode:
+        latent = latent[:, None, :]
     states = np.zeros((n, task.state_dim))
-    states[:, :2] = latent[:, :2] @ matrix.T + task.offset
-    states[:, 2:4] = latent[:, 2:] @ matrix.T
+    states[:, :2] = (latent[..., :2] @ matrix_t).reshape(n, 2) + task.offset
+    states[:, 2:4] = (latent[..., 2:] @ matrix_t).reshape(n, 2)
     states[:, :4] += noise
     states[:, 4 + task.index] = 1.0
     states[:, -1] = is_text

@@ -196,7 +196,7 @@ def _random_fixture(rng: np.random.Generator, feature_dim: int = 8, n: int = 4):
         np.clip(theta.log_std + rng.uniform(-0.3, 0.3, (1, 4)), -6.0, 1.0),
     )
     # Sampled from `ref`, differentiated at `theta`: the ratios are not 1.
-    rollout = pol.sample_group(ref, state, n, rng)
+    rollout = pol.sample_group(ref, state, rng.standard_normal((n, 4)))
     advantages = pol.grpo_advantage(rng.random((1, n)) * 2.0)
     shaped = advantages + float(rng.random())  # plus a random diversity bonus
     return theta, ref, rollout, shaped

@@ -35,6 +35,10 @@ TWO_SEED_GRID = {
 }
 
 
+def method_weights(cfg: RunConfig) -> tuple[float, float, float]:
+    return cfg.reward.alpha, cfg.reward.gamma, cfg.optim.beta
+
+
 def write_cfg(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -635,6 +639,64 @@ class TestAblateCommand:
             assert main(["run", cfg, str(alone), "--seed", "0"]) == 0
             for name in ("matrix.csv", "trainlog.csv"):
                 assert (alone / name).read_bytes() == (cell / name).read_bytes(), (cell.name, name)
+
+    def test_each_distinct_run_is_trained_once(self, tmp_path, monkeypatch):
+        # a zeroed weight loses its scale: the default grid's 40 cells hold
+        # 24 distinct runs, and the cells of one run get its outputs
+        from guiflux import harness
+
+        run_batch = harness.run_batch
+        batches = []
+
+        def recording_run_batch(cfgs, seed):
+            batches.append([method_weights(c) for c in cfgs])
+            return run_batch(cfgs, seed)
+
+        monkeypatch.setattr(harness, "run_batch", recording_run_batch)
+        doc = {**TINY, "steps_per_task": 2, "eval_episodes": 10}
+        out = tmp_path / "grid"
+        assert main(["ablate", write_cfg(tmp_path, doc), str(out)]) == 0
+        (weights,) = batches
+        assert len(weights) == len(set(weights)) == 24
+        cells = ablate(parse_config(doc))
+        assert len(cells) == 40
+        assert {method_weights(cell.cfg) for cell in cells} == set(weights)
+        outputs = {}
+        for cell in cells:
+            run = out / f"{cell.cell_id}_s0"
+            files = tuple((run / name).read_bytes() for name in ("matrix.csv", "trainlog.csv"))
+            assert outputs.setdefault(method_weights(cell.cfg), files) == files, cell.cell_id
+
+    def test_abort_of_a_shared_run_is_logged_for_each_of_its_cells(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        # the neither/KL-on run is the cell of both scale points
+        from guiflux import harness
+
+        run_batch, step = harness.run_batch, harness.step
+        rows = []
+
+        def recording_run_batch(cfgs, seed):
+            rows.append([method_weights(c) for c in cfgs].index((0.0, 0.0, 0.04)))
+            return run_batch(cfgs, seed)
+
+        def corrupt_shared_row(theta, grad, lr):
+            dW, db, dlog_std = grad
+            dW = dW.copy()
+            dW[rows[-1]] = np.nan
+            return step(theta, (dW, db, dlog_std), lr)
+
+        monkeypatch.setattr(harness, "run_batch", recording_run_batch)
+        monkeypatch.setattr(harness, "step", corrupt_shared_row)
+        doc = {**TINY, "steps_per_task": 2, "eval_episodes": 10,
+               "sweep": {"scale_points": [[1, 1], [2, 1]]}}
+        out = tmp_path / "grid"
+        assert main(["ablate", write_cfg(tmp_path, doc), str(out)]) == 3
+        aborted = {"neither_kl1_a1_g1_s0", "neither_kl1_a2_g1_s0"}
+        for run_id in aborted:
+            assert f"ablation run {run_id} aborted: update with lr=" in caplog.text
+        written = {p.name for p in out.iterdir()}
+        assert len(written) == 14 and not written & aborted
 
     @pytest.fixture(scope="class")
     def small_grid(self, tmp_path_factory):

@@ -6,7 +6,9 @@ workload, and compares the SHA-256 of matrix.csv and trainlog.csv with
 bench/goldens.json. The file is only read here;
 `python3 bench/goldens.py record` is the one way to rewrite it. The
 `point_distance` runs and the single runs at 8 samples per group, which
-bench/goldens.json does not cover, keep their digests in this file.
+bench/goldens.json does not cover, keep their digests in this file. Every
+case also runs with training draws made in blocks of 7 steps, so the block
+boundaries fall mid-stage.
 """
 
 import hashlib
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from guiflux import harness
 from guiflux.cli import main
 from guiflux.simulator import SCENARIOS
 
@@ -127,3 +130,24 @@ def test_workload_outputs_match_recorded_digests(tmp_path, name, master):
     assert main([w.command, str(cfg), str(out)]) == 0
     expected = GOLDENS["workloads"][name][str(master)]
     assert output_digests(out, w.command) == expected, f"{name} seed {master} moved"
+
+
+# Every case above, with its arguments; 7 divides no stage's step count.
+SMALL_DRAW_BLOCK = 7
+GOLDEN_CASES = [
+    pytest.param(case, args, id="-".join(map(str, (kind, *args))))
+    for kind, case, cases in (
+        ("scenario", test_outputs_match_recorded_digests,
+         [(scenario, seed) for scenario in SCENARIOS for seed in SCENARIO_SEEDS]),
+        ("point", test_point_distance_outputs_match_recorded_digests, POINT_DISTANCE_GOLDENS),
+        ("eight", test_eight_sample_run_outputs_match_recorded_digests, EIGHT_SAMPLE_GOLDENS),
+        ("workload", test_workload_outputs_match_recorded_digests, WORKLOAD_MASTERS.items()),
+    )
+    for args in cases
+]
+
+
+@pytest.mark.parametrize("case, args", GOLDEN_CASES)
+def test_small_draw_blocks_keep_every_digest(tmp_path, monkeypatch, case, args):
+    monkeypatch.setattr(harness, "DRAW_BLOCK", SMALL_DRAW_BLOCK)
+    case(tmp_path, *args)

@@ -19,9 +19,10 @@ from guiflux.harness import (
     run_continual,
     train_stage,
 )
+from guiflux.geometry import BBox
 from guiflux.persistence import write_run
 from guiflux.policy import GroundingPolicy, NumericalAbort, OptimConfig
-from guiflux.rewards import RewardConfig
+from guiflux.rewards import CORRECTNESS_KINDS, RewardConfig
 from guiflux.simulator import make_sequence, sample_instances
 
 from conftest import oracle_policy
@@ -123,6 +124,23 @@ class TestTrainTask:
 
 
 class TestRunContinual:
+    @pytest.mark.parametrize("kind", CORRECTNESS_KINDS)
+    def test_training_constructs_no_bbox(self, monkeypatch, kind):
+        # sampled and ground-truth boxes stay plain tuples on the hot path;
+        # counted the way the benchmark's tracer counts them
+        constructed = []
+        post_init = BBox.__post_init__
+
+        def counted_post_init(box):
+            constructed.append(box)
+            post_init(box)
+
+        monkeypatch.setattr(BBox, "__post_init__", counted_post_init)
+        run_continual(tiny_config(reward=RewardConfig(correctness_kind=kind)), 0)
+        assert constructed == []
+        BBox(0.0, 0.0, 1.0, 1.0)  # the hook counts
+        assert len(constructed) == 1
+
     def test_matrix_shape_domain(self):
         m, records = run_continual(tiny_config(), seed=0)
         assert m.overall.shape == (4, 3)

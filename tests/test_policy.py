@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from guiflux.geometry import BBox
+from guiflux.geometry import BBox, check_boxes
 from guiflux.policy import (
     LOG_STD_MAX,
     LOG_STD_MIN,
@@ -51,43 +51,53 @@ def perturbed(policy, rng, scale=0.05):
 def make_rollout(rng, behavior, n=4):
     """A rollout, its (R, n) advantages and its diversity bonus."""
     state = rng.normal(0, 1.5, behavior.W.shape[1])
-    rollout = sample_group(behavior, state, n, rng)
+    rollout = sample_group(behavior, state, rng.standard_normal((n, 4)))
     return rollout, grpo_advantage(rng.random((1, n)) * 2), float(rng.random())
 
 
 class TestActionToBBox:
     def test_centered_half_box(self):
-        b = action_to_bbox(np.array([0.0, 0.0, math.log(0.5), math.log(0.5)]))
-        assert b.x1 == pytest.approx(0.25, abs=1e-12)
-        assert b.y1 == pytest.approx(0.25, abs=1e-12)
-        assert b.x2 == pytest.approx(0.75, abs=1e-12)
-        assert b.y2 == pytest.approx(0.75, abs=1e-12)
+        x1, y1, x2, y2 = action_to_bbox([0.0, 0.0, math.log(0.5), math.log(0.5)])
+        assert x1 == pytest.approx(0.25, abs=1e-12)
+        assert y1 == pytest.approx(0.25, abs=1e-12)
+        assert x2 == pytest.approx(0.75, abs=1e-12)
+        assert y2 == pytest.approx(0.75, abs=1e-12)
 
     def test_width_floor(self):
-        b = action_to_bbox(np.array([0.0, 0.0, -50.0, -50.0]))
-        assert b.width == pytest.approx(1e-4, rel=1e-9)
+        x1, _, x2, _ = action_to_bbox([0.0, 0.0, -50.0, -50.0])
+        assert x2 - x1 == pytest.approx(1e-4, rel=1e-9)
 
     def test_saturated_center_clipped(self):
-        b = action_to_bbox(np.array([50.0, 0.0, 0.0, 0.0]))
-        assert b.x2 == 1.0
-        assert 0 <= b.x1 <= 1.0
+        x1, _, x2, _ = action_to_bbox([50.0, 0.0, 0.0, 0.0])
+        assert x2 == 1.0
+        assert 0 <= x1 <= 1.0
 
     def test_always_valid(self, rng):
-        for _ in range(500):
-            u = rng.normal(0, 5, 4)
-            b = action_to_bbox(u)  # BBox validates on construction
-            assert 0.0 <= b.x1 <= b.x2 <= 1.0
-            assert 0.0 <= b.y1 <= b.y2 <= 1.0
+        for u in rng.normal(0, 5, (500, 4)).tolist():
+            BBox(*action_to_bbox(u))  # BBox validates on construction
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4))
     @example([1e308, -1e308, 1e308, -1e308])
     @example([-1e308, 1e308, -1e308, 1e308])
     def test_any_finite_action_gives_valid_box(self, u):
-        b = action_to_bbox(np.array(u))  # BBox validates on construction
-        assert isinstance(b, BBox)
-        assert 0.0 <= b.x1 <= b.x2 <= 1.0
-        assert 0.0 <= b.y1 <= b.y2 <= 1.0
+        box = action_to_bbox(u)
+        assert all(type(c) is float for c in box)
+        BBox(*box)  # BBox validates on construction
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+            st.floats(allow_nan=False) | st.sampled_from([-1e3, 1e3]),
+            st.floats(allow_nan=False) | st.sampled_from([-1e3, 1e3]),
+        ),
+        min_size=1, max_size=16,
+    ))
+    @example([(0.0, 0.0, math.inf, -math.inf), (1e3, -1e3, -math.inf, math.inf)])
+    def test_decoded_groups_pass_check_boxes(self, actions):
+        # the training step scores decoded boxes without constructing a BBox
+        check_boxes(np.array([action_to_bbox(u) for u in actions]))
 
 
 class TestPolicyTypes:
@@ -98,7 +108,7 @@ class TestPolicyTypes:
             OptimConfig(beta=-0.1)
 
     def test_rollout_is_frozen(self, rng):
-        rollout = sample_group(make_policy(rng), np.zeros(6), 4, rng)
+        rollout = sample_group(make_policy(rng), np.zeros(6), rng.standard_normal((4, 4)))
         with pytest.raises(FrozenInstanceError):
             rollout.boxes = []
 
@@ -107,8 +117,8 @@ class TestSampleGroup:
     def test_deterministic_given_seed(self, rng):
         theta = make_policy(rng)
         state = rng.normal(0, 1, 6)
-        r1 = sample_group(theta, state, 4, np.random.default_rng(7))
-        r2 = sample_group(theta, state, 4, np.random.default_rng(7))
+        r1 = sample_group(theta, state, np.random.default_rng(7).standard_normal((4, 4)))
+        r2 = sample_group(theta, state, np.random.default_rng(7).standard_normal((4, 4)))
         assert np.array_equal(r1.actions, r2.actions)
         assert np.array_equal(r1.logp_behavior, r2.logp_behavior)
         assert r1.boxes == r2.boxes
@@ -117,13 +127,17 @@ class TestSampleGroup:
         from guiflux.rewards import center_spread
 
         theta = constant_policy(6, -6.0)
-        rollout = sample_group(theta, np.zeros(6), 8, rng)
+        rollout = sample_group(theta, np.zeros(6), rng.standard_normal((8, 4)))
         assert center_spread(rollout.boxes[0]) < 1e-4
 
     def test_logp_behavior_is_sampling_policy_logp(self, rng):
         theta = make_policy(rng)
         state = rng.normal(0, 1, 6)
-        rollout = sample_group(theta, state, 4, rng)
+        noise = rng.standard_normal((4, 4))
+        rollout = sample_group(theta, state, noise)
+        assert np.array_equal(
+            rollout.actions[0], theta.action_mean(state)[0] + theta.action_std()[0] * noise
+        )
         expected = gaussian_logp(
             rollout.actions[0], theta.action_mean(state)[0], theta.log_std[0]
         )
@@ -137,9 +151,10 @@ class TestSampleGroup:
             (a.W, a.b, a.log_std), (b.W, b.b, b.log_std)
         )))
         state = rng.normal(0, 1, 6)
-        batch = sample_group(both, state, 8, np.random.default_rng(3))
+        noise = rng.standard_normal((8, 4))
+        batch = sample_group(both, state, noise)
         for r, alone in enumerate((a, b)):
-            single = sample_group(alone, state, 8, np.random.default_rng(3))
+            single = sample_group(alone, state, noise)
             assert np.array_equal(batch.actions[r], single.actions[0])
             assert np.array_equal(batch.logp_behavior[r], single.logp_behavior[0])
             assert batch.boxes[r] == single.boxes[0]
@@ -259,7 +274,7 @@ class TestGradObjective:
         # independent implementation that never builds the bonus at all.
         theta = make_policy(rng)
         state = rng.normal(0, 1.5, 6)
-        rollout = sample_group(theta, state, 4, rng)
+        rollout = sample_group(theta, state, rng.standard_normal((4, 4)))
         rewards = rng.random(4) * 2
         dW, db, dlog_std = grad_objective(
             rollout, grpo_advantage(rewards[None]), theta, theta, beta=np.array([0.0])

@@ -17,6 +17,7 @@ from guiflux.simulator import (
     SIZE_CLIP,
     TaskSpec,
     make_sequence,
+    sample_episodes,
     sample_instances,
 )
 
@@ -245,6 +246,30 @@ class TestEpisodeBatch:
             assert ["text" if t else "icon" for t in is_text] == kinds
             # the draws consume the stream exactly as the scalar loop did
             assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("k", [1, 2, 97])
+    def test_sample_episodes_stacks_one_episode_draws_bitwise(self, scenario, k):
+        # the training pre-draw: k calls of sample_instances(task, 1, rng)
+        # stacked, for every task (resolution_flux's `high` has a 2x affine)
+        for task in make_sequence(scenario, 0):
+            rng_a = np.random.default_rng([5, task.index])
+            rng_b = np.random.default_rng([5, task.index])
+            got = sample_episodes(task, k, rng_a)
+            singles = [sample_instances(task, 1, rng_b) for _ in range(k)]
+            for array, parts in zip(got, zip(*singles)):
+                stacked = np.concatenate(parts)
+                assert array.dtype == stacked.dtype and array.shape == stacked.shape
+                assert array.tobytes() == stacked.tobytes()
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_sample_episodes_of_none_draws_nothing(self):
+        task = make_sequence("joint", 0)[1]
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        states, boxes, is_text = sample_episodes(task, 0, rng)
+        assert (states.shape, boxes.shape, is_text.shape) == ((0, task.state_dim), (0, 4), (0,))
+        assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("corner, value", [
         (0, math.nan), (1, math.inf), (2, -math.inf), (0, -1e-12), (3, 1.0 + 1e-12),
