@@ -78,10 +78,10 @@ def cmd_ablate(args) -> int:
     for cell in cells:
         runs.setdefault(_weights(cell.cfg), cell.cfg)
     finals: list[list[float]] = [[] for _ in cells]
+    aborts = []
     # one batch per seed; its runs are written as it returns, so an abort
-    # keeps every finished run
+    # keeps every finished run and every later seed still runs
     for seed in cfg.seeds:
-        aborts = []
         results = dict(zip(runs, harness.run_batch(list(runs.values()), seed)))
         for cell, cell_finals in zip(cells, finals):
             result = results[_weights(cell.cfg)]
@@ -94,8 +94,8 @@ def cmd_ablate(args) -> int:
             persistence.write_run(out / run_id, cell.cfg, seed, matrix, records)
             log.info("ablation run %s done", run_id)
             cell_finals.append(matrix.final_average())
-        if aborts:
-            raise aborts[0]
+    if aborts:
+        raise aborts[0]
     persistence.write_summary(out, list(zip(cells, finals)))
     log.info("ablation grid complete: %d cells -> %s", len(cells), args.out_dir)
     return EXIT_OK

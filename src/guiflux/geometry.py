@@ -34,18 +34,6 @@ class BBox:
     def __iter__(self):
         return iter((self.x1, self.y1, self.x2, self.y2))
 
-    @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
 
 def check_boxes(boxes: np.ndarray) -> None:
     """The `BBox` invariants for every row of an (n, 4) xyxy array at once:
@@ -64,23 +52,6 @@ def center(b: Sequence[float]) -> tuple[float, float]:
     """Midpoint (x, y) of a box."""
     x1, y1, x2, y2 = b
     return (x1 + x2) / 2.0, (y1 + y2) / 2.0
-
-
-def to_gaussian(
-    b: Sequence[float], kappa: float, eps_min: float
-) -> tuple[float, float, float, float]:
-    """Model a box as a diagonal 2-D Gaussian centered on its midpoint,
-    returned as (mean x, mean y, var x, var y).
-
-    The standard deviation is proportional to the side length
-    (var = (kappa*side)^2). Variances are floored at `eps_min` so degenerate
-    boxes stay usable.
-    """
-    x1, y1, x2, y2 = b
-    vx = (kappa * (x2 - x1)) ** 2
-    vy = (kappa * (y2 - y1)) ** 2
-    # the mean is center(b), written out: this runs for every sampled box
-    return (x1 + x2) / 2.0, (y1 + y2) / 2.0, max(vx, eps_min), max(vy, eps_min)
 
 
 def iou(a: Sequence[float], b: Sequence[float]) -> float:

@@ -506,11 +506,13 @@ def ablate(base: RunConfig) -> list[AblationCell]:
 def _with_weights(base: RunConfig, alpha: float, gamma: float, beta: float) -> RunConfig:
     """`base` with new method weights, sharing base's tasks.
 
-    RunConfig's own checks are not re-run: base passed them, the weights are
-    checked by RewardConfig and OptimConfig, and the sweep check would scale
-    the already scaled alpha or gamma a second time.
+    RunConfig's own checks are not re-run: base passed them, and the weights
+    are checked by RewardConfig and OptimConfig. The sweep becomes [1, 1]:
+    the weights are already scaled, and a cell's manifest config must parse
+    back to the same weights.
     """
     cfg = copy.copy(base)
     object.__setattr__(cfg, "reward", replace(base.reward, alpha=alpha, gamma=gamma))
     object.__setattr__(cfg, "optim", replace(base.optim, beta=beta))
+    object.__setattr__(cfg, "scale_points", ((1.0, 1.0),))
     return cfg

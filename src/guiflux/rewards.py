@@ -15,9 +15,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .geometry import center, contains, iou, to_gaussian
+from .geometry import center, contains, iou
 
-CORRECTNESS_KINDS = ("iou", "point_distance", "gaussian_dense")
 # Box -> Gaussian transform: variance (KAPPA * side)^2, floored at EPS_MIN.
 KAPPA = 1.0
 EPS_MIN = 1e-8
@@ -43,7 +42,7 @@ class RewardConfig:
             raise ValueError(f"gamma: must be non-negative, got {self.gamma!r}")
         if self.correctness_kind not in CORRECTNESS_KINDS:
             raise ValueError(
-                f"correctness_kind: must be one of {CORRECTNESS_KINDS}, "
+                f"correctness_kind: must be one of {tuple(CORRECTNESS_KINDS)}, "
                 f"got {self.correctness_kind!r}"
             )
 
@@ -73,6 +72,21 @@ def center_spread(g: Sequence[Sequence[float]]) -> float:
     return total / n
 
 
+def to_gaussian(b: Sequence[float]) -> tuple[float, float, float, float]:
+    """Model a box as a diagonal 2-D Gaussian centered on its midpoint,
+    returned as (mean x, mean y, var x, var y).
+
+    The standard deviation is proportional to the side length
+    (var = (KAPPA*side)^2). Variances are floored at `EPS_MIN` so degenerate
+    boxes stay usable.
+    """
+    x1, y1, x2, y2 = b
+    vx = (KAPPA * (x2 - x1)) ** 2
+    vy = (KAPPA * (y2 - y1)) ** 2
+    # the mean is center(b), written out: this runs for every sampled box
+    return (x1 + x2) / 2.0, (y1 + y2) / 2.0, max(vx, EPS_MIN), max(vy, EPS_MIN)
+
+
 def bhattacharyya(a: tuple[float, ...], b: tuple[float, ...]) -> float:
     """Bhattacharyya distance between two diagonal 2-D Gaussians, each a
     (mean x, mean y, var x, var y) tuple.
@@ -93,7 +107,7 @@ def bhattacharyya(a: tuple[float, ...], b: tuple[float, ...]) -> float:
     return maha + log_det
 
 
-def region_separation(g: Sequence[Sequence[float]], kappa: float, eps_min: float) -> float:
+def region_separation(g: Sequence[Sequence[float]]) -> float:
     """Mean pairwise Bhattacharyya distance between the boxes' Gaussian models.
 
     Averages over all N(N-1)/2 unordered pairs; a single-box group has no
@@ -102,7 +116,7 @@ def region_separation(g: Sequence[Sequence[float]], kappa: float, eps_min: float
     n = len(g)
     if n == 1:
         return 0.0
-    gaussians = [to_gaussian(b, kappa, eps_min) for b in g]
+    gaussians = [to_gaussian(b) for b in g]
     total = 0.0
     for i in range(n - 1):
         for j in range(i + 1, n):
@@ -117,26 +131,24 @@ def diversity_reward(g: Sequence[Sequence[float]], cfg: RewardConfig) -> tuple[f
     0.0, so setting alpha or gamma to 0 is the one way to ablate it.
     """
     spread = center_spread(g) if cfg.alpha != 0.0 else 0.0
-    separation = region_separation(g, KAPPA, EPS_MIN) if cfg.gamma != 0.0 else 0.0
+    separation = region_separation(g) if cfg.gamma != 0.0 else 0.0
     return spread, separation, cfg.alpha * spread + cfg.gamma * separation
 
 
-def correctness_point(pred: Sequence[float], gt: Sequence[float], tau: float) -> float:
+def correctness_point(pred: Sequence[float], gt: Sequence[float]) -> float:
     """Center-distance correctness: exponential decay plus a hit bonus.
 
-    exp(-dist/tau) for the distance between the two centers, plus 1 when the
+    exp(-dist/TAU) for the distance between the two centers, plus 1 when the
     predicted center lands inside the ground-truth box. Range (0, 2].
     """
     px, py = center(pred)
     gx, gy = center(gt)
     dist = math.hypot(px - gx, py - gy)
     hit = 1.0 if contains(gt, px, py) else 0.0
-    return hit + math.exp(-dist / tau)
+    return hit + math.exp(-dist / TAU)
 
 
-def correctness_gaussian(
-    pred: Sequence[float], gt: Sequence[float], kappa: float, eps_min: float
-) -> float:
+def correctness_gaussian(pred: Sequence[float], gt: Sequence[float]) -> float:
     """Dense correctness: Gaussian point score plus region-coverage score.
 
     The point term evaluates the predicted center under the ground-truth
@@ -144,8 +156,8 @@ def correctness_gaussian(
     Bhattacharyya coefficient between the two boxes' Gaussians. Range (0, 2],
     maximized when pred == gt.
     """
-    gmx, gmy, gvx, gvy = ggt = to_gaussian(gt, kappa, eps_min)
-    gp = to_gaussian(pred, kappa, eps_min)
+    gmx, gmy, gvx, gvy = ggt = to_gaussian(gt)
+    gp = to_gaussian(pred)
     dx = gp[0] - gmx  # the Gaussian's mean is the predicted center
     dy = gp[1] - gmy
     point = math.exp(-0.5 * (dx * dx / gvx + dy * dy / gvy))
@@ -153,10 +165,14 @@ def correctness_gaussian(
     return point + coverage
 
 
+# Correctness kind name -> its (pred, gt) reward.
+CORRECTNESS_KINDS = {
+    "iou": iou,
+    "point_distance": correctness_point,
+    "gaussian_dense": correctness_gaussian,
+}
+
+
 def correctness(pred: Sequence[float], gt: Sequence[float], cfg: RewardConfig) -> float:
-    """Dispatch on cfg.correctness_kind."""
-    if cfg.correctness_kind == "iou":
-        return iou(pred, gt)
-    if cfg.correctness_kind == "point_distance":
-        return correctness_point(pred, gt, TAU)
-    return correctness_gaussian(pred, gt, KAPPA, EPS_MIN)
+    """The reward of cfg.correctness_kind."""
+    return CORRECTNESS_KINDS[cfg.correctness_kind](pred, gt)

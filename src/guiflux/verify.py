@@ -3,8 +3,11 @@
 Each check re-derives its expected values from scratch (plain loops, its
 own inline formulas, trapezoid quadrature, finite differences) and
 compares the production path against them. The oracles deliberately avoid
-calling the functions they certify, so a perturbed constant anywhere in the
-production math shows up as a named failure here.
+calling the functions they certify, so a perturbed formula in the production
+math shows up as a named failure here. Of the reward constants, only
+`rewards.KAPPA` and `rewards.EPS_MIN` are certified: region-separation runs
+them as the training step does and checks the result against its own copies,
+1.0 and 1e-8. No oracle covers `rewards.TAU`, the point-distance scale.
 """
 
 from __future__ import annotations
@@ -59,14 +62,15 @@ def check_center_spread(rng: np.random.Generator) -> OracleResult:
     return OracleResult("center-spread", worst < 1e-9, f"max |diff| = {worst:.3e}")
 
 
-def _inline_gaussian(b: BBox, kappa: float, eps_min: float):
-    sx = kappa * (b.x2 - b.x1)
-    sy = kappa * (b.y2 - b.y1)
+def _inline_gaussian(b: BBox):
+    """The box's Gaussian at the oracle's own KAPPA 1.0 and EPS_MIN 1e-8."""
+    sx = 1.0 * (b.x2 - b.x1)
+    sy = 1.0 * (b.y2 - b.y1)
     return (
         (b.x1 + b.x2) / 2.0,
         (b.y1 + b.y2) / 2.0,
-        max(sx * sx, eps_min),
-        max(sy * sy, eps_min),
+        max(sx * sx, 1e-8),
+        max(sy * sy, 1e-8),
     )
 
 
@@ -137,14 +141,13 @@ def check_bhattacharyya(rng: np.random.Generator) -> OracleResult:
 
 
 def check_region_separation(rng: np.random.Generator) -> OracleResult:
-    """Double-loop pairwise average with its own inline Gaussian transform
-    and distance formula."""
-    kappa, eps_min = 0.25, 1e-8
+    """Double-loop pairwise average with its own inline Gaussian transform,
+    constants and distance formula."""
     worst = 0.0
     for _ in range(N_GROUPS):
         n = int(rng.integers(2, 9))
         group = _random_group(rng, n)
-        gaussians = [_inline_gaussian(b, kappa, eps_min) for b in group]
+        gaussians = [_inline_gaussian(b) for b in group]
         total = 0.0
         pairs = 0
         for i in range(n):
@@ -153,7 +156,7 @@ def check_region_separation(rng: np.random.Generator) -> OracleResult:
                     total += _inline_bhattacharyya(gaussians[i], gaussians[j])
                     pairs += 1
         expected = total / pairs
-        got = rw.region_separation(group, kappa, eps_min)
+        got = rw.region_separation(group)
         worst = max(worst, abs(got - expected))
     return OracleResult("region-separation", worst < 1e-9, f"max |diff| = {worst:.3e}")
 

@@ -235,7 +235,10 @@ def test_criterion_13_verify_negative_controls(monkeypatch, capsys):
         ("center_spread", lambda g: 1.000001 * spread(g), "center-spread"),
         ("bhattacharyya", lambda a, b: 1.1 * bhat(a, b), "bhattacharyya"),
         ("bhattacharyya", lambda a, b: (1.0 + 1e-6) * bhat(a, b), "bhattacharyya"),
-        ("region_separation", lambda g, k, e: sep(g, k, e) + 1e-6, "region-separation"),
+        ("region_separation", lambda g: sep(g) + 1e-6, "region-separation"),
+        # perturbed reward constants: verify must certify the values the step runs
+        ("KAPPA", 1.000001, "region-separation"),
+        ("EPS_MIN", 2e-8, "region-separation"),
     ]
     for attr, mutant, name in mutations:
         with monkeypatch.context() as m:

@@ -578,7 +578,7 @@ class TestAblateCommand:
         # a non-finite update in the k-th run of seed 0's batch at its
         # `at`-th step (stage 1, 2 or 3): that run keeps its row but none of
         # its results, the other seed-0 runs finish and are written as in a
-        # clean grid, and seed 1 never runs
+        # clean grid, and seed 1 still runs in full
         from guiflux import harness
 
         step = harness.step
@@ -598,27 +598,47 @@ class TestAblateCommand:
         cells = ablate(parse_config(TWO_SEED_GRID))
         aborted = f"{cells[k - 1].cell_id}_s0"
         assert f"ablation run {aborted} aborted: update with lr=" in caplog.text
-        # 3 tasks x 4 steps per seed, every one of them on all 8 rows
-        assert batch_sizes == [8] * 12
+        # 3 tasks x 4 steps for each of the 2 seeds, every one on all 8 rows
+        assert batch_sizes == [8] * 24
         finished = [f"{c.cell_id}_s0" for c in cells if f"{c.cell_id}_s0" != aborted]
-        assert sorted(p.name for p in out.iterdir()) == sorted(finished)
+        seed1 = [f"{c.cell_id}_s1" for c in cells]
+        # no summary.csv: the grid is not complete
+        assert sorted(p.name for p in out.iterdir()) == sorted(finished + seed1)
         for run_id in finished:
             for name in ("matrix.csv", "trainlog.csv"):
                 assert (out / run_id / name).read_bytes() == (
                     two_seed_grid / run_id / name
                 ).read_bytes(), (run_id, name)
+        # seed 1's runs equal the clean grid's; a manifest differs only in
+        # its creation time
+        for run_id in seed1:
+            names = sorted(p.name for p in (two_seed_grid / run_id).iterdir())
+            assert sorted(p.name for p in (out / run_id).iterdir()) == names
+            for name in names:
+                got, clean = ((d / run_id / name).read_bytes() for d in (out, two_seed_grid))
+                if name == "manifest.json":
+                    got, clean = ({**json.loads(m), "created_utc": None} for m in (got, clean))
+                assert got == clean, (run_id, name)
 
     def test_large_finite_scale_point_runs_every_cell(self, tmp_path):
-        # alpha 15 x 1e154 is finite; building the cells must not scale the
-        # scaled alpha a second time
+        # alpha 15 x 1e154 is finite; neither building the cells nor parsing
+        # a cell's manifest config may scale the scaled alpha a second time
         doc = {**TINY, "steps_per_task": 2, "sweep": {"scale_points": [[1, 1], [1e154, 1]]}}
         out = tmp_path / "grid"
         assert main(["ablate", write_cfg(tmp_path, doc), str(out)]) == 0
         assert len([p for p in out.iterdir() if p.is_dir()]) == 16
         summary = (out / "summary.csv").read_text().splitlines()
         assert len(summary) - 1 == 16
-        manifest = json.loads((out / "full_kl1_a1e+154_g1_s0" / "manifest.json").read_text())
+        cell = out / "full_kl1_a1e+154_g1_s0"
+        manifest = json.loads((cell / "manifest.json").read_text())
         assert manifest["config"]["reward"]["alpha"] == 15.0 * 1e154
+        assert manifest["config"]["sweep"]["scale_points"] == [[1.0, 1.0]]
+        # the cell's manifest config reproduces the cell
+        cfg = write_cfg(tmp_path, manifest["config"], name="cell.json")
+        alone = tmp_path / "alone"
+        assert main(["run", cfg, str(alone), "--seed", "0"]) == 0
+        for name in ("matrix.csv", "trainlog.csv"):
+            assert (alone / name).read_bytes() == (cell / name).read_bytes(), name
 
     def test_every_run_of_a_batch_equals_its_run_alone(self, tmp_path):
         # groups of 8: numpy may sum 8 or more terms in another order when the

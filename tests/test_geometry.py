@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guiflux.geometry import BBox, center, check_boxes, contains, iou, to_gaussian
+from guiflux.geometry import BBox, center, check_boxes, contains, iou
+from guiflux.rewards import to_gaussian
 
 from conftest import random_bbox
 
@@ -13,8 +14,10 @@ from conftest import random_bbox
 class TestBBox:
     def test_valid_box(self):
         b = BBox(0.1, 0.2, 0.3, 0.4)
-        assert b.width == pytest.approx(0.2)
-        assert b.height == pytest.approx(0.2)
+        x1, y1, x2, y2 = b
+        assert (x1, y1, x2, y2) == (0.1, 0.2, 0.3, 0.4)
+        assert x2 - x1 == pytest.approx(0.2)
+        assert y2 - y1 == pytest.approx(0.2)
 
     def test_inverted_rejected(self):
         with pytest.raises(ValueError):
@@ -60,7 +63,7 @@ class TestBBox:
 
     def test_degenerate_allowed(self):
         b = BBox(0.2, 0.2, 0.2, 0.2)
-        assert b.area == 0.0
+        assert (b.x2 - b.x1) * (b.y2 - b.y1) == 0.0
 
 
 class TestCenter:
@@ -86,25 +89,25 @@ class TestCenter:
 
 
 class TestToGaussian:
+    # rewards.KAPPA is 1.0 and rewards.EPS_MIN 1e-8: var = side^2, floored
     def test_unit_box(self):
-        mx, my, vx, vy = to_gaussian(BBox(0, 0, 1, 1), kappa=0.25, eps_min=1e-8)
+        mx, my, vx, vy = to_gaussian(BBox(0, 0, 1, 1))
         assert (mx, my) == (0.5, 0.5)
-        assert vx == pytest.approx(0.0625, abs=1e-15)
-        assert vy == pytest.approx(0.0625, abs=1e-15)
+        assert (vx, vy) == (1.0, 1.0)
 
     def test_zero_area_floored(self):
-        g = to_gaussian(BBox(0.4, 0.4, 0.4, 0.4), kappa=0.25, eps_min=1e-8)
+        g = to_gaussian(BBox(0.4, 0.4, 0.4, 0.4))
         assert g[2:] == (1e-8, 1e-8)
 
     def test_rectangular(self):
-        _, _, vx, vy = to_gaussian(BBox(0, 0, 0.8, 0.4), kappa=0.25, eps_min=1e-8)
-        assert vx == pytest.approx(0.04, rel=1e-12)
-        assert vy == pytest.approx(0.01, rel=1e-12)
+        _, _, vx, vy = to_gaussian(BBox(0, 0, 0.8, 0.4))
+        assert vx == pytest.approx(0.64, rel=1e-12)
+        assert vy == pytest.approx(0.16, rel=1e-12)
 
     def test_mean_equals_center(self, rng):
         for _ in range(50):
             b = random_bbox(rng)
-            assert to_gaussian(b, 0.3, 1e-8)[:2] == center(b)
+            assert to_gaussian(b)[:2] == center(b)
 
 
 class TestIoU:
@@ -131,7 +134,7 @@ class TestIoU:
     def test_one_iff_identical_for_positive_area(self, rng):
         for _ in range(100):
             a = random_bbox(rng)
-            if a.area == 0.0:
+            if (a.x2 - a.x1) * (a.y2 - a.y1) == 0.0:
                 continue
             b = random_bbox(rng)
             if iou(a, b) == 1.0:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,11 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import guiflux.rewards as rewards_mod
-from guiflux.geometry import BBox, iou, to_gaussian
+from guiflux.geometry import BBox, iou
 from guiflux.rewards import (
-    EPS_MIN,
-    KAPPA,
-    TAU,
     RewardConfig,
     bhattacharyya,
     center_spread,
@@ -19,6 +17,7 @@ from guiflux.rewards import (
     correctness_point,
     diversity_reward,
     region_separation,
+    to_gaussian,
 )
 
 from conftest import random_bbox
@@ -31,8 +30,8 @@ def brute_spread(boxes):
     return sum((c[0] - mx) ** 2 + (c[1] - my) ** 2 for c in cs) / len(cs)
 
 
-def brute_separation(boxes, kappa, eps_min):
-    gs = [to_gaussian(b, kappa, eps_min) for b in boxes]
+def brute_separation(boxes):
+    gs = [to_gaussian(b) for b in boxes]
     n = len(gs)
     total = sum(
         bhattacharyya(gs[i], gs[j]) for i in range(n - 1) for j in range(i + 1, n)
@@ -46,7 +45,8 @@ class TestRewardConfig:
         assert cfg.alpha == 15.0 and cfg.gamma == 0.5
 
     def test_invalid_kind(self):
-        with pytest.raises(ValueError):
+        kinds = "('iou', 'point_distance', 'gaussian_dense')"
+        with pytest.raises(ValueError, match=re.escape(f"must be one of {kinds}, got 'nope'")):
             RewardConfig(correctness_kind="nope")
 
     def test_negative_weight_rejected(self):
@@ -127,34 +127,32 @@ class TestBhattacharyya:
 class TestRegionSeparation:
     def test_identical_boxes_zero(self):
         b = BBox(0.2, 0.3, 0.5, 0.6)
-        assert region_separation([b] * 4, 0.25, 1e-8) == 0.0
+        assert region_separation([b] * 4) == 0.0
 
     def test_two_boxes_single_pair(self):
         boxes = [BBox(0.1, 0.1, 0.3, 0.3), BBox(0.5, 0.5, 0.8, 0.9)]
-        expected = bhattacharyya(
-            to_gaussian(boxes[0], 0.25, 1e-8), to_gaussian(boxes[1], 0.25, 1e-8)
-        )
-        got = region_separation(boxes, 0.25, 1e-8)
+        expected = bhattacharyya(to_gaussian(boxes[0]), to_gaussian(boxes[1]))
+        got = region_separation(boxes)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_single_box_zero(self):
-        assert region_separation([BBox(0, 0, 0.5, 0.5)], 0.25, 1e-8) == 0.0
+        assert region_separation([BBox(0, 0, 0.5, 0.5)]) == 0.0
 
     def test_pairwise_oracle(self, rng):
         for _ in range(300):
             n = int(rng.integers(2, 9))
             boxes = [random_bbox(rng) for _ in range(n)]
-            got = region_separation(boxes, 0.25, 1e-8)
-            assert got == pytest.approx(brute_separation(boxes, 0.25, 1e-8), abs=1e-9)
+            got = region_separation(boxes)
+            assert got == pytest.approx(brute_separation(boxes), abs=1e-9)
 
     def test_permutation_invariance(self, rng):
         boxes = [random_bbox(rng) for _ in range(5)]
-        base = region_separation(boxes, 0.25, 1e-8)
+        base = region_separation(boxes)
         spread = center_spread(boxes)
         for _ in range(5):
             perm = list(rng.permutation(5))
             shuffled = [boxes[i] for i in perm]
-            assert region_separation(shuffled, 0.25, 1e-8) == pytest.approx(base, abs=1e-12)
+            assert region_separation(shuffled) == pytest.approx(base, abs=1e-12)
             assert center_spread(shuffled) == pytest.approx(spread, abs=1e-12)
 
 
@@ -172,19 +170,19 @@ class TestDiversityReward:
     def test_weighted_composition(self, rng):
         cfg = RewardConfig(alpha=15.0, gamma=0.5)
         boxes = [random_bbox(rng) for _ in range(4)]
-        expected = 15.0 * brute_spread(boxes) + 0.5 * brute_separation(boxes, KAPPA, EPS_MIN)
+        expected = 15.0 * brute_spread(boxes) + 0.5 * brute_separation(boxes)
         assert diversity_reward(boxes, cfg)[2] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_weight_term_is_off(self, rng, monkeypatch):
         # a term whose weight is 0 is neither computed nor logged
         g = [random_bbox(rng) for _ in range(4)]
         spread = center_spread(g)
-        sep = region_separation(g, 1.0, 1e-8)
+        sep = region_separation(g)
         monkeypatch.setattr(rewards_mod, "center_spread", lambda g: pytest.fail("spread computed"))
         assert diversity_reward(g, RewardConfig(alpha=0.0, gamma=0.5)) == (0.0, sep, 0.5 * sep)
         monkeypatch.undo()
         monkeypatch.setattr(
-            rewards_mod, "region_separation", lambda *a: pytest.fail("separation computed")
+            rewards_mod, "region_separation", lambda g: pytest.fail("separation computed")
         )
         assert diversity_reward(g, RewardConfig(alpha=2.0, gamma=0.0)) == (spread, 0.0, 2.0 * spread)
 
@@ -204,45 +202,44 @@ class TestCorrectness:
 
     def test_point_hit_at_center(self):
         gt = BBox(0.4, 0.4, 0.6, 0.6)
-        assert correctness_point(gt, gt, tau=0.1) == pytest.approx(2.0, abs=1e-12)
+        assert correctness_point(gt, gt) == pytest.approx(2.0, abs=1e-12)
 
     def test_point_miss_decay(self):
         gt = BBox(0.0, 0.0, 0.1, 0.1)  # center (0.05, 0.05)
         pred = BBox(0.1, 0.1, 0.2, 0.2)  # center (0.15, 0.15), outside gt
         dist = math.hypot(0.1, 0.1)
         expected = math.exp(-dist / 0.1)
-        assert correctness_point(pred, gt, tau=0.1) == pytest.approx(expected, abs=1e-12)
+        assert correctness_point(pred, gt) == pytest.approx(expected, abs=1e-12)
 
     def test_point_distance_one_tau(self):
         gt = BBox(0.0, 0.0, 0.1, 0.1)  # center (0.05, 0.05)
         pred = BBox(0.1, 0.0, 0.2, 0.1)  # center (0.15, 0.05): distance 0.1, miss
-        assert correctness_point(pred, gt, tau=0.1) == pytest.approx(math.exp(-1.0), abs=1e-12)
+        assert correctness_point(pred, gt) == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_point_far_miss_vanishes(self):
         gt = BBox(0.0, 0.0, 0.02, 0.02)
-        pred = BBox(0.96, 0.96, 1.0, 1.0)
-        assert correctness_point(pred, gt, tau=0.05) < 1e-8
+        pred = BBox(0.96, 0.96, 1.0, 1.0)  # centers 1.37 apart: exp(-13.7)
+        assert correctness_point(pred, gt) < 2e-6
 
     def test_gaussian_exact_match(self):
         gt = BBox(0.3, 0.3, 0.5, 0.6)
-        assert correctness_gaussian(gt, gt, kappa=0.25, eps_min=1e-8) == pytest.approx(2.0, abs=1e-12)
+        assert correctness_gaussian(gt, gt) == pytest.approx(2.0, abs=1e-12)
 
     def test_gaussian_far_shift_vanishes(self):
         gt = BBox(0.0, 0.0, 0.05, 0.05)
         pred = BBox(0.9, 0.9, 0.95, 0.95)
-        assert correctness_gaussian(pred, gt, kappa=0.25, eps_min=1e-8) < 1e-6
+        assert correctness_gaussian(pred, gt) < 1e-6
 
     def test_gaussian_fixture_recomputation(self):
         gt = BBox(0.2, 0.2, 0.4, 0.5)
         pred = BBox(0.25, 0.3, 0.5, 0.55)
-        kappa, eps = 0.25, 1e-8
-        ggt = to_gaussian(gt, kappa, eps)
-        gp = to_gaussian(pred, kappa, eps)
+        ggt = to_gaussian(gt)
+        gp = to_gaussian(pred)
         dx = (0.25 + 0.5) / 2 - 0.3
         dy = (0.3 + 0.55) / 2 - 0.35
         point = math.exp(-0.5 * (dx * dx / ggt[2] + dy * dy / ggt[3]))
         coverage = math.exp(-bhattacharyya(gp, ggt))
-        got = correctness_gaussian(pred, gt, kappa, eps)
+        got = correctness_gaussian(pred, gt)
         assert got == pytest.approx(point + coverage, rel=1e-12)
 
     def test_dispatcher(self):
@@ -250,16 +247,16 @@ class TestCorrectness:
         pred = BBox(0.35, 0.3, 0.55, 0.5)
         assert correctness(pred, gt, RewardConfig(correctness_kind="iou")) == iou(pred, gt)
         cfg = RewardConfig(correctness_kind="point_distance")
-        assert correctness(pred, gt, cfg) == correctness_point(pred, gt, TAU)
+        assert correctness(pred, gt, cfg) == correctness_point(pred, gt)
         cfg = RewardConfig(correctness_kind="gaussian_dense")
-        assert correctness(pred, gt, cfg) == correctness_gaussian(pred, gt, KAPPA, EPS_MIN)
+        assert correctness(pred, gt, cfg) == correctness_gaussian(pred, gt)
 
     def test_coverage_term_maximized_at_gt(self, rng):
         gt = BBox(0.4, 0.4, 0.6, 0.6)
-        best = correctness_gaussian(gt, gt, 0.25, 1e-8)
+        best = correctness_gaussian(gt, gt)
         for _ in range(50):
             pred = random_bbox(rng)
-            assert correctness_gaussian(pred, gt, 0.25, 1e-8) <= best + 1e-12
+            assert correctness_gaussian(pred, gt) <= best + 1e-12
 
 
 unit = st.floats(0.0, 1.0)
@@ -302,6 +299,6 @@ class TestRewardProperties:
     @given(group_and_permutation())
     def test_region_separation_permutation_invariant(self, groups):
         group, permuted = groups
-        assert region_separation(permuted, 0.5, 1e-8) == pytest.approx(
-            region_separation(group, 0.5, 1e-8), rel=1e-12
+        assert region_separation(permuted) == pytest.approx(
+            region_separation(group), rel=1e-12
         )
