@@ -133,7 +133,10 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class TrainRecord:
-    """One training step's scalars; field order matches the trainlog.csv columns."""
+    """One training step's scalars; field order matches the trainlog.csv
+    columns. `kl` is KL(ref || theta) at the step's state, taken before the
+    update; `objective` is the surrogate minus beta times KL, taken after the
+    update at the same state."""
 
     step: int
     task: int
@@ -245,6 +248,8 @@ def train_stage(
     cfg = cfgs[0]
     ref = policy
     beta = np.array([c.optim.beta for c in cfgs])
+    kl_on = (beta != 0.0)[:, None] if beta.any() else None
+    reward_cfgs = [c.reward for c in cfgs]
     rngs_inst = [child_rng(master, STREAM_TRAIN_INSTANCES, t.index) for t in tasks]
     rng_actions = child_rng(master, STREAM_ACTIONS, stage)
     rng_choice = child_rng(master, STREAM_TASK_CHOICE) if len(tasks) > 1 else None
@@ -263,20 +268,21 @@ def train_stage(
         noise = rng_actions.standard_normal((block, cfg.optim.n_samples, 4))
         for k, step_noise in zip(choices, noise):
             state, gt = next(episodes[k])
+            theta = policy.at(state)
+            ref_at = ref.at(state)
             # Ratio anchor = behavior policy (rollout.logp_behavior); `ref` only
             # anchors the KL penalty. Anchoring the ratio to the stage-start
             # snapshot as well would make it overflow once the policy has
             # genuinely moved.
-            rollout = sample_group(policy, state, step_noise)
-            scores = np.array(
-                [[rw.correctness(box, gt, cfg.reward) for box in g] for g in rollout.boxes]
-            )
-            bonus = [rw.diversity_reward(g, c.reward) for c, g in zip(cfgs, rollout.boxes)]
+            rollout = sample_group(theta, step_noise)
+            scores, bonus = rw.score_groups(rollout.boxes, gt, reward_cfgs)
+            scores = np.array(scores)
+            mean = scores.sum(axis=1, keepdims=True) / rollout.n
             # the group-shared diversity bonus is added to every advantage
-            shaped = grpo_advantage(scores) + np.array([[r_div] for _, _, r_div in bonus])
+            shaped = grpo_advantage(scores, mean) + np.array([[r_div] for _, _, r_div in bonus])
 
-            kl_val = kl_ref_theta(ref, policy, state)
-            grad = grad_objective(rollout, shaped, policy, ref, beta)
+            kl_val = kl_ref_theta(ref_at, theta)
+            grad = grad_objective(rollout, shaped, theta, ref_at, beta, kl_on)
             policy, failed = step(policy, grad, cfg.optim.lr)
             for r, e in failed.items():
                 aborts.setdefault(r, e)
@@ -285,23 +291,12 @@ def train_stage(
             # logged post-update: at the behavior policy the ratios are
             # identically 1 and the surrogate reduces to the diversity bonus,
             # which carries no step-level information
-            j_val = objective(rollout, shaped, policy, ref, beta)
+            j_val = objective(rollout, shaped, policy.at(state), ref_at, beta)
 
-            logged = zip(
-                records, scores.mean(axis=1).tolist(), bonus, kl_val.tolist(), j_val.tolist()
-            )
-            for run_records, correct, (spread, separation, r_div), kl, j in logged:
+            logged = zip(records, mean[:, 0].tolist(), bonus, kl_val.tolist(), j_val.tolist())
+            for run_records, correct, (apr, arr, r_aif), kl, j in logged:
                 run_records.append(
-                    TrainRecord(
-                        step=len(run_records),
-                        task=tasks[k].index,
-                        correctness=correct,
-                        apr=spread,
-                        arr=separation,
-                        r_aif=r_div,
-                        kl=kl,
-                        objective=j,
-                    )
+                    TrainRecord(len(run_records), tasks[k].index, correct, apr, arr, r_aif, kl, j)
                 )
     return policy
 

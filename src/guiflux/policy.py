@@ -13,8 +13,9 @@ immutable; every update returns a new one.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,13 +73,21 @@ class GroundingPolicy:
     W: np.ndarray        # (R, feature_dim, 4)
     b: np.ndarray        # (R, 4)
     log_std: np.ndarray  # (R, 4), clamped to [LOG_STD_MIN, LOG_STD_MAX]
+    # exp(log_std) and the KL's exp(2 log_std), which rounds unlike std * std
+    std: np.ndarray = field(init=False, repr=False, compare=False)
+    var: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "std", np.exp(self.log_std))
+        object.__setattr__(self, "var", np.exp(2.0 * self.log_std))
 
     def action_mean(self, state: np.ndarray) -> np.ndarray:
         """(R, 4) mean actions at one (feature_dim,) state."""
         return state @ self.W + self.b
 
-    def action_std(self) -> np.ndarray:
-        return np.exp(self.log_std)
+    def at(self, state: np.ndarray) -> "ActionGaussians":
+        """Each run's action Gaussian at `state`, for the functions below."""
+        return ActionGaussians(state, self.action_mean(state), self.log_std, self.std, self.var)
 
     @staticmethod
     def zeros(feature_dim: int, runs: int = 1) -> "GroundingPolicy":
@@ -91,11 +100,15 @@ class GroundingPolicy:
         )
 
 
+# R runs' action Gaussians at one (feature_dim,) state, each field but the state
+# (R, 4); a tuple, as a step builds three and a frozen dataclass costs more.
+ActionGaussians = namedtuple("ActionGaussians", "state mean log_std std var")
+
+
 @dataclass(frozen=True)
 class GroupRollout:
     """One instruction's group per run: N raw actions, their boxes and log-probs."""
 
-    state: np.ndarray              # (feature_dim,), shared by every run
     actions: np.ndarray            # (R, N, 4) raw actions
     boxes: list[list[tuple[float, ...]]]  # per run, its N decoded (x1, y1, x2, y2)
     logp_behavior: np.ndarray      # (R, N) log-prob under the sampling policy; anchors the ratio
@@ -132,58 +145,47 @@ def _sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def gaussian_logp(actions: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> np.ndarray:
-    """Log-density of each action row under the diagonal Gaussian."""
-    std = np.exp(log_std)
-    z = (actions - mean) / std
-    return (-0.5 * z * z - log_std - 0.5 * LOG_2PI).sum(axis=-1)
+def gaussian_logp(actions: np.ndarray, dist: ActionGaussians) -> np.ndarray:
+    """(R, N) log-density of each run's N action rows under its Gaussian."""
+    z = (actions - dist.mean[:, None, :]) / dist.std[:, None, :]
+    return (-0.5 * z * z - dist.log_std[:, None, :] - 0.5 * LOG_2PI).sum(axis=-1)
 
 
-def sample_group(policy: GroundingPolicy, state: np.ndarray, noise: np.ndarray) -> GroupRollout:
-    """N raw actions per run at `state`, mean + std * noise for the (N, 4)
-    standard-normal `noise` that every run shares, with their decoded boxes
-    and their log-probs under the sampling policy."""
-    mean = policy.action_mean(state)[:, None, :]
-    std = policy.action_std()[:, None, :]
-    actions = mean + std * noise
+def sample_group(theta: ActionGaussians, noise: np.ndarray) -> GroupRollout:
+    """N raw actions per run at theta's state, mean + std * noise for the
+    (N, 4) standard-normal `noise` that every run shares, with their decoded
+    boxes and their log-probs under the sampling policy."""
+    actions = theta.mean[:, None, :] + theta.std[:, None, :] * noise
     # plain Python floats: scalar arithmetic on numpy float64 costs more per box
     boxes = [[action_to_bbox(u) for u in run] for run in actions.tolist()]
-    logp_behavior = gaussian_logp(actions, mean, policy.log_std[:, None, :])
-    return GroupRollout(state, actions, boxes, logp_behavior)
+    return GroupRollout(actions, boxes, gaussian_logp(actions, theta))
 
 
-def grpo_advantage(rewards: np.ndarray) -> np.ndarray:
-    """Standardize each group (last axis) by its mean and population std.
-
-    Degenerate groups (all rewards equal, or a single sample) get all-zero
-    advantages rather than dividing by ~0.
+def grpo_advantage(rewards: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Standardize each group (last axis) by its `mean`, with the last axis
+    kept, and its population std. Degenerate groups (all rewards equal, or a
+    single sample) get all-zero advantages rather than dividing by ~0.
     """
-    n = rewards.shape[-1]
-    dev = rewards - rewards.sum(axis=-1, keepdims=True) / n
-    std = np.sqrt((dev * dev).sum(axis=-1, keepdims=True) / n)
+    dev = rewards - mean
+    std = np.sqrt((dev * dev).sum(axis=-1, keepdims=True) / rewards.shape[-1])
     # the floor only keeps the branch np.where discards finite
     return np.where(std < ADV_STD_FLOOR, 0.0, dev / np.maximum(std, ADV_STD_FLOOR))
 
 
-def kl_ref_theta(ref: GroundingPolicy, theta: GroundingPolicy, state: np.ndarray) -> np.ndarray:
-    """(R,) exact KL(reference || current) between each run's action Gaussians at `state`."""
-    mu_r = ref.action_mean(state)
-    mu_t = theta.action_mean(state)
-    var_r = np.exp(2.0 * ref.log_std)
-    var_t = np.exp(2.0 * theta.log_std)
-    per_dim = (
+def kl_ref_theta(ref: ActionGaussians, theta: ActionGaussians) -> np.ndarray:
+    """(R,) exact KL(reference || current) between each run's action Gaussians."""
+    return (
         theta.log_std - ref.log_std
-        + (var_r + (mu_r - mu_t) ** 2) / (2.0 * var_t)
+        + (ref.var + (ref.mean - theta.mean) ** 2) / (2.0 * theta.var)
         - 0.5
-    )
-    return per_dim.sum(axis=-1)
+    ).sum(axis=-1)
 
 
 def objective(
     rollout: GroupRollout,
     shaped: np.ndarray,
-    theta: GroundingPolicy,
-    ref: GroundingPolicy,
+    theta: ActionGaussians,
+    ref: ActionGaussians,
     beta: np.ndarray,
 ) -> np.ndarray:
     """(R,) J(theta) per run for a rollout and its (R, N) shaped advantages
@@ -194,30 +196,27 @@ def objective(
     is recomputed at the stored actions, so the ratio is 1 only when `theta`
     is the sampling policy.
     """
-    mean = theta.action_mean(rollout.state)[:, None, :]
-    logp = gaussian_logp(rollout.actions, mean, theta.log_std[:, None, :])
-    ratios = np.exp(logp - rollout.logp_behavior)
+    ratios = np.exp(gaussian_logp(rollout.actions, theta) - rollout.logp_behavior)
     surrogate = (ratios * shaped).sum(axis=-1) / rollout.n
-    return surrogate - beta * kl_ref_theta(ref, theta, rollout.state)
+    return surrogate - beta * kl_ref_theta(ref, theta)
 
 
 def grad_objective(
     rollout: GroupRollout,
     shaped: np.ndarray,
-    theta: GroundingPolicy,
-    ref: GroundingPolicy,
+    theta: ActionGaussians,
+    ref: ActionGaussians,
     beta: np.ndarray,
+    kl_on: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Analytic gradient of `objective` w.r.t. each run's (W, b, log_std), as
     the tuple (dW, db, dlog_std) of (R, feature_dim, 4), (R, 4), (R, 4).
 
-    A run whose beta is 0 gets no KL term at all, not 0 times its gradient."""
-    state = rollout.state
-    mean = theta.action_mean(state)                   # (R, 4)
-    std = theta.action_std()
-    var = std * std                                   # (R, 4)
+    `kl_on` is the (R, 1) mask beta != 0, or None when no run has a KL term:
+    a run whose beta is 0 gets no KL term at all, not 0 times its gradient."""
+    var = theta.std * theta.std                       # (R, 4)
 
-    diff = rollout.actions - mean[:, None, :]         # (R, N, 4)
+    diff = rollout.actions - theta.mean[:, None, :]   # (R, N, 4)
     z2 = diff * diff / var[:, None, :]                # (R, N, 4)
     logp = (-0.5 * z2 - theta.log_std[:, None, :] - 0.5 * LOG_2PI).sum(axis=-1)
     weights = (np.exp(logp - rollout.logp_behavior) * shaped)[:, :, None]
@@ -227,18 +226,15 @@ def grad_objective(
     dmu = (weights * diff / var[:, None, :]).sum(axis=-2) / n
     dlog_std = (weights * (z2 - 1.0)).sum(axis=-2) / n
 
-    beta = beta[:, None]
-    if beta.any():
-        kl_on = beta != 0.0
-        mu_r = ref.action_mean(state)
-        var_r = np.exp(2.0 * ref.log_std)
+    if kl_on is not None:
+        beta = beta[:, None]
         # KL(ref||theta) per dim: log s_t - log s_r + (var_r + (mu_r-mu_t)^2)/(2 var_t) - 1/2
-        dkl_dmu = (mean - mu_r) / var
-        dkl_dlog_std = 1.0 - (var_r + (mu_r - mean) ** 2) / var
+        dkl_dmu = (theta.mean - ref.mean) / var
+        dkl_dlog_std = 1.0 - (ref.var + (ref.mean - theta.mean) ** 2) / var
         np.subtract(dmu, beta * dkl_dmu, out=dmu, where=kl_on)
         np.subtract(dlog_std, beta * dkl_dlog_std, out=dlog_std, where=kl_on)
 
-    dW = state[:, None] * dmu[:, None, :]             # np.outer(state, dmu) per run
+    dW = theta.state[:, None] * dmu[:, None, :]       # np.outer(state, dmu) per run
     return dW, dmu, dlog_std
 
 

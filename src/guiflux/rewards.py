@@ -6,7 +6,7 @@ of box centers plus pairwise separation of the boxes' Gaussian region
 models), and the per-sample correctness rewards that score a prediction
 against its ground-truth box (IoU, center-distance, and a dense Gaussian
 point+coverage variant). A box is any (x1, y1, x2, y2) 4-sequence of
-floats, a `BBox` or a plain tuple.
+floats, a `BBox` or a plain tuple; `score_groups` scores a training step.
 """
 
 from __future__ import annotations
@@ -107,16 +107,15 @@ def bhattacharyya(a: tuple[float, ...], b: tuple[float, ...]) -> float:
     return maha + log_det
 
 
-def region_separation(g: Sequence[Sequence[float]]) -> float:
+def region_separation(gaussians: Sequence[tuple[float, ...]]) -> float:
     """Mean pairwise Bhattacharyya distance between the boxes' Gaussian models.
 
     Averages over all N(N-1)/2 unordered pairs; a single-box group has no
     pairs and returns zero.
     """
-    n = len(g)
+    n = len(gaussians)
     if n == 1:
         return 0.0
-    gaussians = [to_gaussian(b) for b in g]
     total = 0.0
     for i in range(n - 1):
         for j in range(i + 1, n):
@@ -124,14 +123,15 @@ def region_separation(g: Sequence[Sequence[float]]) -> float:
     return 2.0 * total / (n * (n - 1))
 
 
-def diversity_reward(g: Sequence[Sequence[float]], cfg: RewardConfig) -> tuple[float, float, float]:
-    """(spread, separation, weighted sum) of the diversity bonus for one group.
+def diversity_reward(g: Sequence, gaussians: Sequence | None, cfg: RewardConfig) -> tuple:
+    """(spread, separation, weighted sum) of the diversity bonus for one group
+    of boxes `g`; their Gaussian models are read only when gamma is not 0.
 
     A term whose weight is 0 is switched off: it is not computed and reads
     0.0, so setting alpha or gamma to 0 is the one way to ablate it.
     """
     spread = center_spread(g) if cfg.alpha != 0.0 else 0.0
-    separation = region_separation(g) if cfg.gamma != 0.0 else 0.0
+    separation = region_separation(gaussians) if cfg.gamma != 0.0 else 0.0
     return spread, separation, cfg.alpha * spread + cfg.gamma * separation
 
 
@@ -148,24 +148,23 @@ def correctness_point(pred: Sequence[float], gt: Sequence[float]) -> float:
     return hit + math.exp(-dist / TAU)
 
 
-def correctness_gaussian(pred: Sequence[float], gt: Sequence[float]) -> float:
-    """Dense correctness: Gaussian point score plus region-coverage score.
+def correctness_gaussian(pred: tuple[float, ...], gt: tuple[float, ...]) -> float:
+    """Dense correctness of two boxes' Gaussian models: point plus coverage score.
 
     The point term evaluates the predicted center under the ground-truth
     box's Gaussian (normalized to 1 at the center); the coverage term is the
     Bhattacharyya coefficient between the two boxes' Gaussians. Range (0, 2],
     maximized when pred == gt.
     """
-    gmx, gmy, gvx, gvy = ggt = to_gaussian(gt)
-    gp = to_gaussian(pred)
-    dx = gp[0] - gmx  # the Gaussian's mean is the predicted center
-    dy = gp[1] - gmy
+    gmx, gmy, gvx, gvy = gt
+    dx = pred[0] - gmx  # the Gaussian's mean is the predicted center
+    dy = pred[1] - gmy
     point = math.exp(-0.5 * (dx * dx / gvx + dy * dy / gvy))
-    coverage = math.exp(-bhattacharyya(gp, ggt))
+    coverage = math.exp(-bhattacharyya(pred, gt))
     return point + coverage
 
 
-# Correctness kind name -> its (pred, gt) reward.
+# Correctness kind name -> its (pred, gt) reward, of Gaussian models or boxes.
 CORRECTNESS_KINDS = {
     "iou": iou,
     "point_distance": correctness_point,
@@ -173,6 +172,21 @@ CORRECTNESS_KINDS = {
 }
 
 
-def correctness(pred: Sequence[float], gt: Sequence[float], cfg: RewardConfig) -> float:
-    """The reward of cfg.correctness_kind."""
-    return CORRECTNESS_KINDS[cfg.correctness_kind](pred, gt)
+def correctness(g: Sequence, gt: Sequence, cfg: RewardConfig) -> list[float]:
+    """Each prediction's reward of cfg.correctness_kind against `gt`."""
+    reward = CORRECTNESS_KINDS[cfg.correctness_kind]
+    return [reward(pred, gt) for pred in g]
+
+
+def score_groups(groups: Sequence, gt: Sequence[float], cfgs: Sequence[RewardConfig]) -> tuple:
+    """Per run of a batch sharing one correctness kind, its group's correctness
+    against the ground-truth box `gt` and its diversity bonus. Each box gets
+    its Gaussian model at most once, and only when a reward reads it."""
+    on_gaussians = CORRECTNESS_KINDS[cfgs[0].correctness_kind] is correctness_gaussian
+    target = to_gaussian(gt) if on_gaussians else gt
+    scores, bonus = [], []
+    for g, cfg in zip(groups, cfgs):
+        gaussians = [to_gaussian(b) for b in g] if on_gaussians or cfg.gamma != 0.0 else None
+        scores.append(correctness(gaussians if on_gaussians else g, target, cfg))
+        bonus.append(diversity_reward(g, gaussians, cfg))
+    return scores, bonus

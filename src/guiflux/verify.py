@@ -4,10 +4,10 @@ Each check re-derives its expected values from scratch (plain loops, its
 own inline formulas, trapezoid quadrature, finite differences) and
 compares the production path against them. The oracles deliberately avoid
 calling the functions they certify, so a perturbed formula in the production
-math shows up as a named failure here. Of the reward constants, only
-`rewards.KAPPA` and `rewards.EPS_MIN` are certified: region-separation runs
-them as the training step does and checks the result against its own copies,
-1.0 and 1e-8. No oracle covers `rewards.TAU`, the point-distance scale.
+math shows up as a named failure here. The reward constants are certified
+too: region-separation runs `rewards.KAPPA` and `rewards.EPS_MIN` as the
+training step does and checks the result against its own copies, 1.0 and
+1e-8, and point-distance does the same for `rewards.TAU` against 0.1.
 """
 
 from __future__ import annotations
@@ -156,9 +156,28 @@ def check_region_separation(rng: np.random.Generator) -> OracleResult:
                     total += _inline_bhattacharyya(gaussians[i], gaussians[j])
                     pairs += 1
         expected = total / pairs
-        got = rw.region_separation(group)
+        got = rw.region_separation([rw.to_gaussian(b) for b in group])
         worst = max(worst, abs(got - expected))
     return OracleResult("region-separation", worst < 1e-9, f"max |diff| = {worst:.3e}")
+
+
+def check_point_distance(rng: np.random.Generator) -> OracleResult:
+    """The point_distance kind, scored as the training step scores a group,
+    against a plain loop with its own scale 0.1: exp(-dist / 0.1) between
+    the two centers, plus 1 when the predicted center lies in the truth."""
+    cfg = rw.RewardConfig(correctness_kind="point_distance")
+    worst = 0.0
+    for _ in range(N_GROUPS):
+        group = _random_group(rng, int(rng.integers(1, 9)))
+        gt = _random_bbox(rng)
+        (got,), _ = rw.score_groups([group], gt, [cfg])
+        gx, gy = (gt.x1 + gt.x2) / 2.0, (gt.y1 + gt.y2) / 2.0
+        for b, score in zip(group, got):
+            px, py = (b.x1 + b.x2) / 2.0, (b.y1 + b.y2) / 2.0
+            hit = gt.x1 <= px <= gt.x2 and gt.y1 <= py <= gt.y2
+            expected = math.exp(-math.sqrt((px - gx) ** 2 + (py - gy) ** 2) / 0.1) + hit
+            worst = max(worst, abs(score - expected))
+    return OracleResult("point-distance", worst < 1e-12, f"max |diff| = {worst:.3e}")
 
 
 def check_advantage(rng: np.random.Generator, n_cases: int = 500) -> OracleResult:
@@ -166,7 +185,7 @@ def check_advantage(rng: np.random.Generator, n_cases: int = 500) -> OracleResul
     for _ in range(n_cases):
         n = int(rng.integers(1, 9))
         r = rng.random(n) * 2.0
-        a = pol.grpo_advantage(r)
+        a = pol.grpo_advantage(r, r.mean(keepdims=True))
         if n == 1 or r.std() < 1e-12:
             if (a != 0.0).any():
                 return OracleResult("advantage-normalization", False, "degenerate input not zeroed")
@@ -176,17 +195,17 @@ def check_advantage(rng: np.random.Generator, n_cases: int = 500) -> OracleResul
                 "advantage-normalization", False,
                 f"mean {a.mean():.2e}, std {a.std():.6f}",
             )
-    a = pol.grpo_advantage(np.array([1.0, 1.0, 1.0, 1.0]))
+    a = pol.grpo_advantage(np.ones(4), np.ones(1))
     if (a != 0.0).any():
         return OracleResult("advantage-normalization", False, "constant rewards not zeroed")
-    a = pol.grpo_advantage(np.array([0.0, 2.0]))
+    a = pol.grpo_advantage(np.array([0.0, 2.0]), np.ones(1))
     if abs(a[0] + 1.0) > 1e-12 or abs(a[1] - 1.0) > 1e-12:
         return OracleResult("advantage-normalization", False, f"[0,2] -> {a}")
     return OracleResult("advantage-normalization", True, f"{n_cases} cases + exact checks")
 
 
 def _random_fixture(rng: np.random.Generator, feature_dim: int = 8, n: int = 4):
-    """A batch of one run: theta, ref, a rollout and its shaped advantages."""
+    """A batch of one run: theta, ref at the rollout's state, the rollout, its shaped advantages."""
     state = rng.normal(0.0, 1.5, feature_dim)
     theta = GroundingPolicy(
         rng.normal(0.0, 0.4, (1, feature_dim, 4)),
@@ -199,10 +218,12 @@ def _random_fixture(rng: np.random.Generator, feature_dim: int = 8, n: int = 4):
         np.clip(theta.log_std + rng.uniform(-0.3, 0.3, (1, 4)), -6.0, 1.0),
     )
     # Sampled from `ref`, differentiated at `theta`: the ratios are not 1.
-    rollout = pol.sample_group(ref, state, rng.standard_normal((n, 4)))
-    advantages = pol.grpo_advantage(rng.random((1, n)) * 2.0)
+    ref_at = ref.at(state)
+    rollout = pol.sample_group(ref_at, rng.standard_normal((n, 4)))
+    rewards = rng.random((1, n)) * 2.0
+    advantages = pol.grpo_advantage(rewards, rewards.mean(axis=1, keepdims=True))
     shaped = advantages + float(rng.random())  # plus a random diversity bonus
-    return theta, ref, rollout, shaped
+    return theta, ref_at, rollout, shaped
 
 
 def check_gradient(rng: np.random.Generator) -> OracleResult:
@@ -210,9 +231,10 @@ def check_gradient(rng: np.random.Generator) -> OracleResult:
     worst = 0.0
     for k in range(N_FIXTURES):
         beta = np.array([0.0 if k % 2 == 0 else 0.04])
+        kl_on = None if k % 2 == 0 else np.array([[True]])
         theta, ref, rollout, shaped = _random_fixture(rng)
-        dW, db, dlog_std = pol.grad_objective(rollout, shaped, theta, ref, beta)
-        analytic = np.concatenate([dW.ravel(), db.ravel(), dlog_std.ravel()])
+        grad = pol.grad_objective(rollout, shaped, theta.at(ref.state), ref, beta, kl_on)
+        analytic = np.concatenate([g.ravel() for g in grad])
 
         flat = np.concatenate([theta.W.ravel(), theta.b.ravel(), theta.log_std.ravel()])
         fd = np.zeros_like(flat)
@@ -227,8 +249,8 @@ def check_gradient(rng: np.random.Generator) -> OracleResult:
             up = flat.copy(); up[i] += FD_STEP
             dn = flat.copy(); dn[i] -= FD_STEP
             fd[i] = (
-                pol.objective(rollout, shaped, unflatten(up), ref, beta)[0]
-                - pol.objective(rollout, shaped, unflatten(dn), ref, beta)[0]
+                pol.objective(rollout, shaped, unflatten(up).at(ref.state), ref, beta)[0]
+                - pol.objective(rollout, shaped, unflatten(dn).at(ref.state), ref, beta)[0]
             ) / (2.0 * FD_STEP)
         rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
         worst = max(worst, rel)
@@ -245,4 +267,5 @@ def verify_all() -> list[OracleResult]:
         check_region_separation(np.random.default_rng(VERIFY_SEED + 2)),
         check_advantage(np.random.default_rng(VERIFY_SEED + 3)),
         check_gradient(np.random.default_rng(VERIFY_SEED + 4)),
+        check_point_distance(np.random.default_rng(VERIFY_SEED + 5)),
     ]

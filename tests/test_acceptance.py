@@ -116,7 +116,8 @@ def test_criterion_03_region_separation_oracle():
 def test_criterion_04_advantage_contract():
     result = verify.check_advantage(np.random.default_rng(104), n_cases=1000)
     assert result.passed, result.detail
-    assert (grpo_advantage(np.full(6, 3.3)) == 0.0).all()
+    r = np.full(6, 3.3)
+    assert (grpo_advantage(r, r.mean(axis=-1, keepdims=True)) == 0.0).all()
     ok(4, "advantages have mean 0 +/- 1e-9, population std 1 +/- 1e-9, zeros when degenerate")
 
 
@@ -226,7 +227,7 @@ def test_criterion_12_determinism_and_round_trip(tmp_path):
 def test_criterion_13_verify_negative_controls(monkeypatch, capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 5
+    assert out.count("PASS") == 6
 
     spread, bhat, sep = (
         rewards_mod.center_spread, rewards_mod.bhattacharyya, rewards_mod.region_separation
@@ -239,6 +240,7 @@ def test_criterion_13_verify_negative_controls(monkeypatch, capsys):
         # perturbed reward constants: verify must certify the values the step runs
         ("KAPPA", 1.000001, "region-separation"),
         ("EPS_MIN", 2e-8, "region-separation"),
+        ("TAU", 0.2, "point-distance"),
     ]
     for attr, mutant, name in mutations:
         with monkeypatch.context() as m:

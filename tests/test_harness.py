@@ -1,6 +1,10 @@
+import ast
 import csv
 import json
 import math
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +125,72 @@ class TestTrainTask:
             train_stage(policy, tasks[:1], [cfg], [records], {}, 0, 0)
             logs.append(records)
         assert logs[0] == logs[1]
+
+
+def bench_spanned(*modules):
+    """(module, function) of each function bench/tracing.py spans in `modules`."""
+    tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    for node in ast.parse(tracing.read_text()).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "SPANNED":
+            spanned = ast.literal_eval(node.value)
+            return [(m, fn) for m, fn, _ in spanned if m in modules]
+    raise AssertionError("bench/tracing.py defines no SPANNED table")
+
+
+def count_calls(monkeypatch, module, attr, counts):
+    """Count calls to module.attr under every guiflux name that holds it."""
+    fn = getattr(sys.modules[module], attr)
+
+    def counted(*args, **kwargs):
+        counts[attr] += 1
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("guiflux"):
+            for key, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, key, counted)
+
+
+class TestOnePassStep:
+    """A training step takes each policy's mean at the state once, and models
+    the ground truth and each sampled box by a Gaussian once."""
+
+    @pytest.mark.parametrize("runs", [1, 2])
+    def test_calls_per_step(self, monkeypatch, runs):
+        steps = 5
+        cfgs = [c.cfg for c in ablate(tiny_config(steps_per_task=steps))][:runs]
+        n = cfgs[0].optim.n_samples
+        assert n == 4 and cfgs[0].reward.correctness_kind == "gaussian_dense"
+        counts = Counter()
+        policy_fns = bench_spanned("guiflux.policy")
+        reward_fns = bench_spanned("guiflux.rewards")
+        assert policy_fns and reward_fns
+        for module, attr in [("guiflux.rewards", "to_gaussian"), *policy_fns, *reward_fns]:
+            count_calls(monkeypatch, module, attr, counts)
+        action_mean = GroundingPolicy.action_mean
+
+        def counted_action_mean(policy, state):
+            counts["action_mean"] += 1
+            return action_mean(policy, state)
+
+        monkeypatch.setattr(GroundingPolicy, "action_mean", counted_action_mean)
+        tasks = cfgs[0].tasks
+        policy = GroundingPolicy.zeros(tasks[0].state_dim, runs)
+        aborts = {}
+        train_stage(policy, tasks[:1], cfgs, [[] for _ in cfgs], aborts, 0, 0)
+        assert aborts == {}
+        # theta before the update, the reference, theta after the update
+        assert counts["action_mean"] == 3 * steps
+        # the ground truth once, each sampled box once
+        assert counts["to_gaussian"] == (1 + runs * n) * steps
+        for _, attr in policy_fns:
+            # objective takes its own KL, after the update
+            per_step = 2 if attr == "kl_ref_theta" else 1
+            assert counts[attr] == per_step * steps, attr
+        # the reward layer scores each run's group once
+        for _, attr in reward_fns:
+            assert counts[attr] == runs * steps, attr
 
 
 class TestRunContinual:

@@ -48,11 +48,16 @@ def perturbed(policy, rng, scale=0.05):
     )
 
 
+def advantage(rewards):
+    """grpo_advantage about each group's mean, as the training step calls it."""
+    return grpo_advantage(rewards, rewards.mean(axis=-1, keepdims=True))
+
+
 def make_rollout(rng, behavior, n=4):
-    """A rollout, its (R, n) advantages and its diversity bonus."""
+    """A rollout, its (R, n) advantages, its diversity bonus and its state."""
     state = rng.normal(0, 1.5, behavior.W.shape[1])
-    rollout = sample_group(behavior, state, rng.standard_normal((n, 4)))
-    return rollout, grpo_advantage(rng.random((1, n)) * 2), float(rng.random())
+    rollout = sample_group(behavior.at(state), rng.standard_normal((n, 4)))
+    return rollout, advantage(rng.random((1, n)) * 2), float(rng.random()), state
 
 
 class TestActionToBBox:
@@ -108,7 +113,7 @@ class TestPolicyTypes:
             OptimConfig(beta=-0.1)
 
     def test_rollout_is_frozen(self, rng):
-        rollout = sample_group(make_policy(rng), np.zeros(6), rng.standard_normal((4, 4)))
+        rollout = sample_group(make_policy(rng).at(np.zeros(6)), rng.standard_normal((4, 4)))
         with pytest.raises(FrozenInstanceError):
             rollout.boxes = []
 
@@ -117,8 +122,8 @@ class TestSampleGroup:
     def test_deterministic_given_seed(self, rng):
         theta = make_policy(rng)
         state = rng.normal(0, 1, 6)
-        r1 = sample_group(theta, state, np.random.default_rng(7).standard_normal((4, 4)))
-        r2 = sample_group(theta, state, np.random.default_rng(7).standard_normal((4, 4)))
+        r1 = sample_group(theta.at(state), np.random.default_rng(7).standard_normal((4, 4)))
+        r2 = sample_group(theta.at(state), np.random.default_rng(7).standard_normal((4, 4)))
         assert np.array_equal(r1.actions, r2.actions)
         assert np.array_equal(r1.logp_behavior, r2.logp_behavior)
         assert r1.boxes == r2.boxes
@@ -127,21 +132,19 @@ class TestSampleGroup:
         from guiflux.rewards import center_spread
 
         theta = constant_policy(6, -6.0)
-        rollout = sample_group(theta, np.zeros(6), rng.standard_normal((8, 4)))
+        rollout = sample_group(theta.at(np.zeros(6)), rng.standard_normal((8, 4)))
         assert center_spread(rollout.boxes[0]) < 1e-4
 
     def test_logp_behavior_is_sampling_policy_logp(self, rng):
         theta = make_policy(rng)
         state = rng.normal(0, 1, 6)
         noise = rng.standard_normal((4, 4))
-        rollout = sample_group(theta, state, noise)
+        rollout = sample_group(theta.at(state), noise)
         assert np.array_equal(
-            rollout.actions[0], theta.action_mean(state)[0] + theta.action_std()[0] * noise
+            rollout.actions[0], theta.action_mean(state)[0] + theta.std[0] * noise
         )
-        expected = gaussian_logp(
-            rollout.actions[0], theta.action_mean(state)[0], theta.log_std[0]
-        )
-        assert np.array_equal(rollout.logp_behavior[0], expected)
+        expected = gaussian_logp(rollout.actions, theta.at(state))
+        assert np.array_equal(rollout.logp_behavior, expected)
         assert len({id(b) for b in rollout.boxes[0]}) == 4
 
     def test_runs_share_the_noise_draw(self, rng):
@@ -152,9 +155,9 @@ class TestSampleGroup:
         )))
         state = rng.normal(0, 1, 6)
         noise = rng.standard_normal((8, 4))
-        batch = sample_group(both, state, noise)
+        batch = sample_group(both.at(state), noise)
         for r, alone in enumerate((a, b)):
-            single = sample_group(alone, state, noise)
+            single = sample_group(alone.at(state), noise)
             assert np.array_equal(batch.actions[r], single.actions[0])
             assert np.array_equal(batch.logp_behavior[r], single.logp_behavior[0])
             assert batch.boxes[r] == single.boxes[0]
@@ -162,29 +165,29 @@ class TestSampleGroup:
 
 class TestGrpoAdvantage:
     def test_constant_rewards_zeroed(self):
-        assert np.array_equal(grpo_advantage(np.ones(4)), np.zeros(4))
+        assert np.array_equal(advantage(np.ones(4)), np.zeros(4))
 
     def test_two_point_example(self):
-        a = grpo_advantage(np.array([0.0, 2.0]))
+        a = advantage(np.array([0.0, 2.0]))
         assert a == pytest.approx([-1.0, 1.0], abs=1e-12)
 
     def test_single_sample_zero(self):
-        assert np.array_equal(grpo_advantage(np.array([3.7])), np.zeros(1))
+        assert np.array_equal(advantage(np.array([3.7])), np.zeros(1))
 
     def test_rows_are_groups(self, rng):
         # each row is standardized on its own, exactly as that row alone
         r = rng.random((5, 8))
         r[2] = 0.7
-        a = grpo_advantage(r)
+        a = advantage(r)
         assert np.array_equal(a[2], np.zeros(8))
         for k in range(5):
-            assert np.array_equal(a[k], grpo_advantage(r[k]))
+            assert np.array_equal(a[k], advantage(r[k]))
 
     def test_normalization_identity(self, rng):
         for _ in range(200):
             n = int(rng.integers(2, 9))
             r = rng.random(n) * 10
-            a = grpo_advantage(r)
+            a = advantage(r)
             if r.std() < 1e-12:
                 assert np.array_equal(a, np.zeros(n))
             else:
@@ -196,13 +199,14 @@ class TestKL:
     def test_identical_zero(self, rng):
         theta = make_policy(rng)
         state = rng.normal(0, 1, 6)
-        assert kl_ref_theta(theta, theta, state).tolist() == [0.0]
+        assert kl_ref_theta(theta.at(state), theta.at(state)).tolist() == [0.0]
 
     def test_std_ratio_e(self, rng):
         ref = constant_policy(6, -2.0)
         theta = constant_policy(6, -1.0)
         per_dim = 1.0 + 1.0 / (2.0 * math.e ** 2) - 0.5
-        assert kl_ref_theta(ref, theta, np.zeros(6)) == pytest.approx([4 * per_dim], rel=1e-12)
+        state = np.zeros(6)
+        assert kl_ref_theta(ref.at(state), theta.at(state)) == pytest.approx([4 * per_dim], rel=1e-12)
 
     def test_mean_shift_only(self):
         delta = 0.3
@@ -210,30 +214,32 @@ class TestKL:
         b = np.zeros((1, 4))
         b[0, 2] = delta
         theta = GroundingPolicy(np.zeros((1, 6, 4)), b, np.zeros((1, 4)))
-        assert kl_ref_theta(ref, theta, np.zeros(6)) == pytest.approx([delta ** 2 / 2], rel=1e-12)
+        state = np.zeros(6)
+        assert kl_ref_theta(ref.at(state), theta.at(state)) == pytest.approx([delta ** 2 / 2], rel=1e-12)
 
     def test_nonnegative(self, rng):
         for _ in range(100):
             a, b = make_policy(rng), make_policy(rng)
             state = rng.normal(0, 1, 6)
-            assert kl_ref_theta(a, b, state)[0] >= 0.0
+            assert kl_ref_theta(a.at(state), b.at(state))[0] >= 0.0
 
 
 class TestObjective:
     def test_at_reference_equals_diversity_bonus(self, rng):
         theta = make_policy(rng)
-        rollout, advantages, r_div = make_rollout(rng, theta)
+        rollout, advantages, r_div, state = make_rollout(rng, theta)
+        at = theta.at(state)
         for beta in (0.0, 0.04):
-            got = objective(rollout, advantages + r_div, theta, theta, np.array([beta]))
+            got = objective(rollout, advantages + r_div, at, at, np.array([beta]))
             assert got == pytest.approx([r_div], abs=1e-9)
 
     def test_term_by_term_recomputation(self, rng):
         # sampled from ref, evaluated at theta: the ratios are not 1
         theta = make_policy(rng)
         ref = perturbed(theta, rng)
-        rollout, advantages, r_div = make_rollout(rng, ref)
+        rollout, advantages, r_div, state = make_rollout(rng, ref)
         beta = 0.04
-        mean = theta.action_mean(rollout.state)[0]
+        mean = theta.action_mean(state)[0]
         log_std = theta.log_std[0]
         expected = 0.0
         for i in range(rollout.n):
@@ -245,26 +251,32 @@ class TestObjective:
             ratio = math.exp(logp_theta - rollout.logp_behavior[0, i])
             expected += ratio * (advantages[0, i] + r_div)
         expected /= rollout.n
-        expected -= beta * kl_ref_theta(ref, theta, rollout.state)[0]
-        got = objective(rollout, advantages + r_div, theta, ref, np.array([beta]))
+        expected -= beta * kl_ref_theta(ref.at(state), theta.at(state))[0]
+        got = objective(
+            rollout, advantages + r_div, theta.at(state), ref.at(state), np.array([beta])
+        )
         assert got == pytest.approx([expected], rel=1e-12)
 
 
 class TestGradObjective:
     def test_zero_weights_zero_gradient(self, rng):
         theta = make_policy(rng)
-        rollout, _, _ = make_rollout(rng, theta)
+        rollout, _, _, state = make_rollout(rng, theta)
+        at = theta.at(state)
         dW, db, dlog_std = grad_objective(
-            rollout, np.zeros((1, rollout.n)), theta, theta, beta=np.array([0.0])
+            rollout, np.zeros((1, rollout.n)), at, at, beta=np.array([0.0]), kl_on=None
         )
         assert np.allclose(dW, 0.0) and np.allclose(db, 0.0) and np.allclose(dlog_std, 0.0)
 
     def test_kl_gradient_vanishes_at_reference(self, rng):
         theta = make_policy(rng)
-        rollout, advantages, r_div = make_rollout(rng, theta)
+        rollout, advantages, r_div, state = make_rollout(rng, theta)
         shaped = advantages + r_div
-        dW0, _, dlog_std0 = grad_objective(rollout, shaped, theta, theta, beta=np.array([0.0]))
-        dW1, _, dlog_std1 = grad_objective(rollout, shaped, theta, theta, beta=np.array([0.04]))
+        at = theta.at(state)
+        dW0, _, dlog_std0 = grad_objective(rollout, shaped, at, at, np.array([0.0]), None)
+        dW1, _, dlog_std1 = grad_objective(
+            rollout, shaped, at, at, np.array([0.04]), np.array([[True]])
+        )
         assert np.allclose(dW0, dW1, atol=1e-14)
         assert np.allclose(dlog_std0, dlog_std1, atol=1e-14)
 
@@ -274,14 +286,15 @@ class TestGradObjective:
         # independent implementation that never builds the bonus at all.
         theta = make_policy(rng)
         state = rng.normal(0, 1.5, 6)
-        rollout = sample_group(theta, state, rng.standard_normal((4, 4)))
+        at = theta.at(state)
+        rollout = sample_group(at, rng.standard_normal((4, 4)))
         rewards = rng.random(4) * 2
         dW, db, dlog_std = grad_objective(
-            rollout, grpo_advantage(rewards[None]), theta, theta, beta=np.array([0.0])
+            rollout, advantage(rewards[None]), at, at, beta=np.array([0.0]), kl_on=None
         )
 
         mean = theta.action_mean(state)
-        std = theta.action_std()
+        std = theta.std
         adv = (rewards - rewards.mean()) / rewards.std()
         dmu = np.zeros((1, 4))
         dlog = np.zeros((1, 4))
@@ -299,21 +312,23 @@ class TestGradObjective:
         # per-run beta: each row's gradient equals its batch of one
         theta = make_policy(rng)
         ref = perturbed(theta, rng, scale=0.3)
-        rollout, advantages, r_div = make_rollout(rng, theta)
+        rollout, advantages, r_div, state = make_rollout(rng, theta)
         two = GroundingPolicy(*(np.concatenate([x, x]) for x in (theta.W, theta.b, theta.log_std)))
         two_ref = GroundingPolicy(*(np.concatenate([x, x]) for x in (ref.W, ref.b, ref.log_std)))
         two_rollout = GroupRollout(
-            rollout.state,
             np.concatenate([rollout.actions, rollout.actions]),
             rollout.boxes * 2,
             np.concatenate([rollout.logp_behavior, rollout.logp_behavior]),
         )
         both = grad_objective(
             two_rollout, np.concatenate([advantages, advantages]) + r_div,
-            two, two_ref, np.array([0.04, 0.0]),
+            two.at(state), two_ref.at(state), np.array([0.04, 0.0]), np.array([[True], [False]]),
         )
         for r, beta in enumerate((0.04, 0.0)):
-            alone = grad_objective(rollout, advantages + r_div, theta, ref, np.array([beta]))
+            alone = grad_objective(
+                rollout, advantages + r_div, theta.at(state), ref.at(state), np.array([beta]),
+                np.array([[True]]) if beta else None,
+            )
             for got, want in zip(both, alone):
                 assert np.array_equal(got[r], want[0])
 
@@ -435,5 +450,5 @@ class TestStep:
 
 class TestGaussianLogp:
     def test_standard_normal_density(self):
-        logp = gaussian_logp(np.zeros((1, 4)), np.zeros(4), np.zeros(4))
-        assert logp[0] == pytest.approx(-2.0 * math.log(2 * math.pi), rel=1e-12)
+        logp = gaussian_logp(np.zeros((1, 1, 4)), constant_policy(1, 0.0).at(np.zeros(1)))
+        assert logp[0, 0] == pytest.approx(-2.0 * math.log(2 * math.pi), rel=1e-12)

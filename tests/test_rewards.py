@@ -17,6 +17,7 @@ from guiflux.rewards import (
     correctness_point,
     diversity_reward,
     region_separation,
+    score_groups,
     to_gaussian,
 )
 
@@ -28,6 +29,11 @@ def brute_spread(boxes):
     mx = sum(c[0] for c in cs) / len(cs)
     my = sum(c[1] for c in cs) / len(cs)
     return sum((c[0] - mx) ** 2 + (c[1] - my) ** 2 for c in cs) / len(cs)
+
+
+def models(boxes):
+    """The boxes' Gaussian models, as the training step builds them."""
+    return [to_gaussian(b) for b in boxes]
 
 
 def brute_separation(boxes):
@@ -127,32 +133,32 @@ class TestBhattacharyya:
 class TestRegionSeparation:
     def test_identical_boxes_zero(self):
         b = BBox(0.2, 0.3, 0.5, 0.6)
-        assert region_separation([b] * 4) == 0.0
+        assert region_separation(models([b] * 4)) == 0.0
 
     def test_two_boxes_single_pair(self):
         boxes = [BBox(0.1, 0.1, 0.3, 0.3), BBox(0.5, 0.5, 0.8, 0.9)]
         expected = bhattacharyya(to_gaussian(boxes[0]), to_gaussian(boxes[1]))
-        got = region_separation(boxes)
+        got = region_separation(models(boxes))
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_single_box_zero(self):
-        assert region_separation([BBox(0, 0, 0.5, 0.5)]) == 0.0
+        assert region_separation(models([BBox(0, 0, 0.5, 0.5)])) == 0.0
 
     def test_pairwise_oracle(self, rng):
         for _ in range(300):
             n = int(rng.integers(2, 9))
             boxes = [random_bbox(rng) for _ in range(n)]
-            got = region_separation(boxes)
+            got = region_separation(models(boxes))
             assert got == pytest.approx(brute_separation(boxes), abs=1e-9)
 
     def test_permutation_invariance(self, rng):
         boxes = [random_bbox(rng) for _ in range(5)]
-        base = region_separation(boxes)
+        base = region_separation(models(boxes))
         spread = center_spread(boxes)
         for _ in range(5):
             perm = list(rng.permutation(5))
             shuffled = [boxes[i] for i in perm]
-            assert region_separation(shuffled) == pytest.approx(base, abs=1e-12)
+            assert region_separation(models(shuffled)) == pytest.approx(base, abs=1e-12)
             assert center_spread(shuffled) == pytest.approx(spread, abs=1e-12)
 
 
@@ -160,36 +166,38 @@ class TestDiversityReward:
     def test_zero_weights(self, rng):
         cfg = RewardConfig(alpha=0.0, gamma=0.0)
         boxes = [random_bbox(rng) for _ in range(4)]
-        assert diversity_reward(boxes, cfg)[2] == 0.0
+        assert diversity_reward(boxes, models(boxes), cfg)[2] == 0.0
 
     def test_alpha_only_reduces_to_spread(self, rng):
         cfg = RewardConfig(alpha=1.0, gamma=0.0)
         g = [random_bbox(rng) for _ in range(4)]
-        assert diversity_reward(g, cfg)[2] == pytest.approx(center_spread(g), abs=1e-12)
+        assert diversity_reward(g, models(g), cfg)[2] == pytest.approx(center_spread(g), abs=1e-12)
 
     def test_weighted_composition(self, rng):
         cfg = RewardConfig(alpha=15.0, gamma=0.5)
         boxes = [random_bbox(rng) for _ in range(4)]
         expected = 15.0 * brute_spread(boxes) + 0.5 * brute_separation(boxes)
-        assert diversity_reward(boxes, cfg)[2] == pytest.approx(expected, rel=1e-12)
+        assert diversity_reward(boxes, models(boxes), cfg)[2] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_weight_term_is_off(self, rng, monkeypatch):
         # a term whose weight is 0 is neither computed nor logged
         g = [random_bbox(rng) for _ in range(4)]
         spread = center_spread(g)
-        sep = region_separation(g)
+        sep = region_separation(models(g))
         monkeypatch.setattr(rewards_mod, "center_spread", lambda g: pytest.fail("spread computed"))
-        assert diversity_reward(g, RewardConfig(alpha=0.0, gamma=0.5)) == (0.0, sep, 0.5 * sep)
+        cfg = RewardConfig(alpha=0.0, gamma=0.5)
+        assert diversity_reward(g, models(g), cfg) == (0.0, sep, 0.5 * sep)
         monkeypatch.undo()
         monkeypatch.setattr(
             rewards_mod, "region_separation", lambda g: pytest.fail("separation computed")
         )
-        assert diversity_reward(g, RewardConfig(alpha=2.0, gamma=0.0)) == (spread, 0.0, 2.0 * spread)
+        cfg = RewardConfig(alpha=2.0, gamma=0.0)
+        assert diversity_reward(g, None, cfg) == (spread, 0.0, 2.0 * spread)
 
     def test_linear_in_alpha(self, rng):
         g = [random_bbox(rng) for _ in range(4)]
-        lo = diversity_reward(g, RewardConfig(alpha=5.0, gamma=0.0))[2]
-        hi = diversity_reward(g, RewardConfig(alpha=10.0, gamma=0.0))[2]
+        lo = diversity_reward(g, models(g), RewardConfig(alpha=5.0, gamma=0.0))[2]
+        hi = diversity_reward(g, models(g), RewardConfig(alpha=10.0, gamma=0.0))[2]
         assert hi == pytest.approx(2.0 * lo, rel=1e-12)
 
 
@@ -222,13 +230,13 @@ class TestCorrectness:
         assert correctness_point(pred, gt) < 2e-6
 
     def test_gaussian_exact_match(self):
-        gt = BBox(0.3, 0.3, 0.5, 0.6)
+        gt = to_gaussian(BBox(0.3, 0.3, 0.5, 0.6))
         assert correctness_gaussian(gt, gt) == pytest.approx(2.0, abs=1e-12)
 
     def test_gaussian_far_shift_vanishes(self):
         gt = BBox(0.0, 0.0, 0.05, 0.05)
         pred = BBox(0.9, 0.9, 0.95, 0.95)
-        assert correctness_gaussian(pred, gt) < 1e-6
+        assert correctness_gaussian(to_gaussian(pred), to_gaussian(gt)) < 1e-6
 
     def test_gaussian_fixture_recomputation(self):
         gt = BBox(0.2, 0.2, 0.4, 0.5)
@@ -239,24 +247,52 @@ class TestCorrectness:
         dy = (0.3 + 0.55) / 2 - 0.35
         point = math.exp(-0.5 * (dx * dx / ggt[2] + dy * dy / ggt[3]))
         coverage = math.exp(-bhattacharyya(gp, ggt))
-        got = correctness_gaussian(pred, gt)
+        got = correctness_gaussian(gp, ggt)
         assert got == pytest.approx(point + coverage, rel=1e-12)
 
     def test_dispatcher(self):
         gt = BBox(0.3, 0.3, 0.5, 0.5)
         pred = BBox(0.35, 0.3, 0.55, 0.5)
-        assert correctness(pred, gt, RewardConfig(correctness_kind="iou")) == iou(pred, gt)
+        assert correctness([pred], gt, RewardConfig(correctness_kind="iou")) == [iou(pred, gt)]
         cfg = RewardConfig(correctness_kind="point_distance")
-        assert correctness(pred, gt, cfg) == correctness_point(pred, gt)
+        assert correctness([pred], gt, cfg) == [correctness_point(pred, gt)]
         cfg = RewardConfig(correctness_kind="gaussian_dense")
-        assert correctness(pred, gt, cfg) == correctness_gaussian(pred, gt)
+        gp, ggt = to_gaussian(pred), to_gaussian(gt)
+        assert correctness([gp], ggt, cfg) == [correctness_gaussian(gp, ggt)]
 
     def test_coverage_term_maximized_at_gt(self, rng):
-        gt = BBox(0.4, 0.4, 0.6, 0.6)
+        gt = to_gaussian(BBox(0.4, 0.4, 0.6, 0.6))
         best = correctness_gaussian(gt, gt)
         for _ in range(50):
-            pred = random_bbox(rng)
+            pred = to_gaussian(random_bbox(rng))
             assert correctness_gaussian(pred, gt) <= best + 1e-12
+
+
+class TestScoreGroups:
+    @pytest.mark.parametrize("kind", ["iou", "point_distance", "gaussian_dense"])
+    def test_equals_its_parts(self, rng, kind):
+        groups = [[random_bbox(rng) for _ in range(4)] for _ in range(2)]
+        gt = random_bbox(rng)
+        cfgs = [RewardConfig(correctness_kind=kind), RewardConfig(gamma=0.0, correctness_kind=kind)]
+        scores, bonus = score_groups(groups, gt, cfgs)
+        if kind == "gaussian_dense":
+            want = [correctness(models(g), to_gaussian(gt), cfgs[0]) for g in groups]
+        else:
+            want = [correctness(g, gt, cfgs[0]) for g in groups]
+        assert scores == want
+        assert bonus == [diversity_reward(g, models(g), c) for g, c in zip(groups, cfgs)]
+
+    @pytest.mark.parametrize(
+        "kind, gamma, modeled",
+        [("gaussian_dense", 0.5, 1 + 4), ("gaussian_dense", 0.0, 1 + 4),
+         ("iou", 0.5, 4), ("iou", 0.0, 0)],
+    )
+    def test_models_each_box_once_and_only_when_read(self, rng, monkeypatch, kind, gamma, modeled):
+        calls = []
+        monkeypatch.setattr(rewards_mod, "to_gaussian", lambda b: calls.append(b) or to_gaussian(b))
+        cfg = RewardConfig(gamma=gamma, correctness_kind=kind)
+        score_groups([[random_bbox(rng) for _ in range(4)]], random_bbox(rng), [cfg])
+        assert len(calls) == modeled
 
 
 unit = st.floats(0.0, 1.0)
@@ -299,6 +335,6 @@ class TestRewardProperties:
     @given(group_and_permutation())
     def test_region_separation_permutation_invariant(self, groups):
         group, permuted = groups
-        assert region_separation(permuted) == pytest.approx(
-            region_separation(group), rel=1e-12
+        assert region_separation(models(permuted)) == pytest.approx(
+            region_separation(models(group)), rel=1e-12
         )
