@@ -26,7 +26,9 @@ import numpy as np
 
 from . import rewards as rw
 from .policy import (
+    ActionGaussians,
     GroundingPolicy,
+    GroupRollout,
     NumericalAbort,
     OptimConfig,
     grad_objective,
@@ -136,7 +138,8 @@ class TrainRecord:
     """One training step's scalars; field order matches the trainlog.csv
     columns. `kl` is KL(ref || theta) at the step's state, taken before the
     update; `objective` is the surrogate minus beta times KL, taken after the
-    update at the same state."""
+    update at the same state. No update reads either, so `train_stage` takes
+    them for a whole draw block at once, with the values a step alone gives."""
 
     step: int
     task: int
@@ -240,10 +243,13 @@ def train_stage(
     from the task-choice stream. No draw depends on the policy, so the
     stage draws DRAW_BLOCK steps' task choices, instances and action noise
     at a time, in the order the steps would draw them one by one, and every
-    draw is shared by all runs. The first NumericalAbort of a run whose
-    update is not finite goes to aborts[r]; its row keeps its last finite
-    policy and stays in the batch, and its records are not to be read. The
-    stage ends early once every run has aborted.
+    draw is shared by all runs. Each step does only what the next update
+    needs and keeps the arrays its log row reads; the block's records are
+    appended at its end by `_log_block`. The first NumericalAbort of a run
+    whose update is not finite goes to aborts[r]; its row keeps its last
+    finite policy and stays in the batch, and its records are not to be
+    read. The stage ends early once every run has aborted, without logging
+    the block it was in.
     """
     cfg = cfgs[0]
     ref = policy
@@ -266,6 +272,7 @@ def train_stage(
             states, boxes, _ = sample_episodes(task, choices.count(t), rng)
             episodes.append(iter(zip(states, boxes.tolist())))
         noise = rng_actions.standard_normal((block, cfg.optim.n_samples, 4))
+        logged = []
         for k, step_noise in zip(choices, noise):
             state, gt = next(episodes[k])
             theta = policy.at(state)
@@ -281,24 +288,43 @@ def train_stage(
             # the group-shared diversity bonus is added to every advantage
             shaped = grpo_advantage(scores, mean) + np.array([[r_div] for _, _, r_div in bonus])
 
-            kl_val = kl_ref_theta(ref_at, theta)
             grad = grad_objective(rollout, shaped, theta, ref_at, beta, kl_on)
             policy, failed = step(policy, grad, cfg.optim.lr)
             for r, e in failed.items():
                 aborts.setdefault(r, e)
             if len(aborts) == len(cfgs):
                 return policy
-            # logged post-update: at the behavior policy the ratios are
-            # identically 1 and the surrogate reduces to the diversity bonus,
-            # which carries no step-level information
-            j_val = objective(rollout, shaped, policy.at(state), ref_at, beta)
-
-            logged = zip(records, mean[:, 0].tolist(), bonus, kl_val.tolist(), j_val.tolist())
-            for run_records, correct, (apr, arr, r_aif), kl, j in logged:
-                run_records.append(
-                    TrainRecord(len(run_records), tasks[k].index, correct, apr, arr, r_aif, kl, j)
-                )
+            logged.append((
+                tasks[k].index, mean, bonus, theta, ref_at.mean,
+                rollout.actions, rollout.logp_behavior, shaped, policy,
+            ))
+        _log_block(records, ref, beta, logged)
     return policy
+
+
+def _log_block(
+    records: Sequence[list[TrainRecord]], ref: GroundingPolicy, beta: np.ndarray, logged: list
+) -> None:
+    """Append each run's TrainRecords for a draw block, from what train_stage
+    keeps of each step. One kl_ref_theta and one objective call over the
+    steps stacked on a leading axis give every step's `kl` and `objective`:
+    the arithmetic and last-axis sums of a call per step, so the same values."""
+    task, mean, bonus, thetas, ref_mean, actions, logp, shaped, after = zip(*logged)
+    theta = ActionGaussians(*map(np.array, zip(*thetas)))  # (T, R, 4) fields, (T, dim) states
+    ref_at = ActionGaussians(theta.state, np.array(ref_mean), ref.log_std, ref.std, ref.var)
+    W, b, *moments = map(np.array, zip(*[(p.W, p.b, p.log_std, p.std, p.var) for p in after]))
+    # the updated policies at their steps' states, by action_mean's matmul per step
+    mean_after = (theta.state[:, None, None, :] @ W)[:, :, 0, :] + b
+    updated = ActionGaussians(theta.state, mean_after, *moments)
+    kl = kl_ref_theta(ref_at, theta).tolist()
+    # logged post-update: at the behavior policy the ratios are identically 1
+    # and the surrogate reduces to the diversity bonus, which carries no
+    # step-level information. The objective reads no boxes, so none are kept.
+    rollout = GroupRollout(np.array(actions), None, np.array(logp))
+    j = objective(rollout, np.array(shaped), updated, ref_at, beta).tolist()
+    for k, *step_rows in zip(task, np.array(mean)[:, :, 0].tolist(), bonus, kl, j):
+        for run_records, c, (apr, arr, r_aif), kl_r, j_r in zip(records, *step_rows):
+            run_records.append(TrainRecord(len(run_records), k, c, apr, arr, r_aif, kl_r, j_r))
 
 
 def run_batch(

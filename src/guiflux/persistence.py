@@ -37,10 +37,12 @@ METRICS_NAME = "metrics.json"
 SUMMARY_NAME = "summary.csv"
 
 # trainlog.csv has one column per TrainRecord field, in field order; each
-# value is written as the repr of its field's type. The annotations are
-# strings because harness postpones their evaluation.
+# value is written as the repr of its field's type, which for the harness's
+# Python ints and floats is what one "%d"/"%r" format per row writes. The
+# annotations are strings because harness postpones their evaluation.
 TRAINLOG_HEADER = [f.name for f in fields(TrainRecord)]
 _TRAINLOG_KINDS = [int if f.type == "int" else float for f in fields(TrainRecord)]
+_TRAINLOG_ROW = ",".join("%d" if kind is int else "%r" for kind in _TRAINLOG_KINDS) + "\n"
 _trainlog_values = attrgetter(*TRAINLOG_HEADER)
 
 
@@ -97,12 +99,8 @@ def read_matrix(path: Path) -> AccuracyMatrix:
 
 
 def write_trainlog(out_dir: Path, records: list[TrainRecord]) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(TRAINLOG_HEADER)
-    for r in records:
-        w.writerow([repr(kind(v)) for kind, v in zip(_TRAINLOG_KINDS, _trainlog_values(r))])
-    write_atomic(out_dir / TRAINLOG_NAME, buf.getvalue())
+    rows = [_TRAINLOG_ROW % _trainlog_values(r) for r in records]
+    write_atomic(out_dir / TRAINLOG_NAME, ",".join(TRAINLOG_HEADER) + "\n" + "".join(rows))
 
 
 def read_trainlog(path: Path) -> list[TrainRecord]:

@@ -7,7 +7,9 @@ runs of a batch share each state and each draw of action noise. Groups of N
 actions are sampled per instruction, scored, normalized into group-relative
 advantages, and each run ascends its likelihood-ratio objective with an
 analytic KL penalty against a frozen reference snapshot. Policies are
-immutable; every update returns a new one.
+immutable; every update returns a new one. `gaussian_logp`, `kl_ref_theta`
+and `objective` also take records stacked over T steps, with (T, R, ...)
+arrays, and give each step the values a call on that step alone gives.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ class GroupRollout:
 
     @property
     def n(self) -> int:
-        return self.actions.shape[1]
+        return self.actions.shape[-2]
 
 
 def action_to_bbox(u: Sequence[float]) -> tuple[float, float, float, float]:
@@ -146,9 +148,9 @@ def _sigmoid(x: float) -> float:
 
 
 def gaussian_logp(actions: np.ndarray, dist: ActionGaussians) -> np.ndarray:
-    """(R, N) log-density of each run's N action rows under its Gaussian."""
-    z = (actions - dist.mean[:, None, :]) / dist.std[:, None, :]
-    return (-0.5 * z * z - dist.log_std[:, None, :] - 0.5 * LOG_2PI).sum(axis=-1)
+    """(..., R, N) log-density of each run's N action rows under its Gaussian."""
+    z = (actions - dist.mean[..., None, :]) / dist.std[..., None, :]
+    return (-0.5 * z * z - dist.log_std[..., None, :] - 0.5 * LOG_2PI).sum(axis=-1)
 
 
 def sample_group(theta: ActionGaussians, noise: np.ndarray) -> GroupRollout:
@@ -173,7 +175,7 @@ def grpo_advantage(rewards: np.ndarray, mean: np.ndarray) -> np.ndarray:
 
 
 def kl_ref_theta(ref: ActionGaussians, theta: ActionGaussians) -> np.ndarray:
-    """(R,) exact KL(reference || current) between each run's action Gaussians."""
+    """(..., R) exact KL(reference || current) between each run's action Gaussians."""
     return (
         theta.log_std - ref.log_std
         + (ref.var + (ref.mean - theta.mean) ** 2) / (2.0 * theta.var)
@@ -188,8 +190,8 @@ def objective(
     ref: ActionGaussians,
     beta: np.ndarray,
 ) -> np.ndarray:
-    """(R,) J(theta) per run for a rollout and its (R, N) shaped advantages
-    A_i + r_div, under the (R,) per-run KL weights beta.
+    """(..., R) J(theta) per run for a rollout and its (..., R, N) shaped
+    advantages A_i + r_div, under the (R,) per-run KL weights beta.
 
     J = mean_i ratio_i * shaped_i - beta * KL(ref || theta at state),
     with ratio_i = exp(logp_theta_i - logp_behavior_i): logp under `theta`
@@ -270,5 +272,5 @@ def step(
         W = np.where(finite[:, None, None], W, theta.W)
         b = np.where(finite[:, None], b, theta.b)
         dlog_std = np.where(finite[:, None], dlog_std, 0.0)
-    log_std = np.clip(theta.log_std + lr * dlog_std, LOG_STD_MIN, LOG_STD_MAX)
+    log_std = np.minimum(np.maximum(theta.log_std + lr * dlog_std, LOG_STD_MIN), LOG_STD_MAX)
     return GroundingPolicy(W, b, log_std), aborts

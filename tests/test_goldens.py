@@ -8,7 +8,7 @@ bench/goldens.json. The file is only read here;
 `point_distance` runs and the single runs at 8 samples per group, which
 bench/goldens.json does not cover, keep their digests in this file. Every
 case also runs with training draws made in blocks of 7 steps, so the block
-boundaries fall mid-stage.
+boundaries fall mid-stage, and of 1 step, so each step is logged alone.
 """
 
 import hashlib
@@ -132,10 +132,13 @@ def test_workload_outputs_match_recorded_digests(tmp_path, name, master):
     assert output_digests(out, w.command) == expected, f"{name} seed {master} moved"
 
 
-# Every case above, with its arguments; 7 divides no stage's step count.
-SMALL_DRAW_BLOCK = 7
+# Every case above, with its arguments, at two draw-block sizes and the id
+# suffix of each: 7 divides no stage's step count, and a block of 1 logs
+# each step's KL and objective alone rather than stacked over steps.
+SMALL_DRAW_BLOCKS = ((7, ""), (1, "-block1"))
 GOLDEN_CASES = [
-    pytest.param(case, args, id="-".join(map(str, (kind, *args))))
+    pytest.param(case, args, block, id="-".join(map(str, (kind, *args))) + suffix)
+    for block, suffix in SMALL_DRAW_BLOCKS
     for kind, case, cases in (
         ("scenario", test_outputs_match_recorded_digests,
          [(scenario, seed) for scenario in SCENARIOS for seed in SCENARIO_SEEDS]),
@@ -147,7 +150,7 @@ GOLDEN_CASES = [
 ]
 
 
-@pytest.mark.parametrize("case, args", GOLDEN_CASES)
-def test_small_draw_blocks_keep_every_digest(tmp_path, monkeypatch, case, args):
-    monkeypatch.setattr(harness, "DRAW_BLOCK", SMALL_DRAW_BLOCK)
+@pytest.mark.parametrize("case, args, block", GOLDEN_CASES)
+def test_small_draw_blocks_keep_every_digest(tmp_path, monkeypatch, case, args, block):
+    monkeypatch.setattr(harness, "DRAW_BLOCK", block)
     case(tmp_path, *args)

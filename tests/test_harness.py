@@ -154,11 +154,16 @@ def count_calls(monkeypatch, module, attr, counts):
 
 class TestOnePassStep:
     """A training step takes each policy's mean at the state once, and models
-    the ground truth and each sampled box by a Gaussian once."""
+    the ground truth and each sampled box by a Gaussian once. The trainlog's
+    KL and objective are taken once per draw block, over its stacked steps."""
 
-    @pytest.mark.parametrize("runs", [1, 2])
-    def test_calls_per_step(self, monkeypatch, runs):
+    @pytest.mark.parametrize("runs, draw_block", [(1, None), (2, None), (1, 2)],
+                             ids=["1", "2", "1-block2"])
+    def test_calls_per_step(self, monkeypatch, runs, draw_block):
         steps = 5
+        if draw_block is not None:
+            monkeypatch.setattr(harness, "DRAW_BLOCK", draw_block)
+        blocks = math.ceil(steps / harness.DRAW_BLOCK)
         cfgs = [c.cfg for c in ablate(tiny_config(steps_per_task=steps))][:runs]
         n = cfgs[0].optim.n_samples
         assert n == 4 and cfgs[0].reward.correctness_kind == "gaussian_dense"
@@ -178,16 +183,19 @@ class TestOnePassStep:
         tasks = cfgs[0].tasks
         policy = GroundingPolicy.zeros(tasks[0].state_dim, runs)
         aborts = {}
-        train_stage(policy, tasks[:1], cfgs, [[] for _ in cfgs], aborts, 0, 0)
+        records = [[] for _ in cfgs]
+        train_stage(policy, tasks[:1], cfgs, records, aborts, 0, 0)
         assert aborts == {}
-        # theta before the update, the reference, theta after the update
-        assert counts["action_mean"] == 3 * steps
+        assert [len(r) for r in records] == [steps] * runs
+        # theta before the update and the reference; the updated policy's
+        # mean is taken for the whole block at once
+        assert counts["action_mean"] == 2 * steps
         # the ground truth once, each sampled box once
         assert counts["to_gaussian"] == (1 + runs * n) * steps
+        per_block = {"objective": 1, "kl_ref_theta": 2}  # objective takes its own KL
         for _, attr in policy_fns:
-            # objective takes its own KL, after the update
-            per_step = 2 if attr == "kl_ref_theta" else 1
-            assert counts[attr] == per_step * steps, attr
+            expected = per_block[attr] * blocks if attr in per_block else steps
+            assert counts[attr] == expected, attr
         # the reward layer scores each run's group once
         for _, attr in reward_fns:
             assert counts[attr] == runs * steps, attr

@@ -355,6 +355,23 @@ class TestStep:
         out, _ = step(theta, g, lr=1.0)
         assert np.all(out.log_std == 1.0)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_log_std_clamp_equals_clip(self, rng):
+        # step clamps with np.minimum(np.maximum(...)); it must agree with
+        # np.clip on every sum step can form: finite, or +-inf where lr *
+        # dlog_std overflows. Row 0 reaches +-inf and lands on both bounds.
+        log_std = rng.uniform(LOG_STD_MIN, LOG_STD_MAX, (64, 4))
+        dlog_std = rng.normal(0.0, 3.0, (64, 4))
+        log_std[0] = [0.0, 0.0, LOG_STD_MIN, LOG_STD_MAX]
+        dlog_std[0] = [1e308, -1e308, 0.0, 0.0]
+        theta = GroundingPolicy(np.zeros((64, 3, 4)), np.zeros((64, 4)), log_std)
+        out, aborts = step(theta, (np.zeros((64, 3, 4)), np.zeros((64, 4)), dlog_std), 2.0)
+        assert aborts == {}
+        proposed = log_std + 2.0 * dlog_std
+        assert (proposed < LOG_STD_MIN).any() and (proposed > LOG_STD_MAX).any()
+        assert np.array_equal(out.log_std, np.clip(proposed, LOG_STD_MIN, LOG_STD_MAX))
+        assert out.log_std[0].tolist() == [LOG_STD_MAX, LOG_STD_MIN, LOG_STD_MIN, LOG_STD_MAX]
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("part", [0, 1, 2], ids=["dW", "db", "dlog_std"])
     def test_non_finite_aborts(self, rng, part, value):
