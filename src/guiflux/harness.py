@@ -28,7 +28,6 @@ from . import rewards as rw
 from .policy import (
     ActionGaussians,
     GroundingPolicy,
-    GroupRollout,
     NumericalAbort,
     OptimConfig,
     grad_objective,
@@ -254,7 +253,6 @@ def train_stage(
     cfg = cfgs[0]
     ref = policy
     beta = np.array([c.optim.beta for c in cfgs])
-    kl_on = (beta != 0.0)[:, None] if beta.any() else None
     reward_cfgs = [c.reward for c in cfgs]
     rngs_inst = [child_rng(master, STREAM_TRAIN_INSTANCES, t.index) for t in tasks]
     rng_actions = child_rng(master, STREAM_ACTIONS, stage)
@@ -277,27 +275,26 @@ def train_stage(
             state, gt = next(episodes[k])
             theta = policy.at(state)
             ref_at = ref.at(state)
-            # Ratio anchor = behavior policy (rollout.logp_behavior); `ref` only
-            # anchors the KL penalty. Anchoring the ratio to the stage-start
-            # snapshot as well would make it overflow once the policy has
-            # genuinely moved.
-            rollout = sample_group(theta, step_noise)
-            scores, bonus = rw.score_groups(rollout.boxes, gt, reward_cfgs)
+            # Ratio anchor = behavior policy (`logp`, the group's log-probs
+            # under theta); `ref` only anchors the KL penalty. Anchoring the
+            # ratio to the stage-start snapshot as well would make it
+            # overflow once the policy has genuinely moved.
+            actions, boxes, logp = sample_group(theta, step_noise)
+            scores, bonus = rw.score_groups(boxes, gt, reward_cfgs)
             scores = np.array(scores)
-            mean = scores.sum(axis=1, keepdims=True) / rollout.n
+            mean = scores.sum(axis=1, keepdims=True) / len(step_noise)
             # the group-shared diversity bonus is added to every advantage
             shaped = grpo_advantage(scores, mean) + np.array([[r_div] for _, _, r_div in bonus])
 
-            grad = grad_objective(rollout, shaped, theta, ref_at, beta, kl_on)
+            grad = grad_objective(actions, logp, shaped, theta, ref_at, beta)
             policy, failed = step(policy, grad, cfg.optim.lr)
             for r, e in failed.items():
                 aborts.setdefault(r, e)
             if len(aborts) == len(cfgs):
                 return policy
-            logged.append((
-                tasks[k].index, mean, bonus, theta, ref_at.mean,
-                rollout.actions, rollout.logp_behavior, shaped, policy,
-            ))
+            logged.append(
+                (tasks[k].index, mean, bonus, theta, ref_at.mean, actions, logp, shaped, policy)
+            )
         _log_block(records, ref, beta, logged)
     return policy
 
@@ -313,15 +310,14 @@ def _log_block(
     theta = ActionGaussians(*map(np.array, zip(*thetas)))  # (T, R, 4) fields, (T, dim) states
     ref_at = ActionGaussians(theta.state, np.array(ref_mean), ref.log_std, ref.std, ref.var)
     W, b, *moments = map(np.array, zip(*[(p.W, p.b, p.log_std, p.std, p.var) for p in after]))
-    # the updated policies at their steps' states, by action_mean's matmul per step
+    # the updated policies at their steps' states, by `at`'s matmul per step
     mean_after = (theta.state[:, None, None, :] @ W)[:, :, 0, :] + b
     updated = ActionGaussians(theta.state, mean_after, *moments)
     kl = kl_ref_theta(ref_at, theta).tolist()
     # logged post-update: at the behavior policy the ratios are identically 1
     # and the surrogate reduces to the diversity bonus, which carries no
     # step-level information. The objective reads no boxes, so none are kept.
-    rollout = GroupRollout(np.array(actions), None, np.array(logp))
-    j = objective(rollout, np.array(shaped), updated, ref_at, beta).tolist()
+    j = objective(*map(np.array, (actions, logp, shaped)), updated, ref_at, beta).tolist()
     for k, *step_rows in zip(task, np.array(mean)[:, :, 0].tolist(), bonus, kl, j):
         for run_records, c, (apr, arr, r_aif), kl_r, j_r in zip(records, *step_rows):
             run_records.append(TrainRecord(len(run_records), k, c, apr, arr, r_aif, kl_r, j_r))
@@ -345,7 +341,8 @@ def run_batch(
     task after stage k.
     """
     cfg = cfgs[0]
-    if any(_shared(c) != _shared(cfg) for c in cfgs[1:]):
+    unweighted = _with_weights(cfg, 0.0, 0.0, 0.0)
+    if any(_with_weights(c, 0.0, 0.0, 0.0) != unweighted for c in cfgs[1:]):
         raise ValueError(
             "a batch's configs may differ only in reward.alpha, reward.gamma, optim.beta"
         )
@@ -382,14 +379,6 @@ def run_batch(
         else (AccuracyMatrix(overall[i], text[i], icon[i], task_names, stage_labels), records[i])
         for i in range(len(cfgs))
     ]
-
-
-def _shared(cfg: RunConfig) -> tuple:
-    """What the runs of one batch must agree on."""
-    return (
-        cfg.scenario, cfg.tasks, cfg.steps_per_task, cfg.eval_episodes,
-        cfg.optim.n_samples, cfg.optim.lr, cfg.reward.correctness_kind,
-    )
 
 
 def run_continual(cfg: RunConfig, seed: int) -> tuple[AccuracyMatrix, list[TrainRecord]]:

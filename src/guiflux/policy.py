@@ -83,13 +83,9 @@ class GroundingPolicy:
         object.__setattr__(self, "std", np.exp(self.log_std))
         object.__setattr__(self, "var", np.exp(2.0 * self.log_std))
 
-    def action_mean(self, state: np.ndarray) -> np.ndarray:
-        """(R, 4) mean actions at one (feature_dim,) state."""
-        return state @ self.W + self.b
-
     def at(self, state: np.ndarray) -> "ActionGaussians":
-        """Each run's action Gaussian at `state`, for the functions below."""
-        return ActionGaussians(state, self.action_mean(state), self.log_std, self.std, self.var)
+        """Each run's action Gaussian at one (feature_dim,) state, for the functions below."""
+        return ActionGaussians(state, state @ self.W + self.b, self.log_std, self.std, self.var)
 
     @staticmethod
     def zeros(feature_dim: int, runs: int = 1) -> "GroundingPolicy":
@@ -105,19 +101,6 @@ class GroundingPolicy:
 # R runs' action Gaussians at one (feature_dim,) state, each field but the state
 # (R, 4); a tuple, as a step builds three and a frozen dataclass costs more.
 ActionGaussians = namedtuple("ActionGaussians", "state mean log_std std var")
-
-
-@dataclass(frozen=True)
-class GroupRollout:
-    """One instruction's group per run: N raw actions, their boxes and log-probs."""
-
-    actions: np.ndarray            # (R, N, 4) raw actions
-    boxes: list[list[tuple[float, ...]]]  # per run, its N decoded (x1, y1, x2, y2)
-    logp_behavior: np.ndarray      # (R, N) log-prob under the sampling policy; anchors the ratio
-
-    @property
-    def n(self) -> int:
-        return self.actions.shape[-2]
 
 
 def action_to_bbox(u: Sequence[float]) -> tuple[float, float, float, float]:
@@ -153,14 +136,16 @@ def gaussian_logp(actions: np.ndarray, dist: ActionGaussians) -> np.ndarray:
     return (-0.5 * z * z - dist.log_std[..., None, :] - 0.5 * LOG_2PI).sum(axis=-1)
 
 
-def sample_group(theta: ActionGaussians, noise: np.ndarray) -> GroupRollout:
-    """N raw actions per run at theta's state, mean + std * noise for the
-    (N, 4) standard-normal `noise` that every run shares, with their decoded
-    boxes and their log-probs under the sampling policy."""
+def sample_group(theta: ActionGaussians, noise: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
+    """One instruction's group per run, as (actions, boxes, logp_behavior):
+    the (R, N, 4) raw actions mean + std * noise at theta's state, for the
+    (N, 4) standard-normal `noise` that every run shares; per run, its N
+    decoded (x1, y1, x2, y2) boxes; and the (R, N) log-probs under the
+    sampling policy, which anchor the ratio."""
     actions = theta.mean[:, None, :] + theta.std[:, None, :] * noise
     # plain Python floats: scalar arithmetic on numpy float64 costs more per box
     boxes = [[action_to_bbox(u) for u in run] for run in actions.tolist()]
-    return GroupRollout(actions, boxes, gaussian_logp(actions, theta))
+    return actions, boxes, gaussian_logp(actions, theta)
 
 
 def grpo_advantage(rewards: np.ndarray, mean: np.ndarray) -> np.ndarray:
@@ -184,57 +169,58 @@ def kl_ref_theta(ref: ActionGaussians, theta: ActionGaussians) -> np.ndarray:
 
 
 def objective(
-    rollout: GroupRollout,
+    actions: np.ndarray,
+    logp_behavior: np.ndarray,
     shaped: np.ndarray,
     theta: ActionGaussians,
     ref: ActionGaussians,
     beta: np.ndarray,
 ) -> np.ndarray:
-    """(..., R) J(theta) per run for a rollout and its (..., R, N) shaped
-    advantages A_i + r_div, under the (R,) per-run KL weights beta.
+    """(..., R) J(theta) per run for a group's (..., R, N, 4) actions, their
+    (..., R, N) behavior log-probs and shaped advantages A_i + r_div, under
+    the (R,) per-run KL weights beta.
 
     J = mean_i ratio_i * shaped_i - beta * KL(ref || theta at state),
     with ratio_i = exp(logp_theta_i - logp_behavior_i): logp under `theta`
     is recomputed at the stored actions, so the ratio is 1 only when `theta`
     is the sampling policy.
     """
-    ratios = np.exp(gaussian_logp(rollout.actions, theta) - rollout.logp_behavior)
-    surrogate = (ratios * shaped).sum(axis=-1) / rollout.n
+    ratios = np.exp(gaussian_logp(actions, theta) - logp_behavior)
+    surrogate = (ratios * shaped).sum(axis=-1) / actions.shape[-2]
     return surrogate - beta * kl_ref_theta(ref, theta)
 
 
 def grad_objective(
-    rollout: GroupRollout,
+    actions: np.ndarray,
+    logp_behavior: np.ndarray,
     shaped: np.ndarray,
     theta: ActionGaussians,
     ref: ActionGaussians,
     beta: np.ndarray,
-    kl_on: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Analytic gradient of `objective` w.r.t. each run's (W, b, log_std), as
     the tuple (dW, db, dlog_std) of (R, feature_dim, 4), (R, 4), (R, 4).
 
-    `kl_on` is the (R, 1) mask beta != 0, or None when no run has a KL term:
-    a run whose beta is 0 gets no KL term at all, not 0 times its gradient."""
+    A run whose beta is 0 gets no KL term at all, not 0 times its gradient."""
     var = theta.std * theta.std                       # (R, 4)
 
-    diff = rollout.actions - theta.mean[:, None, :]   # (R, N, 4)
+    diff = actions - theta.mean[:, None, :]           # (R, N, 4)
     z2 = diff * diff / var[:, None, :]                # (R, N, 4)
     logp = (-0.5 * z2 - theta.log_std[:, None, :] - 0.5 * LOG_2PI).sum(axis=-1)
-    weights = (np.exp(logp - rollout.logp_behavior) * shaped)[:, :, None]
+    weights = (np.exp(logp - logp_behavior) * shaped)[:, :, None]
 
-    n = rollout.n
+    n = actions.shape[-2]
     # d logp / d mean = diff / var; d logp / d log_std = z^2 - 1
     dmu = (weights * diff / var[:, None, :]).sum(axis=-2) / n
     dlog_std = (weights * (z2 - 1.0)).sum(axis=-2) / n
 
-    if kl_on is not None:
-        beta = beta[:, None]
-        # KL(ref||theta) per dim: log s_t - log s_r + (var_r + (mu_r-mu_t)^2)/(2 var_t) - 1/2
-        dkl_dmu = (theta.mean - ref.mean) / var
-        dkl_dlog_std = 1.0 - (ref.var + (ref.mean - theta.mean) ** 2) / var
-        np.subtract(dmu, beta * dkl_dmu, out=dmu, where=kl_on)
-        np.subtract(dlog_std, beta * dkl_dlog_std, out=dlog_std, where=kl_on)
+    beta = beta[:, None]
+    with_kl = beta != 0.0
+    # KL(ref||theta) per dim: log s_t - log s_r + (var_r + (mu_r-mu_t)^2)/(2 var_t) - 1/2
+    dkl_dmu = (theta.mean - ref.mean) / var
+    dkl_dlog_std = 1.0 - (ref.var + (ref.mean - theta.mean) ** 2) / var
+    np.subtract(dmu, beta * dkl_dmu, out=dmu, where=with_kl)
+    np.subtract(dlog_std, beta * dkl_dlog_std, out=dlog_std, where=with_kl)
 
     dW = theta.state[:, None] * dmu[:, None, :]       # np.outer(state, dmu) per run
     return dW, dmu, dlog_std

@@ -173,13 +173,13 @@ class TestOnePassStep:
         assert policy_fns and reward_fns
         for module, attr in [("guiflux.rewards", "to_gaussian"), *policy_fns, *reward_fns]:
             count_calls(monkeypatch, module, attr, counts)
-        action_mean = GroundingPolicy.action_mean
+        at = GroundingPolicy.at
 
-        def counted_action_mean(policy, state):
-            counts["action_mean"] += 1
-            return action_mean(policy, state)
+        def counted_at(policy, state):
+            counts["at"] += 1
+            return at(policy, state)
 
-        monkeypatch.setattr(GroundingPolicy, "action_mean", counted_action_mean)
+        monkeypatch.setattr(GroundingPolicy, "at", counted_at)
         tasks = cfgs[0].tasks
         policy = GroundingPolicy.zeros(tasks[0].state_dim, runs)
         aborts = {}
@@ -189,7 +189,7 @@ class TestOnePassStep:
         assert [len(r) for r in records] == [steps] * runs
         # theta before the update and the reference; the updated policy's
         # mean is taken for the whole block at once
-        assert counts["action_mean"] == 2 * steps
+        assert counts["at"] == 2 * steps
         # the ground truth once, each sampled box once
         assert counts["to_gaussian"] == (1 + runs * n) * steps
         per_block = {"objective": 1, "kl_ref_theta": 2}  # objective takes its own KL
@@ -273,6 +273,7 @@ class TestRunBatch:
         {"steps_per_task": 3}, {"eval_episodes": 7}, {"optim": OptimConfig(n_samples=5)},
         {"optim": OptimConfig(lr=0.01)}, {"reward": RewardConfig(correctness_kind="iou")},
         {"scenario": "joint"}, {"sim_overrides": {"mobile": {"noise_sigma": 0.0}}},
+        {"seeds": (1,)},
     ])
     def test_runs_may_differ_only_in_weights(self, kw):
         with pytest.raises(ValueError, match="only in reward.alpha, reward.gamma, optim.beta"):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from guiflux.policy import (
     LOG_STD_MAX,
     LOG_STD_MIN,
     GroundingPolicy,
-    GroupRollout,
     NumericalAbort,
     OptimConfig,
     action_to_bbox,
@@ -54,10 +52,11 @@ def advantage(rewards):
 
 
 def make_rollout(rng, behavior, n=4):
-    """A rollout, its (R, n) advantages, its diversity bonus and its state."""
+    """A group's actions and behavior log-probs, its (R, n) advantages, its
+    diversity bonus and its state."""
     state = rng.normal(0, 1.5, behavior.W.shape[1])
-    rollout = sample_group(behavior.at(state), rng.standard_normal((n, 4)))
-    return rollout, advantage(rng.random((1, n)) * 2), float(rng.random()), state
+    actions, _, logp = sample_group(behavior.at(state), rng.standard_normal((n, 4)))
+    return actions, logp, advantage(rng.random((1, n)) * 2), float(rng.random()), state
 
 
 class TestActionToBBox:
@@ -112,40 +111,33 @@ class TestPolicyTypes:
         with pytest.raises(ValueError):
             OptimConfig(beta=-0.1)
 
-    def test_rollout_is_frozen(self, rng):
-        rollout = sample_group(make_policy(rng).at(np.zeros(6)), rng.standard_normal((4, 4)))
-        with pytest.raises(FrozenInstanceError):
-            rollout.boxes = []
-
 
 class TestSampleGroup:
     def test_deterministic_given_seed(self, rng):
         theta = make_policy(rng)
         state = rng.normal(0, 1, 6)
-        r1 = sample_group(theta.at(state), np.random.default_rng(7).standard_normal((4, 4)))
-        r2 = sample_group(theta.at(state), np.random.default_rng(7).standard_normal((4, 4)))
-        assert np.array_equal(r1.actions, r2.actions)
-        assert np.array_equal(r1.logp_behavior, r2.logp_behavior)
-        assert r1.boxes == r2.boxes
+        at = theta.at(state)
+        a1, boxes1, logp1 = sample_group(at, np.random.default_rng(7).standard_normal((4, 4)))
+        a2, boxes2, logp2 = sample_group(at, np.random.default_rng(7).standard_normal((4, 4)))
+        assert np.array_equal(a1, a2)
+        assert np.array_equal(logp1, logp2)
+        assert boxes1 == boxes2
 
     def test_floor_std_collapses_spread(self, rng):
         from guiflux.rewards import center_spread
 
         theta = constant_policy(6, -6.0)
-        rollout = sample_group(theta.at(np.zeros(6)), rng.standard_normal((8, 4)))
-        assert center_spread(rollout.boxes[0]) < 1e-4
+        _, boxes, _ = sample_group(theta.at(np.zeros(6)), rng.standard_normal((8, 4)))
+        assert center_spread(boxes[0]) < 1e-4
 
     def test_logp_behavior_is_sampling_policy_logp(self, rng):
         theta = make_policy(rng)
         state = rng.normal(0, 1, 6)
         noise = rng.standard_normal((4, 4))
-        rollout = sample_group(theta.at(state), noise)
-        assert np.array_equal(
-            rollout.actions[0], theta.action_mean(state)[0] + theta.std[0] * noise
-        )
-        expected = gaussian_logp(rollout.actions, theta.at(state))
-        assert np.array_equal(rollout.logp_behavior, expected)
-        assert len({id(b) for b in rollout.boxes[0]}) == 4
+        actions, boxes, logp = sample_group(theta.at(state), noise)
+        assert np.array_equal(actions[0], theta.at(state).mean[0] + theta.std[0] * noise)
+        assert np.array_equal(logp, gaussian_logp(actions, theta.at(state)))
+        assert len({id(b) for b in boxes[0]}) == 4
 
     def test_runs_share_the_noise_draw(self, rng):
         # two runs of a batch, each equal to its batch of one on the same draw
@@ -157,10 +149,9 @@ class TestSampleGroup:
         noise = rng.standard_normal((8, 4))
         batch = sample_group(both.at(state), noise)
         for r, alone in enumerate((a, b)):
-            single = sample_group(alone.at(state), noise)
-            assert np.array_equal(batch.actions[r], single.actions[0])
-            assert np.array_equal(batch.logp_behavior[r], single.logp_behavior[0])
-            assert batch.boxes[r] == single.boxes[0]
+            for got, want in zip(batch, sample_group(alone.at(state), noise)):
+                # actions, boxes, log-probs
+                assert np.array_equal(got[r], want[0])
 
 
 class TestGrpoAdvantage:
@@ -227,33 +218,34 @@ class TestKL:
 class TestObjective:
     def test_at_reference_equals_diversity_bonus(self, rng):
         theta = make_policy(rng)
-        rollout, advantages, r_div, state = make_rollout(rng, theta)
+        actions, logp, advantages, r_div, state = make_rollout(rng, theta)
         at = theta.at(state)
         for beta in (0.0, 0.04):
-            got = objective(rollout, advantages + r_div, at, at, np.array([beta]))
+            got = objective(actions, logp, advantages + r_div, at, at, np.array([beta]))
             assert got == pytest.approx([r_div], abs=1e-9)
 
     def test_term_by_term_recomputation(self, rng):
         # sampled from ref, evaluated at theta: the ratios are not 1
         theta = make_policy(rng)
         ref = perturbed(theta, rng)
-        rollout, advantages, r_div, state = make_rollout(rng, ref)
+        actions, logp, advantages, r_div, state = make_rollout(rng, ref)
         beta = 0.04
-        mean = theta.action_mean(state)[0]
+        mean = theta.at(state).mean[0]
         log_std = theta.log_std[0]
+        n = actions.shape[1]
         expected = 0.0
-        for i in range(rollout.n):
+        for i in range(n):
             logp_theta = sum(
-                -0.5 * ((rollout.actions[0, i, d] - mean[d]) / math.exp(log_std[d])) ** 2
+                -0.5 * ((actions[0, i, d] - mean[d]) / math.exp(log_std[d])) ** 2
                 - log_std[d] - 0.5 * math.log(2 * math.pi)
                 for d in range(4)
             )
-            ratio = math.exp(logp_theta - rollout.logp_behavior[0, i])
+            ratio = math.exp(logp_theta - logp[0, i])
             expected += ratio * (advantages[0, i] + r_div)
-        expected /= rollout.n
+        expected /= n
         expected -= beta * kl_ref_theta(ref.at(state), theta.at(state))[0]
         got = objective(
-            rollout, advantages + r_div, theta.at(state), ref.at(state), np.array([beta])
+            actions, logp, advantages + r_div, theta.at(state), ref.at(state), np.array([beta])
         )
         assert got == pytest.approx([expected], rel=1e-12)
 
@@ -261,22 +253,20 @@ class TestObjective:
 class TestGradObjective:
     def test_zero_weights_zero_gradient(self, rng):
         theta = make_policy(rng)
-        rollout, _, _, state = make_rollout(rng, theta)
+        actions, logp, _, _, state = make_rollout(rng, theta)
         at = theta.at(state)
         dW, db, dlog_std = grad_objective(
-            rollout, np.zeros((1, rollout.n)), at, at, beta=np.array([0.0]), kl_on=None
+            actions, logp, np.zeros((1, actions.shape[1])), at, at, beta=np.array([0.0])
         )
         assert np.allclose(dW, 0.0) and np.allclose(db, 0.0) and np.allclose(dlog_std, 0.0)
 
     def test_kl_gradient_vanishes_at_reference(self, rng):
         theta = make_policy(rng)
-        rollout, advantages, r_div, state = make_rollout(rng, theta)
+        actions, logp, advantages, r_div, state = make_rollout(rng, theta)
         shaped = advantages + r_div
         at = theta.at(state)
-        dW0, _, dlog_std0 = grad_objective(rollout, shaped, at, at, np.array([0.0]), None)
-        dW1, _, dlog_std1 = grad_objective(
-            rollout, shaped, at, at, np.array([0.04]), np.array([[True]])
-        )
+        dW0, _, dlog_std0 = grad_objective(actions, logp, shaped, at, at, np.array([0.0]))
+        dW1, _, dlog_std1 = grad_objective(actions, logp, shaped, at, at, np.array([0.04]))
         assert np.allclose(dW0, dW1, atol=1e-14)
         assert np.allclose(dlog_std0, dlog_std1, atol=1e-14)
 
@@ -287,19 +277,19 @@ class TestGradObjective:
         theta = make_policy(rng)
         state = rng.normal(0, 1.5, 6)
         at = theta.at(state)
-        rollout = sample_group(at, rng.standard_normal((4, 4)))
+        actions, _, logp = sample_group(at, rng.standard_normal((4, 4)))
         rewards = rng.random(4) * 2
         dW, db, dlog_std = grad_objective(
-            rollout, advantage(rewards[None]), at, at, beta=np.array([0.0]), kl_on=None
+            actions, logp, advantage(rewards[None]), at, at, beta=np.array([0.0])
         )
 
-        mean = theta.action_mean(state)
+        mean = at.mean
         std = theta.std
         adv = (rewards - rewards.mean()) / rewards.std()
         dmu = np.zeros((1, 4))
         dlog = np.zeros((1, 4))
         for i in range(4):
-            z = (rollout.actions[:, i] - mean) / std
+            z = (actions[:, i] - mean) / std
             dmu += adv[i] * z / std
             dlog += adv[i] * (z * z - 1.0)
         dmu /= 4
@@ -312,25 +302,35 @@ class TestGradObjective:
         # per-run beta: each row's gradient equals its batch of one
         theta = make_policy(rng)
         ref = perturbed(theta, rng, scale=0.3)
-        rollout, advantages, r_div, state = make_rollout(rng, theta)
-        two = GroundingPolicy(*(np.concatenate([x, x]) for x in (theta.W, theta.b, theta.log_std)))
-        two_ref = GroundingPolicy(*(np.concatenate([x, x]) for x in (ref.W, ref.b, ref.log_std)))
-        two_rollout = GroupRollout(
-            np.concatenate([rollout.actions, rollout.actions]),
-            rollout.boxes * 2,
-            np.concatenate([rollout.logp_behavior, rollout.logp_behavior]),
-        )
+        actions, logp, advantages, r_div, state = make_rollout(rng, theta)
+        shaped = advantages + r_div
+
+        def doubled(*arrays):
+            return (np.concatenate([x, x]) for x in arrays)
+
+        two = GroundingPolicy(*doubled(theta.W, theta.b, theta.log_std))
+        two_ref = GroundingPolicy(*doubled(ref.W, ref.b, ref.log_std))
         both = grad_objective(
-            two_rollout, np.concatenate([advantages, advantages]) + r_div,
-            two.at(state), two_ref.at(state), np.array([0.04, 0.0]), np.array([[True], [False]]),
+            *doubled(actions, logp, shaped), two.at(state), two_ref.at(state), np.array([0.04, 0.0])
         )
         for r, beta in enumerate((0.04, 0.0)):
             alone = grad_objective(
-                rollout, advantages + r_div, theta.at(state), ref.at(state), np.array([beta]),
-                np.array([[True]]) if beta else None,
+                actions, logp, shaped, theta.at(state), ref.at(state), np.array([beta])
             )
             for got, want in zip(both, alone):
                 assert np.array_equal(got[r], want[0])
+        # a batch with no KL term at all: the reference is not read, so a far
+        # other one gives the same bits
+        other = perturbed(ref, rng, scale=1.0)
+        other_ref = GroundingPolicy(*doubled(other.W, other.b, other.log_std))
+        no_kl, same = (
+            grad_objective(
+                *doubled(actions, logp, shaped), two.at(state), r.at(state), np.array([0.0, 0.0])
+            )
+            for r in (two_ref, other_ref)
+        )
+        for got, want in zip(no_kl, same):
+            assert np.array_equal(got, want)
 
 
 class TestStep:
