@@ -279,12 +279,11 @@ def train_stage(
             # under theta); `ref` only anchors the KL penalty. Anchoring the
             # ratio to the stage-start snapshot as well would make it
             # overflow once the policy has genuinely moved.
-            actions, boxes, logp = sample_group(theta, step_noise)
-            scores, bonus = rw.score_groups(boxes, gt, reward_cfgs)
-            scores = np.array(scores)
+            actions, logp = sample_group(theta, step_noise)
+            scores, bonus = rw.score_groups(actions, gt, reward_cfgs)
             mean = scores.sum(axis=1, keepdims=True) / len(step_noise)
-            # the group-shared diversity bonus is added to every advantage
-            shaped = grpo_advantage(scores, mean) + np.array([[r_div] for _, _, r_div in bonus])
+            # the group-shared diversity bonus r_div is added to every advantage
+            shaped = grpo_advantage(scores, mean) + bonus[:, 2:]
 
             grad = grad_objective(actions, logp, shaped, theta, ref_at, beta)
             policy, failed = step(policy, grad, cfg.optim.lr)
@@ -316,9 +315,10 @@ def _log_block(
     kl = kl_ref_theta(ref_at, theta).tolist()
     # logged post-update: at the behavior policy the ratios are identically 1
     # and the surrogate reduces to the diversity bonus, which carries no
-    # step-level information. The objective reads no boxes, so none are kept.
+    # step-level information.
     j = objective(*map(np.array, (actions, logp, shaped)), updated, ref_at, beta).tolist()
-    for k, *step_rows in zip(task, np.array(mean)[:, :, 0].tolist(), bonus, kl, j):
+    mean, bonus = np.array(mean)[:, :, 0].tolist(), np.array(bonus).tolist()
+    for k, *step_rows in zip(task, mean, bonus, kl, j):
         for run_records, c, (apr, arr, r_aif), kl_r, j_r in zip(records, *step_rows):
             run_records.append(TrainRecord(len(run_records), k, c, apr, arr, r_aif, kl_r, j_r))
 

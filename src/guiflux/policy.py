@@ -136,16 +136,14 @@ def gaussian_logp(actions: np.ndarray, dist: ActionGaussians) -> np.ndarray:
     return (-0.5 * z * z - dist.log_std[..., None, :] - 0.5 * LOG_2PI).sum(axis=-1)
 
 
-def sample_group(theta: ActionGaussians, noise: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
-    """One instruction's group per run, as (actions, boxes, logp_behavior):
-    the (R, N, 4) raw actions mean + std * noise at theta's state, for the
-    (N, 4) standard-normal `noise` that every run shares; per run, its N
-    decoded (x1, y1, x2, y2) boxes; and the (R, N) log-probs under the
-    sampling policy, which anchor the ratio."""
+def sample_group(theta: ActionGaussians, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One instruction's group per run, as (actions, logp_behavior): the
+    (R, N, 4) raw actions mean + std * noise at theta's state, for the
+    (N, 4) standard-normal `noise` that every run shares, and their (R, N)
+    log-probs under the sampling policy, which anchor the ratio. The boxes
+    are decoded where they are scored, by `rewards.score_groups`."""
     actions = theta.mean[:, None, :] + theta.std[:, None, :] * noise
-    # plain Python floats: scalar arithmetic on numpy float64 costs more per box
-    boxes = [[action_to_bbox(u) for u in run] for run in actions.tolist()]
-    return actions, boxes, gaussian_logp(actions, theta)
+    return actions, gaussian_logp(actions, theta)
 
 
 def grpo_advantage(rewards: np.ndarray, mean: np.ndarray) -> np.ndarray:

@@ -94,6 +94,16 @@ SCENARIOS = {
 # Icons are drawn smaller than text elements by this factor.
 ICON_SIZE_FACTOR = 0.7
 
+# The latent range of an episode: sides within SIZE_CLIP, so a center lies
+# in [0.005, 0.995] and its logit within +-log(199), and a log side within
+# [log 0.01, log 0.5], inside the same bound.
+LATENT_MAX = math.log(199.0)
+# Largest |state coordinate| an observation transform may make of the latent
+# range, before noise: a state and its square stay finite (the policy's first
+# update makes its weights scale with the state, so its next mean scales
+# with the state's square).
+STATE_MAX = 1e150
+
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -127,12 +137,22 @@ class TaskSpec:
             v = getattr(self, field)
             if not (isinstance(v, (int, float)) and ok(v)):
                 raise ValueError(f"{field}: {what}, got {v!r}")
+        bound = f"must map the latent range |u| <= log 199 within +-{STATE_MAX:g}"
         m = _floats_or_none(self.matrix)
-        if m is None or m.shape != (2, 2) or not np.isfinite(m).all() or abs(np.linalg.det(m)) < 1e-6:
+        if m is None or m.shape != (2, 2) or not np.isfinite(m).all():
+            raise ValueError(f"matrix: must be a finite invertible 2x2 matrix, got {self.matrix!r}")
+        # each state coordinate's largest |value| over the latent range, of
+        # entries capped at the bound: neither this nor det can overflow
+        reach = np.minimum(abs(m), STATE_MAX).sum(axis=1) * LATENT_MAX
+        if (reach > STATE_MAX).any():
+            raise ValueError(f"matrix: {bound}, got {self.matrix!r}")
+        if abs(np.linalg.det(m)) < 1e-6:
             raise ValueError(f"matrix: must be a finite invertible 2x2 matrix, got {self.matrix!r}")
         v = _floats_or_none(self.offset)
         if v is None or v.shape != (2,) or not np.isfinite(v).all():
             raise ValueError(f"offset: must be 2 finite numbers, got {self.offset!r}")
+        if not (abs(v) <= STATE_MAX).all() or (reach + abs(v) > STATE_MAX).any():
+            raise ValueError(f"offset: {bound} with matrix {self.matrix!r}, got {self.offset!r}")
 
     @property
     def state_dim(self) -> int:

@@ -168,12 +168,13 @@ def check_point_distance(rng: np.random.Generator) -> OracleResult:
     cfg = rw.RewardConfig(correctness_kind="point_distance")
     worst = 0.0
     for _ in range(N_GROUPS):
-        group = _random_group(rng, int(rng.integers(1, 9)))
+        actions = rng.normal(0.0, 1.5, (1, int(rng.integers(1, 9)), 4))
         gt = _random_bbox(rng)
-        (got,), _ = rw.score_groups([group], gt, [cfg])
+        (got,), _ = rw.score_groups(actions, gt, [cfg])
         gx, gy = (gt.x1 + gt.x2) / 2.0, (gt.y1 + gt.y2) / 2.0
-        for b, score in zip(group, got):
-            px, py = (b.x1 + b.x2) / 2.0, (b.y1 + b.y2) / 2.0
+        for u, score in zip(actions[0].tolist(), got.tolist()):
+            x1, y1, x2, y2 = pol.action_to_bbox(u)
+            px, py = (x1 + x2) / 2.0, (y1 + y2) / 2.0
             hit = gt.x1 <= px <= gt.x2 and gt.y1 <= py <= gt.y2
             expected = math.exp(-math.sqrt((px - gx) ** 2 + (py - gy) ** 2) / 0.1) + hit
             worst = max(worst, abs(score - expected))
@@ -220,7 +221,7 @@ def _random_fixture(rng: np.random.Generator, feature_dim: int = 8, n: int = 4):
     )
     # Sampled from `ref`, differentiated at `theta`: the ratios are not 1.
     ref_at = ref.at(state)
-    actions, _, logp = pol.sample_group(ref_at, rng.standard_normal((n, 4)))
+    actions, logp = pol.sample_group(ref_at, rng.standard_normal((n, 4)))
     rewards = rng.random((1, n)) * 2.0
     advantages = pol.grpo_advantage(rewards, rewards.mean(axis=1, keepdims=True))
     shaped = advantages + float(rng.random())  # plus a random diversity bonus

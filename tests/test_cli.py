@@ -358,6 +358,19 @@ class TestRunCommand:
         assert caplog.records[-1].getMessage().startswith(f"{path}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("override, path", [
+        ({"matrix": [[1e200, 0], [0, 1e200]]}, "simulator.overrides.mobile.matrix"),
+        ({"offset": [1e300, 0]}, "simulator.overrides.mobile.offset"),
+    ])
+    def test_overflowing_observation_transform_exits_2(self, tmp_path, caplog, override, path):
+        # rejected before det or any draw can overflow: Tier-1 turns a
+        # RuntimeWarning into an error, which would not exit 2
+        doc = {**TINY, "simulator": {"overrides": {"mobile": override}}}
+        out = tmp_path / "o"
+        assert main(["run", write_cfg(tmp_path, doc), str(out)]) == 2
+        assert caplog.records[-1].getMessage().startswith(f"{path}: must map the latent range")
+        assert not out.exists()
+
     def test_text_only_task_has_missing_icon_split(self, tmp_path):
         doc = {**TINY, "simulator": {"overrides": {"mobile": {"text_fraction": 1.0}}}}
         out = tmp_path / "o"

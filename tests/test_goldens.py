@@ -8,17 +8,19 @@ bench/goldens.json. The file is only read here;
 `point_distance` runs and the single runs at 8 samples per group, which
 bench/goldens.json does not cover, keep their digests in this file. Every
 case also runs with training draws made in blocks of 7 steps, so the block
-boundaries fall mid-stage, and of 1 step, so each step is logged alone.
+boundaries fall mid-stage, and of 1 step, so each step is logged alone, and
+with each form of `rewards.score_groups` forced at every batch width.
 """
 
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
-from guiflux import harness
+from guiflux import harness, rewards
 from guiflux.cli import main
 from guiflux.simulator import SCENARIOS
 
@@ -132,13 +134,9 @@ def test_workload_outputs_match_recorded_digests(tmp_path, name, master):
     assert output_digests(out, w.command) == expected, f"{name} seed {master} moved"
 
 
-# Every case above, with its arguments, at two draw-block sizes and the id
-# suffix of each: 7 divides no stage's step count, and a block of 1 logs
-# each step's KL and objective alone rather than stacked over steps.
-SMALL_DRAW_BLOCKS = ((7, ""), (1, "-block1"))
-GOLDEN_CASES = [
-    pytest.param(case, args, block, id="-".join(map(str, (kind, *args))) + suffix)
-    for block, suffix in SMALL_DRAW_BLOCKS
+# Every case above with its arguments, under the id of each.
+CASES = [
+    ("-".join(map(str, (kind, *args))), case, args)
     for kind, case, cases in (
         ("scenario", test_outputs_match_recorded_digests,
          [(scenario, seed) for scenario in SCENARIOS for seed in SCENARIO_SEEDS]),
@@ -149,8 +147,33 @@ GOLDEN_CASES = [
     for args in cases
 ]
 
+# Every case at two draw-block sizes, with the id suffix of each: 7 divides
+# no stage's step count, and a block of 1 logs each step's KL and objective
+# alone rather than stacked over steps.
+SMALL_DRAW_BLOCKS = ((7, ""), (1, "-block1"))
 
-@pytest.mark.parametrize("case, args, block", GOLDEN_CASES)
+
+@pytest.mark.parametrize("case, args, block", [
+    pytest.param(case, args, block, id=case_id + suffix)
+    for block, suffix in SMALL_DRAW_BLOCKS
+    for case_id, case, args in CASES
+])
 def test_small_draw_blocks_keep_every_digest(tmp_path, monkeypatch, case, args, block):
     monkeypatch.setattr(harness, "DRAW_BLOCK", block)
+    case(tmp_path, *args)
+
+
+# Every case with `score_groups` held to one form at every batch width: the
+# array form from 0 boxes on, the scalar form at any width. The two give the
+# same bits, so the threshold between them defines no output.
+SCORING_FORMS = ((0, "array"), (math.inf, "scalar"))
+
+
+@pytest.mark.parametrize("case, args, threshold", [
+    pytest.param(case, args, threshold, id=f"{case_id}-{form}")
+    for threshold, form in SCORING_FORMS
+    for case_id, case, args in CASES
+])
+def test_both_scoring_forms_keep_every_digest(tmp_path, monkeypatch, case, args, threshold):
+    monkeypatch.setattr(rewards, "ARRAY_MIN_BOXES", threshold)
     case(tmp_path, *args)

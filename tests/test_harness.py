@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from guiflux import harness
+from guiflux import rewards as rewards_mod
 from guiflux.harness import (
     AccuracyMatrix,
     RunConfig,
@@ -157,12 +158,15 @@ class TestOnePassStep:
     the ground truth and each sampled box by a Gaussian once. The trainlog's
     KL and objective are taken once per draw block, over its stacked steps."""
 
-    @pytest.mark.parametrize("runs, draw_block", [(1, None), (2, None), (1, 2)],
-                             ids=["1", "2", "1-block2"])
-    def test_calls_per_step(self, monkeypatch, runs, draw_block):
+    @pytest.mark.parametrize("runs, draw_block, array_form",
+                             [(1, None, False), (2, None, False), (1, 2, False), (2, None, True)],
+                             ids=["1", "2", "1-block2", "2-array"])
+    def test_calls_per_step(self, monkeypatch, runs, draw_block, array_form):
         steps = 5
         if draw_block is not None:
             monkeypatch.setattr(harness, "DRAW_BLOCK", draw_block)
+        if array_form:
+            monkeypatch.setattr(rewards_mod, "ARRAY_MIN_BOXES", 0)
         blocks = math.ceil(steps / harness.DRAW_BLOCK)
         cfgs = [c.cfg for c in ablate(tiny_config(steps_per_task=steps))][:runs]
         n = cfgs[0].optim.n_samples
@@ -190,15 +194,17 @@ class TestOnePassStep:
         # theta before the update and the reference; the updated policy's
         # mean is taken for the whole block at once
         assert counts["at"] == 2 * steps
-        # the ground truth once, each sampled box once
-        assert counts["to_gaussian"] == (1 + runs * n) * steps
+        # the ground truth once, each sampled box once; the array form models
+        # the boxes without the per-box function
+        assert counts["to_gaussian"] == (1 + (0 if array_form else runs * n)) * steps
         per_block = {"objective": 1, "kl_ref_theta": 2}  # objective takes its own KL
         for _, attr in policy_fns:
             expected = per_block[attr] * blocks if attr in per_block else steps
             assert counts[attr] == expected, attr
-        # the reward layer scores each run's group once
+        # the scalar form scores each run's group once by the reward functions
+        # the benchmark spans; the array form calls none of them
         for _, attr in reward_fns:
-            assert counts[attr] == runs * steps, attr
+            assert counts[attr] == (0 if array_form else runs * steps), attr
 
 
 class TestRunContinual:

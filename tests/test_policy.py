@@ -55,7 +55,7 @@ def make_rollout(rng, behavior, n=4):
     """A group's actions and behavior log-probs, its (R, n) advantages, its
     diversity bonus and its state."""
     state = rng.normal(0, 1.5, behavior.W.shape[1])
-    actions, _, logp = sample_group(behavior.at(state), rng.standard_normal((n, 4)))
+    actions, logp = sample_group(behavior.at(state), rng.standard_normal((n, 4)))
     return actions, logp, advantage(rng.random((1, n)) * 2), float(rng.random()), state
 
 
@@ -117,27 +117,25 @@ class TestSampleGroup:
         theta = make_policy(rng)
         state = rng.normal(0, 1, 6)
         at = theta.at(state)
-        a1, boxes1, logp1 = sample_group(at, np.random.default_rng(7).standard_normal((4, 4)))
-        a2, boxes2, logp2 = sample_group(at, np.random.default_rng(7).standard_normal((4, 4)))
+        a1, logp1 = sample_group(at, np.random.default_rng(7).standard_normal((4, 4)))
+        a2, logp2 = sample_group(at, np.random.default_rng(7).standard_normal((4, 4)))
         assert np.array_equal(a1, a2)
         assert np.array_equal(logp1, logp2)
-        assert boxes1 == boxes2
 
     def test_floor_std_collapses_spread(self, rng):
         from guiflux.rewards import center_spread
 
         theta = constant_policy(6, -6.0)
-        _, boxes, _ = sample_group(theta.at(np.zeros(6)), rng.standard_normal((8, 4)))
-        assert center_spread(boxes[0]) < 1e-4
+        actions, _ = sample_group(theta.at(np.zeros(6)), rng.standard_normal((8, 4)))
+        assert center_spread([action_to_bbox(u) for u in actions[0].tolist()]) < 1e-4
 
     def test_logp_behavior_is_sampling_policy_logp(self, rng):
         theta = make_policy(rng)
         state = rng.normal(0, 1, 6)
         noise = rng.standard_normal((4, 4))
-        actions, boxes, logp = sample_group(theta.at(state), noise)
+        actions, logp = sample_group(theta.at(state), noise)
         assert np.array_equal(actions[0], theta.at(state).mean[0] + theta.std[0] * noise)
         assert np.array_equal(logp, gaussian_logp(actions, theta.at(state)))
-        assert len({id(b) for b in boxes[0]}) == 4
 
     def test_runs_share_the_noise_draw(self, rng):
         # two runs of a batch, each equal to its batch of one on the same draw
@@ -150,7 +148,7 @@ class TestSampleGroup:
         batch = sample_group(both.at(state), noise)
         for r, alone in enumerate((a, b)):
             for got, want in zip(batch, sample_group(alone.at(state), noise)):
-                # actions, boxes, log-probs
+                # actions, log-probs
                 assert np.array_equal(got[r], want[0])
 
 
@@ -277,7 +275,7 @@ class TestGradObjective:
         theta = make_policy(rng)
         state = rng.normal(0, 1.5, 6)
         at = theta.at(state)
-        actions, _, logp = sample_group(at, rng.standard_normal((4, 4)))
+        actions, logp = sample_group(at, rng.standard_normal((4, 4)))
         rewards = rng.random(4) * 2
         dW, db, dlog_std = grad_objective(
             actions, logp, advantage(rewards[None]), at, at, beta=np.array([0.0])

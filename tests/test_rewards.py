@@ -3,12 +3,16 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import guiflux.rewards as rewards_mod
 from guiflux.geometry import BBox, iou
+from guiflux.policy import SIZE_MAX, SIZE_MIN, action_to_bbox
 from guiflux.rewards import (
+    CORRECTNESS_KINDS,
+    EPS_MIN,
     RewardConfig,
     bhattacharyya,
     center_spread,
@@ -268,19 +272,28 @@ class TestCorrectness:
             assert correctness_gaussian(pred, gt) <= best + 1e-12
 
 
+def score_in_form(form, actions, gt, cfgs):
+    """score_groups with its scalar or its array form forced."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rewards_mod, "ARRAY_MIN_BOXES", 0 if form == "array" else math.inf)
+        return score_groups(actions, gt, cfgs)
+
+
 class TestScoreGroups:
     @pytest.mark.parametrize("kind", ["iou", "point_distance", "gaussian_dense"])
     def test_equals_its_parts(self, rng, kind):
-        groups = [[random_bbox(rng) for _ in range(4)] for _ in range(2)]
+        actions = rng.normal(0.0, 1.5, (2, 4, 4))
+        groups = [[action_to_bbox(u) for u in run] for run in actions.tolist()]
         gt = random_bbox(rng)
         cfgs = [RewardConfig(correctness_kind=kind), RewardConfig(gamma=0.0, correctness_kind=kind)]
-        scores, bonus = score_groups(groups, gt, cfgs)
+        scores, bonus = score_in_form("scalar", actions, gt, cfgs)
         if kind == "gaussian_dense":
             want = [correctness(models(g), to_gaussian(gt), cfgs[0]) for g in groups]
         else:
             want = [correctness(g, gt, cfgs[0]) for g in groups]
-        assert scores == want
-        assert bonus == [diversity_reward(g, models(g), c) for g, c in zip(groups, cfgs)]
+        assert scores.shape == (2, 4) and scores.tolist() == want
+        want = [list(diversity_reward(g, models(g), c)) for g, c in zip(groups, cfgs)]
+        assert bonus.shape == (2, 3) and bonus.tolist() == want
 
     @pytest.mark.parametrize(
         "kind, gamma, modeled",
@@ -291,8 +304,30 @@ class TestScoreGroups:
         calls = []
         monkeypatch.setattr(rewards_mod, "to_gaussian", lambda b: calls.append(b) or to_gaussian(b))
         cfg = RewardConfig(gamma=gamma, correctness_kind=kind)
-        score_groups([[random_bbox(rng) for _ in range(4)]], random_bbox(rng), [cfg])
+        score_in_form("scalar", rng.normal(0.0, 1.5, (1, 4, 4)), random_bbox(rng), [cfg])
         assert len(calls) == modeled
+
+    @pytest.mark.parametrize("kind, modeled", [("gaussian_dense", 1), ("iou", 0)])
+    def test_array_form_models_only_the_truth(self, rng, monkeypatch, kind, modeled):
+        # the array form models the boxes itself; the truth takes to_gaussian
+        calls = []
+        monkeypatch.setattr(rewards_mod, "to_gaussian", lambda b: calls.append(b) or to_gaussian(b))
+        cfg = RewardConfig(correctness_kind=kind)
+        score_in_form("array", rng.normal(0.0, 1.5, (1, 4, 4)), random_bbox(rng), [cfg])
+        assert len(calls) == modeled
+
+    def test_form_follows_the_batch_width(self, rng, monkeypatch):
+        calls = []
+        array_form = rewards_mod._score_array
+        monkeypatch.setattr(
+            rewards_mod, "_score_array", lambda *a: calls.append(a) or array_form(*a)
+        )
+        cfg = RewardConfig()
+        for runs, n in ((1, 4), (7, 4), (8, 4), (4, 8), (12, 8)):
+            score_groups(rng.normal(size=(runs, n, 4)), random_bbox(rng), [cfg] * runs)
+        # ARRAY_MIN_BOXES boxes and more take the array form
+        assert rewards_mod.ARRAY_MIN_BOXES == 32
+        assert [a[0].shape[:2] for a in calls] == [(8, 4), (4, 8), (12, 8)]
 
 
 unit = st.floats(0.0, 1.0)
@@ -338,3 +373,85 @@ class TestRewardProperties:
         assert region_separation(models(permuted)) == pytest.approx(
             region_separation(models(group)), rel=1e-12
         )
+
+
+# Action coordinates at each guard of the decode: a center saturated at the
+# screen edge (+-50), sides at SIZE_MIN (exp(-10) and below), at log(SIZE_MIN)
+# and log(SIZE_MAX) exactly, and past the exp cap of 10.
+EDGE_ACTIONS = [-50.0, -10.0, math.log(SIZE_MIN), 0.0, math.log(SIZE_MAX), 10.0, 50.0]
+weights = st.just(0.0) | st.floats(1e-3, 30.0)
+
+
+@st.composite
+def steps(draw):
+    """One step of a batch: (R, N, 4) actions, a ground truth, R configs of
+    one kind with zero and non-zero weights mixed."""
+    runs, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    coords = st.floats(-30.0, 30.0) | st.sampled_from(EDGE_ACTIONS)
+    kind = draw(st.sampled_from(list(CORRECTNESS_KINDS)))
+    cfgs = [
+        RewardConfig(alpha=draw(weights), gamma=draw(weights), correctness_kind=kind)
+        for _ in range(runs)
+    ]
+    return draw(arrays(float, (runs, n, 4), elements=coords)), list(draw(boxes())), cfgs
+
+
+def assert_forms_agree(actions, gt, cfgs):
+    scalar = score_in_form("scalar", actions, gt, cfgs)
+    array = score_in_form("array", actions, gt, cfgs)
+    for a, b in zip(scalar, array):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()  # bit for bit, signed zeros included
+
+
+class TestArrayForm:
+    """score_groups' array form gives the scalar form's bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(steps())
+    # a single box per group (no pairs), beside a wide group
+    @example((np.zeros((3, 1, 4)), [0.4, 0.4, 0.6, 0.6], [RewardConfig()] * 3))
+    # corners clipped at the screen and sides at SIZE_MIN: variances floored at EPS_MIN
+    @example((
+        np.array([[[50.0, -50.0, -10.0, -10.0], [-50.0, 50.0, -50.0, 10.0],
+                   [0.0, 0.0, math.log(SIZE_MIN), math.log(SIZE_MAX)]]]),
+        [0.0, 0.0, 1.0, 1.0], [RewardConfig(correctness_kind="point_distance")],
+    ))
+    # a truth with negative-zero corners: Python's max(0.0, -0.0) keeps 0.0,
+    # numpy's maximum the -0.0, and the iou's sign shows which ran
+    @example((
+        np.array([[[-50.0, 0.0, 0.0, 0.0]] * 4]), [-0.0, 0.2, -0.0, 0.6],
+        [RewardConfig(correctness_kind="iou")],
+    ))
+    def test_bit_equal_to_the_scalar_form(self, step):
+        assert_forms_agree(*step)
+
+    @pytest.mark.parametrize("kind", list(CORRECTNESS_KINDS))
+    def test_bit_equal_on_wide_batches(self, kind):
+        # wide batches, large actions, degenerate truths: the regime the
+        # array form runs in
+        rng = np.random.default_rng(27)
+        for trial in range(100):
+            runs, n = int(rng.integers(1, 30)), int(rng.integers(1, 9))
+            scale = float(rng.choice([0.3, 1.0, 3.0, 10.0, 30.0]))
+            actions = rng.normal(0.0, scale, (runs, n, 4)) + rng.normal(0.0, 2.0, 4)
+            x1, x2 = sorted(rng.random(2))
+            y1, y2 = sorted(rng.random(2))
+            gt = [x1, y1, x1 if trial % 5 == 0 else x2, y2]
+            cfgs = [
+                RewardConfig(
+                    alpha=float(rng.choice([0.0, 20.0 * rng.random()])),
+                    gamma=float(rng.choice([0.0, rng.random()])),
+                    correctness_kind=kind,
+                )
+                for _ in range(runs)
+            ]
+            assert_forms_agree(actions, gt, cfgs)
+
+    def test_floors_fire(self):
+        # the edge example above reaches the guards it is meant to reach
+        boxes = [action_to_bbox(u) for u in ([50.0, -50.0, -10.0, -10.0], [0.0, 0.0, -10.0, 10.0])]
+        assert boxes[0][2] == 1.0 and boxes[0][1] == 0.0  # clipped at the screen
+        assert to_gaussian(boxes[0])[2:] == (EPS_MIN, EPS_MIN)
+        assert boxes[1][2] - boxes[1][0] == pytest.approx(SIZE_MIN)
+        assert boxes[1][3] - boxes[1][1] == SIZE_MAX

@@ -13,8 +13,10 @@ from guiflux.policy import GroundingPolicy
 from guiflux.simulator import (
     DOMAIN_FIXTURES,
     ICON_SIZE_FACTOR,
+    LATENT_MAX,
     SCENARIOS,
     SIZE_CLIP,
+    STATE_MAX,
     TaskSpec,
     make_sequence,
     sample_episodes,
@@ -162,6 +164,28 @@ class TestTaskSpec:
             TaskSpec(**{**base, "size_mean": 0.6})
         with pytest.raises(ValueError):
             TaskSpec(**{**base, "matrix": ((1, 1), (1, 1))})
+
+    def test_observation_transform_bounded(self):
+        base = dict(
+            name="x", matrix=((1, 0), (0, 1)), offset=(0, 0),
+            size_mean=0.5, size_spread=1.0, text_fraction=0.5, noise_sigma=0.0,
+            index=0, n_tasks=1,
+        )
+        # the widest accepted transform: a latent corner maps to STATE_MAX
+        e = STATE_MAX / (2.0 * LATENT_MAX) * (1.0 - 1e-12)
+        edge = TaskSpec(**{**base, "matrix": ((e, e), (e, -e))})
+        states, _, _ = sample_instances(edge, 2000, np.random.default_rng(0))
+        # the bound is the image's own: the draws come close to it
+        assert 0.5 * STATE_MAX < np.abs(states).max() <= STATE_MAX
+        with pytest.raises(ValueError, match="^matrix: must map the latent range"):
+            TaskSpec(**{**base, "matrix": ((1.01 * e, e), (e, -e))})
+        with pytest.raises(ValueError, match="^offset: must map the latent range"):
+            TaskSpec(**{**base, "matrix": ((e, e), (e, -e)), "offset": (0.0, 1e-3 * STATE_MAX)})
+        # entries past the bound are rejected before det, which would overflow
+        with pytest.raises(ValueError, match="^matrix: must map the latent range"):
+            TaskSpec(**{**base, "matrix": ((1e200, 0.0), (0.0, 1e200))})
+        with pytest.raises(ValueError, match="^offset: must map the latent range"):
+            TaskSpec(**{**base, "offset": (1e300, 0.0)})
 
 
 class TestSampleInstance:
