@@ -55,8 +55,8 @@ def cmd_run(args) -> int:
     # fails before any training when the output path cannot be a directory
     Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else cfg.seeds[0]
-    matrix, records = harness.run_continual(cfg, seed)
-    persistence.write_run(args.out_dir, cfg, seed, matrix, records)
+    matrix, trainlog = harness.run_continual(cfg, seed)
+    persistence.write_run(args.out_dir, cfg, seed, matrix, trainlog)
     log.info(
         "run complete: scenario=%s seed=%d final_average=%.4f -> %s",
         cfg.scenario, seed, matrix.final_average(), args.out_dir,
@@ -90,8 +90,8 @@ def cmd_ablate(args) -> int:
                 log.error("ablation run %s aborted: %s", run_id, result)
                 aborts.append(result)
                 continue
-            matrix, records = result
-            persistence.write_run(out / run_id, cell.cfg, seed, matrix, records)
+            matrix, trainlog = result
+            persistence.write_run(out / run_id, cell.cfg, seed, matrix, trainlog)
             log.info("ablation run %s done", run_id)
             cell_finals.append(matrix.final_average())
     if aborts:
@@ -110,18 +110,18 @@ def _read_run_file(read, path: Path):
     """`read(path)`; a missing or damaged file is an input error naming it."""
     try:
         return read(path)
-    except (OSError, ValueError, IndexError) as e:
+    except (OSError, ValueError, IndexError, OverflowError) as e:
         raise ConfigError(f"cannot read {path}: {e}") from e
 
 
 def cmd_plot(args) -> int:
     run_dir = Path(args.run_dir)
-    trainlog = run_dir / persistence.TRAINLOG_NAME
-    records = _read_run_file(persistence.read_trainlog, trainlog)
-    if not records:
-        raise ConfigError(f"{trainlog} holds no training records")
+    path = run_dir / persistence.TRAINLOG_NAME
+    trainlog = _read_run_file(persistence.read_trainlog, path)
+    if len(trainlog) == 0:
+        raise ConfigError(f"{path} holds no training steps")
     matrix = _read_run_file(persistence.read_matrix, run_dir / persistence.MATRIX_NAME)
-    written = plots.write_plots(run_dir, records, matrix)
+    written = plots.write_plots(run_dir, trainlog, matrix)
     log.info("wrote %s", ", ".join(p.name for p in written))
     return EXIT_OK
 

@@ -48,8 +48,11 @@ STREAM_ACTIONS = 1
 STREAM_EVAL = 2
 STREAM_TASK_CHOICE = 3
 
-# Training steps whose instances and action noise a stage draws at once: a
-# block holds about DRAW_BLOCK * (state_dim + 4 * (n_samples + 1)) floats.
+# Training steps whose instances and action noise a stage draws at once, and
+# whose arrays it keeps for the block's trainlog. Per step, for R runs, a
+# block holds state_dim + 4 * (n_samples + 1) floats of draws and
+# state_dim + R * (4 * state_dim + 6 * n_samples + 40) floats of kept
+# arrays, of which the updated W is R * state_dim * 4.
 DRAW_BLOCK = 256
 
 # Stage label of the single stage that trains every task of a joint run.
@@ -132,22 +135,16 @@ class RunConfig:
         object.__setattr__(self, "tasks", tuple(tasks))
 
 
-@dataclass(frozen=True)
-class TrainRecord:
-    """One training step's scalars; field order matches the trainlog.csv
-    columns. `kl` is KL(ref || theta) at the step's state, taken before the
-    update; `objective` is the surrogate minus beta times KL, taken after the
-    update at the same state. No update reads either, so `train_stage` takes
-    them for a whole draw block at once, with the values a step alone gives."""
-
-    step: int
-    task: int
-    correctness: float
-    apr: float
-    arr: float
-    r_aif: float
-    kl: float
-    objective: float
+# A trainlog row: one training step's scalars, in trainlog.csv column order,
+# with the kind each column is written and read as. `kl` is KL(ref || theta)
+# at the step's state, taken before the update; `objective` is the surrogate
+# minus beta times KL, taken after the update at the same state. No update
+# reads either, so `train_stage` takes them for a whole draw block at once,
+# with the values a step alone gives.
+TRAINLOG = np.dtype(
+    [("step", np.int64), ("task", np.int64)]
+    + [(name, np.float64) for name in ("correctness", "apr", "arr", "r_aif", "kl", "objective")]
+)
 
 
 @dataclass
@@ -227,28 +224,28 @@ def train_stage(
     policy: GroundingPolicy,
     tasks: list[TaskSpec],
     cfgs: Sequence[RunConfig],
-    records: Sequence[list[TrainRecord]],
     aborts: dict[int, NumericalAbort],
     master: int,
     stage: int,
-) -> GroundingPolicy:
+) -> tuple[GroundingPolicy, list[np.ndarray]]:
     """Run steps_per_task optimization steps per task of one stage, for
-    every run of a batch in lockstep; returns the batch's policies.
+    every run of a batch in lockstep; returns the batch's policies and the
+    stage's trainlog, one (R, T) TRAINLOG array per draw block of T steps.
 
-    Row r of `policy` is the run of cfgs[r], whose records go to records[r].
-    The KL reference is the policy at the start of the stage. Each task
-    draws its instances from its own stream, the stage's actions come from
-    one stream, and a stage of more than one task picks each step's task
-    from the task-choice stream. No draw depends on the policy, so the
+    Row r of `policy` and of each block is the run of cfgs[r]. The KL
+    reference is the policy at the start of the stage. Each task draws its
+    instances from its own stream, the stage's actions come from one
+    stream, and a stage of more than one task picks each step's task from
+    the task-choice stream. No draw depends on the policy, so the
     stage draws DRAW_BLOCK steps' task choices, instances and action noise
     at a time, in the order the steps would draw them one by one, and every
     draw is shared by all runs. Each step does only what the next update
-    needs and keeps the arrays its log row reads; the block's records are
-    appended at its end by `_log_block`. The first NumericalAbort of a run
-    whose update is not finite goes to aborts[r]; its row keeps its last
-    finite policy and stays in the batch, and its records are not to be
-    read. The stage ends early once every run has aborted, without logging
-    the block it was in.
+    needs and keeps the arrays its log row reads; `_log_block` makes the
+    block's trainlog at its end. The first NumericalAbort of a run whose
+    update is not finite goes to aborts[r]; its row keeps its last finite
+    policy and stays in the batch, and its trainlog rows are not to be read.
+    The stage ends early once every run has aborted, without logging the
+    block it was in.
     """
     cfg = cfgs[0]
     ref = policy
@@ -258,6 +255,7 @@ def train_stage(
     rng_actions = child_rng(master, STREAM_ACTIONS, stage)
     rng_choice = child_rng(master, STREAM_TASK_CHOICE) if len(tasks) > 1 else None
     steps = cfg.steps_per_task * len(tasks)
+    blocks = []
     for start in range(0, steps, DRAW_BLOCK):
         block = min(DRAW_BLOCK, steps - start)
         if rng_choice is None:
@@ -290,19 +288,18 @@ def train_stage(
             for r, e in failed.items():
                 aborts.setdefault(r, e)
             if len(aborts) == len(cfgs):
-                return policy
+                return policy, blocks
             logged.append(
                 (tasks[k].index, mean, bonus, theta, ref_at.mean, actions, logp, shaped, policy)
             )
-        _log_block(records, ref, beta, logged)
-    return policy
+        blocks.append(_log_block(ref, beta, logged))
+    return policy, blocks
 
 
-def _log_block(
-    records: Sequence[list[TrainRecord]], ref: GroundingPolicy, beta: np.ndarray, logged: list
-) -> None:
-    """Append each run's TrainRecords for a draw block, from what train_stage
-    keeps of each step. One kl_ref_theta and one objective call over the
+def _log_block(ref: GroundingPolicy, beta: np.ndarray, logged: list) -> np.ndarray:
+    """A draw block's trainlog as an (R, T) TRAINLOG array, row r run r's T
+    steps, from what train_stage keeps of each step; `step` is left 0 for
+    `run_batch` to number. One kl_ref_theta and one objective call over the
     steps stacked on a leading axis give every step's `kl` and `objective`:
     the arithmetic and last-axis sums of a call per step, so the same values."""
     task, mean, bonus, thetas, ref_mean, actions, logp, shaped, after = zip(*logged)
@@ -312,26 +309,29 @@ def _log_block(
     # the updated policies at their steps' states, by `at`'s matmul per step
     mean_after = (theta.state[:, None, None, :] @ W)[:, :, 0, :] + b
     updated = ActionGaussians(theta.state, mean_after, *moments)
-    kl = kl_ref_theta(ref_at, theta).tolist()
+    block = np.zeros((len(beta), len(task)), TRAINLOG)
+    block["task"] = task
+    block["correctness"] = np.array(mean)[:, :, 0].T
+    block["apr"], block["arr"], block["r_aif"] = np.array(bonus).T
+    block["kl"] = kl_ref_theta(ref_at, theta).T
     # logged post-update: at the behavior policy the ratios are identically 1
     # and the surrogate reduces to the diversity bonus, which carries no
     # step-level information.
-    j = objective(*map(np.array, (actions, logp, shaped)), updated, ref_at, beta).tolist()
-    mean, bonus = np.array(mean)[:, :, 0].tolist(), np.array(bonus).tolist()
-    for k, *step_rows in zip(task, mean, bonus, kl, j):
-        for run_records, c, (apr, arr, r_aif), kl_r, j_r in zip(records, *step_rows):
-            run_records.append(TrainRecord(len(run_records), k, c, apr, arr, r_aif, kl_r, j_r))
+    j = objective(*map(np.array, (actions, logp, shaped)), updated, ref_at, beta)
+    block["objective"] = j.T
+    return block
 
 
 def run_batch(
     cfgs: Sequence[RunConfig], seed: int
-) -> list[tuple[AccuracyMatrix, list[TrainRecord]] | NumericalAbort]:
+) -> list[tuple[AccuracyMatrix, np.ndarray] | NumericalAbort]:
     """Full continual runs of several configs on one master seed, in lockstep.
 
     The configs may differ only in their method weights (reward.alpha,
     reward.gamma, optim.beta): every run then sees the same draws, and the
     batch makes each draw once. Item i of the result is run cfgs[i]'s
-    (matrix, records), or the NumericalAbort that ended it; the other runs
+    (matrix, trainlog), its trainlog a (steps,) TRAINLOG array with `step`
+    numbered from 0, or the NumericalAbort that ended it; the other runs
     still finish.
 
     A run is a list of stages, each a label and the tasks it trains: one
@@ -357,7 +357,7 @@ def run_batch(
         prev = stage_labels[-1]
         stage_labels.append(label if prev == "untrained" else f"{prev}->{label}")
 
-    records: list[list[TrainRecord]] = [[] for _ in cfgs]
+    blocks = [np.zeros((len(cfgs), 0), TRAINLOG)]
     aborts: dict[int, NumericalAbort] = {}
     overall, text, icon = (np.zeros((len(cfgs), len(stages) + 1, len(tasks))) for _ in range(3))
     policy = GroundingPolicy.zeros(tasks[0].state_dim, len(cfgs))
@@ -368,20 +368,23 @@ def run_batch(
 
     score(0)
     for k, (_, stage_tasks) in enumerate(stages):
-        policy = train_stage(policy, stage_tasks, cfgs, records, aborts, master, k)
+        policy, stage_blocks = train_stage(policy, stage_tasks, cfgs, aborts, master, k)
+        blocks += stage_blocks
         if len(aborts) == len(cfgs):
             break
         score(k + 1)
+    trainlog = np.concatenate(blocks, axis=1)
+    trainlog["step"] = np.arange(trainlog.shape[1])
 
     task_names = [t.name for t in tasks]
     return [
         aborts[i] if i in aborts
-        else (AccuracyMatrix(overall[i], text[i], icon[i], task_names, stage_labels), records[i])
+        else (AccuracyMatrix(overall[i], text[i], icon[i], task_names, stage_labels), trainlog[i])
         for i in range(len(cfgs))
     ]
 
 
-def run_continual(cfg: RunConfig, seed: int) -> tuple[AccuracyMatrix, list[TrainRecord]]:
+def run_continual(cfg: RunConfig, seed: int) -> tuple[AccuracyMatrix, np.ndarray]:
     """Full continual run for one master seed: the batch of one run.
 
     Raises the run's NumericalAbort when an update is not finite.
@@ -444,19 +447,19 @@ def forgetting(m: AccuracyMatrix) -> list[dict]:
     return out
 
 
-def reward_trend(records: list[TrainRecord], task: int | None = None) -> float | None:
+def reward_trend(trainlog: np.ndarray, task: int | None = None) -> float | None:
     """Pearson correlation between the weighted diversity bonus and the
-    correctness reward over training steps (optionally one task's steps).
+    correctness reward over a TRAINLOG array's steps (optionally one task's).
 
-    Returns None (with a diagnostic) when fewer than 3 records exist or
+    Returns None (with a diagnostic) when fewer than 3 steps exist or
     either series is constant.
     """
-    rows = [r for r in records if task is None or r.task == task]
+    rows = trainlog if task is None else trainlog[trainlog["task"] == task]
     if len(rows) < 3:
-        log.warning("reward_trend undefined: only %d records", len(rows))
+        log.warning("reward_trend undefined: only %d steps", len(rows))
         return None
-    x = np.array([r.r_aif for r in rows])
-    y = np.array([r.correctness for r in rows])
+    x = rows["r_aif"]
+    y = rows["correctness"]
     sx = x.std()
     sy = y.std()
     if sx < 1e-15 or sy < 1e-15:

@@ -11,9 +11,8 @@ import csv
 import io
 import json
 import os
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from datetime import datetime, timezone
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +20,10 @@ import numpy as np
 from . import __version__
 from .config import render_config
 from .harness import (
+    TRAINLOG,
     AblationCell,
     AccuracyMatrix,
     RunConfig,
-    TrainRecord,
     forgetting,
     forward_transfer,
     reward_trend,
@@ -36,14 +35,13 @@ TRAINLOG_NAME = "trainlog.csv"
 METRICS_NAME = "metrics.json"
 SUMMARY_NAME = "summary.csv"
 
-# trainlog.csv has one column per TrainRecord field, in field order; each
-# value is written as the repr of its field's type, which for the harness's
-# Python ints and floats is what one "%d"/"%r" format per row writes. The
-# annotations are strings because harness postpones their evaluation.
-TRAINLOG_HEADER = [f.name for f in fields(TrainRecord)]
-_TRAINLOG_KINDS = [int if f.type == "int" else float for f in fields(TrainRecord)]
-_TRAINLOG_ROW = ",".join("%d" if kind is int else "%r" for kind in _TRAINLOG_KINDS) + "\n"
-_trainlog_values = attrgetter(*TRAINLOG_HEADER)
+# trainlog.csv has one column per TRAINLOG field, in field order; each value
+# is written as the repr of the Python int or float `tolist` makes of it,
+# which is what one "%d"/"%r" format per row writes.
+TRAINLOG_HEADER = list(TRAINLOG.names)
+_TRAINLOG_ROW = ",".join(
+    "%d" if TRAINLOG[name].kind == "i" else "%r" for name in TRAINLOG_HEADER
+) + "\n"
 
 
 def write_atomic(path: Path, data: str):
@@ -98,54 +96,54 @@ def read_matrix(path: Path) -> AccuracyMatrix:
     )
 
 
-def write_trainlog(out_dir: Path, records: list[TrainRecord]) -> None:
-    rows = [_TRAINLOG_ROW % _trainlog_values(r) for r in records]
-    write_atomic(out_dir / TRAINLOG_NAME, ",".join(TRAINLOG_HEADER) + "\n" + "".join(rows))
+def write_trainlog(out_dir: Path, trainlog: np.ndarray) -> None:
+    rows = "".join(_TRAINLOG_ROW % row for row in trainlog.tolist())
+    write_atomic(out_dir / TRAINLOG_NAME, ",".join(TRAINLOG_HEADER) + "\n" + rows)
 
 
-def read_trainlog(path: Path) -> list[TrainRecord]:
+def read_trainlog(path: Path) -> np.ndarray:
+    """A trainlog.csv as a (steps,) TRAINLOG array."""
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
     if not rows or rows[0] != TRAINLOG_HEADER:
         raise ValueError(f"{path} is not a train log (bad header)")
-    out = []
     for line, r in enumerate(rows[1:], start=2):
         if len(r) != len(TRAINLOG_HEADER):
             raise ValueError(
                 f"{path} line {line}: expected {len(TRAINLOG_HEADER)} columns, got {len(r)}"
             )
-        out.append(TrainRecord(*(kind(v) for kind, v in zip(_TRAINLOG_KINDS, r))))
-    return out
+    return np.array([tuple(r) for r in rows[1:]], dtype=TRAINLOG)
 
 
-def compute_metrics(m: AccuracyMatrix, records: list[TrainRecord]) -> dict:
+def compute_metrics(m: AccuracyMatrix, trainlog: np.ndarray) -> dict:
     """All derived metrics; matrix-derived ones are pure functions of the matrix."""
     per_task_trend = {}
-    for task in sorted({r.task for r in records}):
-        per_task_trend[str(task)] = reward_trend(records, task=task)
+    # np.unique would import numpy.ma, a megabyte of resident memory
+    for task in sorted(set(trainlog["task"].tolist())):
+        per_task_trend[str(task)] = reward_trend(trainlog, task=task)
     return {
         "final_average": m.final_average(),
         "stage_averages": [m.stage_average(i) for i in range(m.n_stages + 1)],
         "forward_transfer": forward_transfer(m),
         "forgetting": forgetting(m),
-        "reward_trend_r": reward_trend(records),
+        "reward_trend_r": reward_trend(trainlog),
         "reward_trend_r_by_task": per_task_trend,
     }
 
 
-def write_metrics(out_dir: Path, m: AccuracyMatrix, records: list[TrainRecord]) -> None:
-    write_json(out_dir / METRICS_NAME, compute_metrics(m, records))
+def write_metrics(out_dir: Path, m: AccuracyMatrix, trainlog: np.ndarray) -> None:
+    write_json(out_dir / METRICS_NAME, compute_metrics(m, trainlog))
 
 
 def write_run(out_dir: str | Path, cfg: RunConfig, master_seed: int,
-              m: AccuracyMatrix, records: list[TrainRecord]) -> None:
+              m: AccuracyMatrix, trainlog: np.ndarray) -> None:
     """Persist one complete run: manifest, matrix, train log, metrics."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_manifest(out, cfg, master_seed)
     write_matrix(out, m)
-    write_trainlog(out, records)
-    write_metrics(out, m, records)
+    write_trainlog(out, trainlog)
+    write_metrics(out, m, trainlog)
 
 
 def write_summary(out_dir: Path, cells: list[tuple[AblationCell, list[float]]]) -> None:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import AccuracyMatrix, TrainRecord, forward_transfer
+from .harness import AccuracyMatrix, forward_transfer
 from .persistence import write_atomic
 
 WIDTH, HEIGHT = 800, 420
@@ -55,47 +55,39 @@ def _text(x: float, y: float, s: str, color: str = "#000", size: int = 12) -> st
     return f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}" fill="{color}">{s}</text>'
 
 
-def rewards_svg(records: list[TrainRecord]) -> str:
+def rewards_svg(trainlog: np.ndarray) -> str:
     """Per-step curves of the correctness reward and both diversity terms.
 
     Each series is min-max normalized to share the frame; the legend carries
     the raw ranges. Vertical dashes mark task boundaries.
     """
-    if not records:
+    if len(trainlog) == 0:
         raise ValueError("empty train log")
-    xs = _x_scale(len(records))
+    xs = _x_scale(len(trainlog))
     elems = []
-    series = {
-        "correctness": [r.correctness for r in records],
-        "apr": [r.apr for r in records],
-        "arr": [r.arr for r in records],
-    }
-    for si, (name, vals) in enumerate(series.items()):
+    for si, (name, color) in enumerate(COLORS.items()):
+        vals = trainlog[name].tolist()
         lo, hi = min(vals), max(vals)
         ys = _y_scale(lo, hi)
-        elems.append(_polyline([xs(i) for i in range(len(vals))], [ys(v) for v in vals],
-                               COLORS[name]))
+        elems.append(_polyline(map(xs, range(len(vals))), map(ys, vals), color))
+        elems.append(_text(MARGIN + 5 + 240 * si, 20, f"{name} [{lo:.4g}, {hi:.4g}]", color))
+    for i in np.flatnonzero(np.diff(trainlog["task"])).tolist():
+        x = _fmt(xs(i + 1))
         elems.append(
-            _text(MARGIN + 5 + 240 * si, 20, f"{name} [{lo:.4g}, {hi:.4g}]", COLORS[name])
+            f'<line x1="{x}" y1="{MARGIN}" x2="{x}" y2="{HEIGHT - MARGIN}" '
+            f'stroke="#aaa" stroke-dasharray="4,4"/>'
         )
-    for i in range(1, len(records)):
-        if records[i].task != records[i - 1].task:
-            x = _fmt(xs(i))
-            elems.append(
-                f'<line x1="{x}" y1="{MARGIN}" x2="{x}" y2="{HEIGHT - MARGIN}" '
-                f'stroke="#aaa" stroke-dasharray="4,4"/>'
-            )
     elems.append(_text(WIDTH / 2 - 20, HEIGHT - 15, "step"))
     return _svg(elems)
 
 
-def trend_svg(records: list[TrainRecord]) -> str:
+def trend_svg(trainlog: np.ndarray) -> str:
     """Scatter of the weighted diversity bonus against the correctness reward,
     one point per step, with the least-squares fit line."""
-    if not records:
+    if len(trainlog) == 0:
         raise ValueError("empty train log")
-    x = np.array([r.correctness for r in records])
-    y = np.array([r.r_aif for r in records])
+    x = trainlog["correctness"]
+    y = trainlog["r_aif"]
     xlo, xhi = float(x.min()), float(x.max())
     ylo, yhi = float(y.min()), float(y.max())
     to_x = lambda v: MARGIN + (WIDTH - 2 * MARGIN) * (v - xlo) / ((xhi - xlo) or 1.0)
@@ -148,12 +140,12 @@ def transfer_svg(matrix: AccuracyMatrix) -> str:
     return _svg(elems)
 
 
-def write_plots(run_dir: str | Path, records: list[TrainRecord], matrix: AccuracyMatrix) -> list[Path]:
+def write_plots(run_dir: str | Path, trainlog: np.ndarray, matrix: AccuracyMatrix) -> list[Path]:
     run_dir = Path(run_dir)
     out = []
     for name, content in [
-        ("rewards.svg", rewards_svg(records)),
-        ("trend.svg", trend_svg(records)),
+        ("rewards.svg", rewards_svg(trainlog)),
+        ("trend.svg", trend_svg(trainlog)),
         ("transfer.svg", transfer_svg(matrix)),
     ]:
         path = run_dir / name

@@ -8,7 +8,7 @@ actions are sampled per instruction, scored, normalized into group-relative
 advantages, and each run ascends its likelihood-ratio objective with an
 analytic KL penalty against a frozen reference snapshot. Policies are
 immutable; every update returns a new one. `gaussian_logp`, `kl_ref_theta`
-and `objective` also take records stacked over T steps, with (T, R, ...)
+and `objective` also take the arrays of T steps stacked, as (T, R, ...)
 arrays, and give each step the values a call on that step alone gives.
 """
 

@@ -99,9 +99,11 @@ ICON_SIZE_FACTOR = 0.7
 # [log 0.01, log 0.5], inside the same bound.
 LATENT_MAX = math.log(199.0)
 # Largest |state coordinate| an observation transform may make of the latent
-# range, before noise: a state and its square stay finite (the policy's first
-# update makes its weights scale with the state, so its next mean scales
-# with the state's square).
+# range, before noise, and the largest noise_sigma: a state and its square
+# stay finite (the policy's first update makes its weights scale with the
+# state, so its next mean scales with the state's square). numpy's
+# standard-normal draws stay below 13 in size, so the noise adds at most
+# 13 * STATE_MAX to a coordinate.
 STATE_MAX = 1e150
 
 
@@ -131,7 +133,7 @@ class TaskSpec:
             ("text_fraction", lambda v: 0.0 <= v <= 1.0, "outside [0, 1]"),
             ("size_mean", lambda v: 0.0 < v <= 0.5, "outside (0, 0.5]"),
             ("size_spread", lambda v: 0.0 <= v < math.inf, "must be non-negative and finite"),
-            ("noise_sigma", lambda v: 0.0 <= v < math.inf, "must be non-negative and finite"),
+            ("noise_sigma", lambda v: 0.0 <= v <= STATE_MAX, f"outside [0, {STATE_MAX:g}]"),
         )
         for field, ok, what in ranges:
             v = getattr(self, field)

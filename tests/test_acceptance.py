@@ -46,7 +46,7 @@ def arm_config(arm: str) -> RunConfig:
 
 
 def finished(results: list) -> list:
-    """A batch's (matrix, records) per run; an aborted run fails the gate."""
+    """A batch's (matrix, trainlog) per run; an aborted run fails the gate."""
     for result in results:
         if isinstance(result, NumericalAbort):
             raise result
@@ -61,10 +61,10 @@ def experiment():
     t0 = time.perf_counter()
     for seed in SEEDS:
         results = finished(run_batch([arm_config(arm) for arm in ARMS], seed))
-        for arm, (matrix, records) in zip(ARMS, results):
+        for arm, (matrix, trainlog) in zip(ARMS, results):
             out[arm]["final"].append(matrix.final_average())
             out[arm]["matrix"].append(matrix)
-            out[arm]["trend"].append(reward_trend(records, task=0))
+            out[arm]["trend"].append(reward_trend(trainlog, task=0))
     out["time"] = time.perf_counter() - t0
     return out
 
@@ -176,7 +176,7 @@ def test_criterion_10_forward_transfer():
         tasks = cfgs[0].tasks
         policy = GroundingPolicy.zeros(tasks[0].state_dim, len(cfgs))
         aborts = {}
-        policy = train_stage(policy, tasks[:1], cfgs, [[] for _ in cfgs], aborts, seed, 0)
+        policy, _ = train_stage(policy, tasks[:1], cfgs, aborts, seed, 0)
         assert aborts == {}
         rows, _, _ = evaluate(policy, tasks, cfgs[0].eval_episodes, child_rng(seed, STREAM_EVAL, 1))
         return rows[:, 1:].mean(axis=1)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from guiflux.cli import main
 from guiflux.config import load_config, parse_config, render_config
 from guiflux.errors import ConfigError
-from guiflux.harness import RunConfig, ablate, run_continual, scale_label
+from guiflux.harness import TRAINLOG, RunConfig, ablate, run_continual, scale_label
 from guiflux.persistence import (
     compute_metrics,
     read_matrix,
@@ -371,6 +372,17 @@ class TestRunCommand:
         assert caplog.records[-1].getMessage().startswith(f"{path}: must map the latent range")
         assert not out.exists()
 
+    def test_overflowing_observation_noise_exits_2(self, tmp_path, caplog):
+        # rejected before any draw: scaled noise of 1e308 overflows
+        doc = {**TINY, "simulator": {"overrides": {"mobile": {"noise_sigma": 1e308}}}}
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", write_cfg(tmp_path, doc), str(out)]) == 2
+        message = caplog.records[-1].getMessage()
+        assert message.startswith("simulator.overrides.mobile.noise_sigma: outside [0, 1e+150]")
+        assert not out.exists()
+
     def test_text_only_task_has_missing_icon_split(self, tmp_path):
         doc = {**TINY, "simulator": {"overrides": {"mobile": {"text_fraction": 1.0}}}}
         out = tmp_path / "o"
@@ -428,8 +440,8 @@ class TestRunCommand:
 class TestPersistenceRoundTrip:
     def test_matrix_exact(self, tmp_path):
         cfg = parse_config(TINY)
-        m, records = run_continual(cfg, seed=0)
-        write_run(tmp_path, cfg, 0, m, records)
+        m, trainlog = run_continual(cfg, seed=0)
+        write_run(tmp_path, cfg, 0, m, trainlog)
         back = read_matrix(tmp_path / "matrix.csv")
         assert np.array_equal(back.overall, m.overall)
         assert np.array_equal(back.text, m.text)
@@ -439,31 +451,32 @@ class TestPersistenceRoundTrip:
 
     def test_matrix_nan_round_trip(self, tmp_path):
         cfg = parse_config({**TINY, "simulator": {"overrides": {"web": {"text_fraction": 0.0}}}})
-        m, records = run_continual(cfg, seed=0)
+        m, trainlog = run_continual(cfg, seed=0)
         assert np.isnan(m.text[:, 2]).all()
-        write_run(tmp_path, cfg, 0, m, records)
+        write_run(tmp_path, cfg, 0, m, trainlog)
         back = read_matrix(tmp_path / "matrix.csv")
         assert np.array_equal(back.text, m.text, equal_nan=True)
         assert np.array_equal(back.icon, m.icon)
 
     def test_trainlog_exact(self, tmp_path):
         cfg = parse_config(TINY)
-        m, records = run_continual(cfg, seed=0)
-        write_run(tmp_path, cfg, 0, m, records)
+        m, trainlog = run_continual(cfg, seed=0)
+        write_run(tmp_path, cfg, 0, m, trainlog)
         back = read_trainlog(tmp_path / "trainlog.csv")
-        assert back == records
+        assert back.dtype == trainlog.dtype
+        assert np.array_equal(back, trainlog)
 
     def test_trainlog_header_contract(self, tmp_path):
         cfg = parse_config(TINY)
-        m, records = run_continual(cfg, seed=0)
-        write_run(tmp_path, cfg, 0, m, records)
+        m, trainlog = run_continual(cfg, seed=0)
+        write_run(tmp_path, cfg, 0, m, trainlog)
         header = (tmp_path / "trainlog.csv").read_text().splitlines()[0]
         assert header == "step,task,correctness,apr,arr,r_aif,kl,objective"
 
     def test_matrix_header_contract(self, tmp_path):
         cfg = parse_config(TINY)
-        m, records = run_continual(cfg, seed=0)
-        write_run(tmp_path, cfg, 0, m, records)
+        m, trainlog = run_continual(cfg, seed=0)
+        write_run(tmp_path, cfg, 0, m, trainlog)
         header = (tmp_path / "matrix.csv").read_text().splitlines()[0]
         assert header == (
             "stage,mobile,desktop,web,"
@@ -473,8 +486,8 @@ class TestPersistenceRoundTrip:
 
     def test_metrics_recomputable_from_files(self, tmp_path):
         cfg = parse_config(TINY)
-        m, records = run_continual(cfg, seed=0)
-        write_run(tmp_path, cfg, 0, m, records)
+        m, trainlog = run_continual(cfg, seed=0)
+        write_run(tmp_path, cfg, 0, m, trainlog)
         stored = json.loads((tmp_path / "metrics.json").read_text())
         again = compute_metrics(
             read_matrix(tmp_path / "matrix.csv"), read_trainlog(tmp_path / "trainlog.csv")
@@ -803,6 +816,16 @@ class TestPlotCommand:
         empty.mkdir()
         assert main(["plot", str(empty)]) == 2
 
+    def test_zero_step_run_logs_nothing_and_cannot_plot(self, tmp_path):
+        cfg = parse_config({**TINY, "steps_per_task": 0})
+        m, trainlog = run_continual(cfg, seed=0)
+        assert trainlog.dtype == TRAINLOG and trainlog.shape == (0,)
+        write_run(tmp_path, cfg, 0, m, trainlog)
+        header = "step,task,correctness,apr,arr,r_aif,kl,objective\n"
+        assert (tmp_path / "trainlog.csv").read_text() == header
+        assert read_trainlog(tmp_path / "trainlog.csv").shape == (0,)
+        assert main(["plot", str(tmp_path)]) == 2
+
     def test_empty_trainlog_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, TINY)
         out = tmp_path / "run"
@@ -814,8 +837,12 @@ class TestPlotCommand:
         ("trainlog.csv", "step,task,reward\n0,0,1.0\n"),
         ("trainlog.csv", "step,task,correctness,apr,arr,r_aif,kl,objective\n0,0,1.0\n"),
         ("trainlog.csv", "step,task,correctness,apr,arr,r_aif,kl,objective\n0,0,1,1,1,1,1,1,1\n"),
+        ("trainlog.csv", "step,task,correctness,apr,arr,r_aif,kl,objective\n0,0,x,1,1,1,1,1\n"),
+        ("trainlog.csv", "step,task,correctness,apr,arr,r_aif,kl,objective\n0.5,0,1,1,1,1,1,1\n"),
+        ("trainlog.csv", f"step,task,correctness,apr,arr,r_aif,kl,objective\n{2**64},0,1,1,1,1,1,1\n"),
         ("matrix.csv", "stage,mobile,text_mobile,icon_mobile\nuntrained,x,0.5,0.5\n"),
-    ], ids=["bad_header", "short_row", "long_row", "non_numeric_cell"])
+    ], ids=["bad_header", "short_row", "long_row", "non_numeric_value", "fractional_step",
+            "overflowing_step", "non_numeric_cell"])
     def test_damaged_input_exits_2_naming_file(self, tmp_path, caplog, name, content):
         out = tmp_path / "run"
         assert main(["run", write_cfg(tmp_path, TINY), str(out)]) == 0

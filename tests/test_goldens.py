@@ -10,6 +10,8 @@ bench/goldens.json does not cover, keep their digests in this file. Every
 case also runs with training draws made in blocks of 7 steps, so the block
 boundaries fall mid-stage, and of 1 step, so each step is logged alone, and
 with each form of `rewards.score_groups` forced at every batch width.
+`metrics.json` and the three SVGs of `guiflux plot`, which no bench golden
+hashes, keep digests in this file for a few runs.
 """
 
 import hashlib
@@ -83,15 +85,43 @@ EIGHT_SAMPLE_GOLDENS = {
 }
 
 
-def _run_digests(tmp_path, doc):
+# (scenario, seed, correctness_kind) -> digests of DERIVED_FILES after
+# `guiflux run` and `guiflux plot` at the scenario goldens' length: they pin
+# the metrics and plots computed from the matrix and the trainlog. The joint
+# run changes task at most steps, so its rewards.svg draws many boundaries.
+DERIVED_FILES = ("metrics.json", "rewards.svg", "trend.svg", "transfer.svg")
+DERIVED_GOLDENS = {
+    ("domain_flux", 0, "gaussian_dense"): (
+        "a79b2e3e171a4a903123503d760101f84f311f95c80edf51866c5861cf30b9dd",
+        "d5eee6b4567f248cc94868e33b4608df2a1dd2a1e5b36c16b4a09e672c5d86df",
+        "fb9fca11301da4bf43e5bd1e04fa14fcae446e45b693cc5e8ba07a8ebdc13957",
+        "eb1863c277e431600df794011409e356938605a80231cfcd7788392cf74f9873",
+    ),
+    ("joint", 1, "gaussian_dense"): (
+        "9d3dae443296e13cfb46551c388af521c91ddc886784c5ffa69cd5611e66572c",
+        "c0289e46bc356f879e4810bc696abb642ff6a3915ccfec1db24da8e21eeab6da",
+        "a5f631d85b62a35248b5f76510086bfbbdd958460997e517b087b51789e53551",
+        "bd9d2a1ca504b7f65e7c81a061ff2d7baefbdc68a304d7a3247164622fac036b",
+    ),
+    ("resolution_flux", 2, "point_distance"): (
+        "83f8420626031ea58057338a0b3df2ca0c4ece29066950d6068ea8f48702bac4",
+        "f37bfc4c9d524a4c6f7376e4b586fbdcb6b698766715e6db061031b4309ae5c9",
+        "66587bd15a975167f656caf1acab0aba96e4bb517113e98ae882ce8a5e6a7e3f",
+        "927bf2b8268ffc2b314fa1d359533b94b115636f4008b91dea69f778dfcb4213",
+    ),
+}
+
+
+def _run_digests(tmp_path, doc, names=("matrix.csv", "trainlog.csv"), plot=False):
+    """SHA-256 of each of `names` in the directory `guiflux run` writes for
+    `doc`, after `guiflux plot` on it when `plot` is set."""
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert main(["run", str(cfg), str(out)]) == 0
-    return tuple(
-        hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in ("matrix.csv", "trainlog.csv")
-    )
+    if plot:
+        assert main(["plot", str(out)]) == 0
+    return tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -124,6 +154,17 @@ def test_eight_sample_run_outputs_match_recorded_digests(tmp_path, scenario, see
     assert _run_digests(tmp_path, doc) == expected, f"{scenario} seed {seed} {kind} moved"
 
 
+@pytest.mark.parametrize("scenario, seed, kind", DERIVED_GOLDENS)
+def test_metrics_and_plots_match_recorded_digests(tmp_path, scenario, seed, kind):
+    doc = {
+        **SCENARIO_CONFIG, "scenario": scenario, "seeds": [seed],
+        "reward": {"correctness_kind": kind},
+    }
+    expected = DERIVED_GOLDENS[scenario, seed, kind]
+    digests = _run_digests(tmp_path, doc, DERIVED_FILES, plot=True)
+    assert digests == expected, f"{scenario} seed {seed} {kind} moved"
+
+
 @pytest.mark.parametrize("name, master", WORKLOAD_MASTERS.items())
 def test_workload_outputs_match_recorded_digests(tmp_path, name, master):
     w = WORKLOADS[name]
@@ -142,6 +183,7 @@ CASES = [
          [(scenario, seed) for scenario in SCENARIOS for seed in SCENARIO_SEEDS]),
         ("point", test_point_distance_outputs_match_recorded_digests, POINT_DISTANCE_GOLDENS),
         ("eight", test_eight_sample_run_outputs_match_recorded_digests, EIGHT_SAMPLE_GOLDENS),
+        ("derived", test_metrics_and_plots_match_recorded_digests, DERIVED_GOLDENS),
         ("workload", test_workload_outputs_match_recorded_digests, WORKLOAD_MASTERS.items()),
     )
     for args in cases

@@ -13,8 +13,8 @@ from guiflux import harness
 from guiflux import rewards as rewards_mod
 from guiflux.harness import (
     AccuracyMatrix,
+    TRAINLOG,
     RunConfig,
-    TrainRecord,
     ablate,
     evaluate,
     forgetting,
@@ -102,30 +102,32 @@ class TestTrainTask:
         tasks = make_sequence("domain_flux", 0)
         policy = GroundingPolicy.zeros(tasks[0].state_dim)
         aborts = {}
-        out = train_stage(policy, tasks[:1], [cfg], [[]], aborts, 0, 0)
+        out, blocks = train_stage(policy, tasks[:1], [cfg], aborts, 0, 0)
         assert aborts == {}
         assert np.array_equal(out.W, policy.W)
+        assert blocks == []
 
     def test_all_gates_off_logs_zero_shaping(self):
         cfg = tiny_config(
             optim=OptimConfig(beta=0.0), reward=RewardConfig(alpha=0.0, gamma=0.0)
         )
-        records = []
         tasks = make_sequence("domain_flux", 0)
         policy = GroundingPolicy.zeros(tasks[0].state_dim)
-        train_stage(policy, tasks[:1], [cfg], [records], {}, 0, 0)
-        assert all(r.apr == 0.0 and r.arr == 0.0 and r.r_aif == 0.0 for r in records)
+        _, blocks = train_stage(policy, tasks[:1], [cfg], {}, 0, 0)
+        trainlog = np.concatenate(blocks, axis=1)
+        assert trainlog.shape == (1, cfg.steps_per_task)
+        for name in ("apr", "arr", "r_aif"):
+            assert (trainlog[name] == 0.0).all()
 
     def test_deterministic_log(self):
         cfg = tiny_config()
         logs = []
         for _ in range(2):
-            records = []
             tasks = make_sequence("domain_flux", 0)
             policy = GroundingPolicy.zeros(tasks[0].state_dim)
-            train_stage(policy, tasks[:1], [cfg], [records], {}, 0, 0)
-            logs.append(records)
-        assert logs[0] == logs[1]
+            _, blocks = train_stage(policy, tasks[:1], [cfg], {}, 0, 0)
+            logs.append(np.concatenate(blocks, axis=1))
+        assert np.array_equal(logs[0], logs[1])
 
 
 def bench_spanned(*modules):
@@ -187,10 +189,10 @@ class TestOnePassStep:
         tasks = cfgs[0].tasks
         policy = GroundingPolicy.zeros(tasks[0].state_dim, runs)
         aborts = {}
-        records = [[] for _ in cfgs]
-        train_stage(policy, tasks[:1], cfgs, records, aborts, 0, 0)
+        _, logged = train_stage(policy, tasks[:1], cfgs, aborts, 0, 0)
         assert aborts == {}
-        assert [len(r) for r in records] == [steps] * runs
+        assert len(logged) == blocks
+        assert np.concatenate(logged, axis=1).shape == (runs, steps)
         # theta before the update and the reference; the updated policy's
         # mean is taken for the whole block at once
         assert counts["at"] == 2 * steps
@@ -226,26 +228,28 @@ class TestRunContinual:
         assert len(constructed) == 1
 
     def test_matrix_shape_domain(self):
-        m, records = run_continual(tiny_config(), seed=0)
+        m, trainlog = run_continual(tiny_config(), seed=0)
         assert m.overall.shape == (4, 3)
         assert m.stage_labels[0] == "untrained"
         assert m.stage_labels[-1] == "mobile->desktop->web"
-        assert len(records) == 3 * 12
+        assert trainlog.dtype == TRAINLOG
+        assert trainlog.shape == (3 * 12,)
         assert ((m.overall >= 0) & (m.overall <= 1)).all()
-        assert all(b.step == a.step + 1 for a, b in zip(records, records[1:]))
+        assert np.array_equal(trainlog["step"], np.arange(3 * 12))
+        assert np.array_equal(trainlog["task"], np.repeat([0, 1, 2], 12))
 
     def test_matrix_shape_joint(self):
-        m, records = run_continual(tiny_config(scenario="joint"), seed=0)
+        m, trainlog = run_continual(tiny_config(scenario="joint"), seed=0)
         assert m.overall.shape == (2, 3)
         assert m.stage_labels == ["untrained", "joint"]
-        assert len(records) == 3 * 12
+        assert trainlog.shape == (3 * 12,)
 
     def test_deterministic(self):
         a, ra = run_continual(tiny_config(), seed=5)
         b, rb = run_continual(tiny_config(), seed=5)
         assert np.array_equal(a.overall, b.overall)
         assert np.array_equal(a.text, b.text)
-        assert ra == rb
+        assert np.array_equal(ra, rb)
 
     def test_seed_pairing_of_untrained_row(self):
         # flag changes must not perturb the shared instance streams
@@ -268,12 +272,12 @@ class TestRunBatch:
     def test_each_run_equals_its_run_alone(self, scenario):
         cells = ablate(tiny_config(scenario=scenario, steps_per_task=5, eval_episodes=30))
         cfgs = [c.cfg for c in cells]
-        for (matrix, records), cfg in zip(run_batch(cfgs, 2), cfgs):
-            alone, alone_records = run_continual(cfg, 2)
+        for (matrix, trainlog), cfg in zip(run_batch(cfgs, 2), cfgs):
+            alone, alone_trainlog = run_continual(cfg, 2)
             for split in ("overall", "text", "icon"):
                 assert np.array_equal(getattr(matrix, split), getattr(alone, split), equal_nan=True)
             assert matrix.stage_labels == alone.stage_labels
-            assert records == alone_records
+            assert np.array_equal(trainlog, alone_trainlog)
 
     @pytest.mark.parametrize("kw", [
         {"steps_per_task": 3}, {"eval_episodes": 7}, {"optim": OptimConfig(n_samples=5)},
@@ -365,8 +369,8 @@ class TestLiteratureDefinitions:
 
     @staticmethod
     def written(tmp_path, cfg, seed):
-        m, records = run_continual(cfg, seed)
-        write_run(tmp_path, cfg, seed, m, records)
+        m, trainlog = run_continual(cfg, seed)
+        write_run(tmp_path, cfg, seed, m, trainlog)
         with open(tmp_path / "matrix.csv", newline="") as f:
             header, *rows = list(csv.reader(f))
         n_tasks = (len(header) - 1) // 3
@@ -409,25 +413,27 @@ class TestLiteratureDefinitions:
 
 class TestRewardTrend:
     @staticmethod
-    def records_from(xs, ys):
-        return [
-            TrainRecord(step=i, task=0, correctness=y, apr=0, arr=0, r_aif=x, kl=0, objective=0)
-            for i, (x, y) in enumerate(zip(xs, ys))
-        ]
+    def trainlog_from(xs, ys, task=0):
+        trainlog = np.zeros(len(xs), TRAINLOG)
+        trainlog["step"] = np.arange(len(xs))
+        trainlog["task"] = task
+        trainlog["r_aif"] = xs
+        trainlog["correctness"] = ys
+        return trainlog
 
     def test_perfect_anticorrelation(self):
         xs = [1.0, 2.0, 3.0, 4.0]
-        r = reward_trend(self.records_from(xs, [-x for x in xs]))
+        r = reward_trend(self.trainlog_from(xs, [-x for x in xs]))
         assert r == pytest.approx(-1.0, abs=1e-12)
 
     def test_perfect_correlation(self):
         xs = [1.0, 2.0, 3.0, 4.0]
-        assert reward_trend(self.records_from(xs, xs)) == pytest.approx(1.0, abs=1e-12)
+        assert reward_trend(self.trainlog_from(xs, xs)) == pytest.approx(1.0, abs=1e-12)
 
     def test_textbook_formula(self, rng):
         xs = rng.random(50)
         ys = rng.random(50)
-        got = reward_trend(self.records_from(xs, ys))
+        got = reward_trend(self.trainlog_from(xs, ys))
         n = len(xs)
         sx = np.sqrt(((xs - xs.mean()) ** 2).sum() / n)
         sy = np.sqrt(((ys - ys.mean()) ** 2).sum() / n)
@@ -435,19 +441,18 @@ class TestRewardTrend:
         assert got == pytest.approx(cov / (sx * sy), abs=1e-9)
 
     def test_constant_series_absent(self):
-        assert reward_trend(self.records_from([1, 1, 1, 1], [1, 2, 3, 4])) is None
+        assert reward_trend(self.trainlog_from([1, 1, 1, 1], [1, 2, 3, 4])) is None
 
     def test_too_few_records_absent(self):
-        assert reward_trend(self.records_from([1, 2], [2, 1])) is None
+        assert reward_trend(self.trainlog_from([1, 2], [2, 1])) is None
 
     def test_task_filter(self):
-        recs = self.records_from([1, 2, 3, 4], [4, 3, 2, 1])
-        other = [
-            TrainRecord(step=9 + i, task=1, correctness=v, apr=0, arr=0, r_aif=v, kl=0, objective=0)
-            for i, v in enumerate([1.0, 2.0, 3.0])
-        ]
-        assert reward_trend(recs + other, task=0) == pytest.approx(-1.0, abs=1e-12)
-        assert reward_trend(recs + other, task=1) == pytest.approx(1.0, abs=1e-12)
+        both = np.concatenate([
+            self.trainlog_from([1, 2, 3, 4], [4, 3, 2, 1]),
+            self.trainlog_from([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], task=1),
+        ])
+        assert reward_trend(both, task=0) == pytest.approx(-1.0, abs=1e-12)
+        assert reward_trend(both, task=1) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestAblate:
@@ -459,12 +464,12 @@ class TestAblate:
         assert len(set(ids)) == len(ids)
         apr_only = [c for c in cells if c.variant == "apr_only"]
         assert apr_only and all(
-            all(rec.arr == 0.0 for rec in run_continual(c.cfg, seed)[1])
+            (run_continual(c.cfg, seed)[1]["arr"] == 0.0).all()
             for c in apr_only for seed in cfg.seeds
         )
         neither = [c for c in cells if c.variant == "neither"]
         assert neither and all(
-            all(rec.r_aif == 0.0 for rec in run_continual(c.cfg, seed)[1])
+            (run_continual(c.cfg, seed)[1]["r_aif"] == 0.0).all()
             for c in neither for seed in cfg.seeds
         )
 

@@ -187,6 +187,22 @@ class TestTaskSpec:
         with pytest.raises(ValueError, match="^offset: must map the latent range"):
             TaskSpec(**{**base, "offset": (1e300, 0.0)})
 
+    def test_noise_bounded(self):
+        base = dict(
+            name="x", matrix=((1, 0), (0, 1)), offset=(0, 0),
+            size_mean=0.5, size_spread=1.0, text_fraction=0.5, noise_sigma=STATE_MAX,
+            index=0, n_tasks=1,
+        )
+        # the widest accepted transform under the largest accepted noise
+        e = STATE_MAX / (2.0 * LATENT_MAX) * (1.0 - 1e-12)
+        edge = TaskSpec(**{**base, "matrix": ((e, e), (e, -e))})
+        states, _, _ = sample_instances(edge, 2000, np.random.default_rng(0))
+        assert np.isfinite(states * states).all()
+        assert np.abs(states).max() > STATE_MAX
+        for sigma in (np.nextafter(STATE_MAX, math.inf), 1e308, math.inf, -1e-300):
+            with pytest.raises(ValueError, match=r"^noise_sigma: outside \[0, 1e\+150\]"):
+                TaskSpec(**{**base, "noise_sigma": sigma})
+
 
 class TestSampleInstance:
     def test_noise_free_identity_observation_matches_target(self):
